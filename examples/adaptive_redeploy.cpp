@@ -65,7 +65,8 @@ int main() {
                                 mail::mail_translator())
                 .is_ok());
 
-  // The §6 wiring: monitor events re-translate the service's environment.
+  // The §6 wiring: monitor events re-translate the service's environment
+  // (through the framework-owned AdaptationController).
   fw.enable_adaptation("SecureMail");
 
   // --- phase 1: insecure WAN, tunnel required -----------------------------
@@ -141,17 +142,15 @@ int main() {
 
   // --- phase 4: garbage-collect the now-orphaned tunnel --------------------
   // The old client still runs through E/D (they keep working over the now-
-  // secure link). A production framework would migrate it; here we show the
-  // runtime can rewire the *old* entry directly to the view and retire the
-  // tunnel, completing the incremental redeployment.
+  // secure link). The framework migrates deployments tracked on the
+  // AdaptationController that enable_adaptation returns, but only when they
+  // violate their constraints; a link that became secure is an improvement,
+  // not a violation, so the controller would leave the old chain alone. Here
+  // the old entry is rewired to the view by hand and the tunnel retired,
+  // completing the incremental redeployment.
   std::printf("\n=== phase 4: rewire the old client and retire the tunnel "
               "===\n");
   runtime::RuntimeInstanceId old_enc = 0, old_dec = 0;
-  for (const auto& p : before.plan.placements) {
-    // Resolve the runtime ids of the tunnel components from phase 1 by
-    // asking the runtime what lives where.
-    (void)p;
-  }
   for (auto id : fw.runtime().instances_on(sites.sd_client)) {
     if (fw.runtime().instance(id).def->name == "Encryptor") old_enc = id;
   }

@@ -2,8 +2,8 @@
 // discipline rules over a CxxScan, one function per DET catalog family.
 //
 // The checks mirror the repo's actual reproducibility contract (seeded
-// chaos replay, region-parallel DES merge, hierarchical planner reduction
-// are all gated on bit-identical outputs):
+// chaos replay, adaptation replay, hierarchical planner reduction are all
+// gated on bit-identical outputs):
 //
 //   DET001..DET004  nondeterminism sources — entropy, hidden RNG state,
 //                   wall-clock reads on simulated paths;

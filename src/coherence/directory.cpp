@@ -12,6 +12,7 @@ CoherenceDirectory::CoherenceDirectory(
     std::string push_op, std::unique_ptr<ConflictMap> conflict_map,
     DirectoryTuning tuning)
     : runtime_(runtime),
+      sim_(runtime.simulator()),
       home_(home),
       push_op_(std::move(push_op)),
       conflict_map_(conflict_map ? std::move(conflict_map)
@@ -21,7 +22,7 @@ CoherenceDirectory::CoherenceDirectory(
 CoherenceDirectory::~CoherenceDirectory() {
   // The home component may be torn down with an epoch flush still pending;
   // the event captures `this` and must not fire afterwards.
-  if (epoch_scheduled_) runtime_.simulator().cancel(epoch_event_);
+  if (epoch_scheduled_) sim_.cancel(epoch_event_);
 }
 
 void CoherenceDirectory::register_replica(runtime::RuntimeInstanceId replica,
@@ -88,13 +89,12 @@ void CoherenceDirectory::schedule_epoch_flush() {
   // A zero epoch still defers to the end of the current event cascade, so
   // every update staged at this timestamp (e.g. a relayed sync batch)
   // ships as one push per replica.
-  epoch_event_ = runtime_.simulator().schedule(tuning_.flush_epoch,
-                                               [this] { flush_staged(); });
+  epoch_event_ = sim_.schedule(tuning_.flush_epoch, [this] { flush_staged(); });
 }
 
 void CoherenceDirectory::flush_staged() {
   if (epoch_scheduled_) {
-    runtime_.simulator().cancel(epoch_event_);
+    sim_.cancel(epoch_event_);
     epoch_scheduled_ = false;
   }
   if (staged_.empty()) {

@@ -99,6 +99,9 @@ class CoherenceDirectory {
   void schedule_epoch_flush();
 
   runtime::SmockRuntime& runtime_;
+  // Held directly: the home component (and so this directory) may be
+  // destroyed after the runtime, by a continuation that outlives it.
+  sim::Simulator& sim_;
   runtime::RuntimeInstanceId home_;
   std::string push_op_;
   std::unique_ptr<ConflictMap> conflict_map_;

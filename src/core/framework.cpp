@@ -1,7 +1,7 @@
 #include "core/framework.hpp"
 
 #include "analysis/analyzer.hpp"
-#include "util/logging.hpp"
+#include "util/assert.hpp"
 
 namespace psf::core {
 
@@ -111,15 +111,11 @@ runtime::LeaseManager& Framework::enable_failure_detection(
   return *lease_;
 }
 
-void Framework::enable_adaptation(const std::string& service) {
-  monitor_.subscribe(
-      [this, service](const runtime::NetworkMonitor::ChangeEvent&) {
-        auto st = server_.refresh_environment(service);
-        if (!st) {
-          PSF_WARN() << "adaptation refresh failed for '" << service
-                     << "': " << st.to_string();
-        }
-      });
+runtime::AdaptationController& Framework::enable_adaptation(
+    const std::string& service) {
+  controllers_.push_back(std::make_unique<runtime::AdaptationController>(
+      runtime_, server_, monitor_, service));
+  return *controllers_.back();
 }
 
 }  // namespace psf::core

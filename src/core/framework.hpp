@@ -8,15 +8,18 @@
 //   proxy->invoke(...);          // binds on first use: plan + deploy
 //   fw.run();                    // drive the simulation
 //
-// enable_adaptation() wires the §6 extension: network-monitor events
-// re-translate the service's environment view so subsequent (re)planning
-// sees fresh properties.
+// enable_adaptation() wires the §6 extension: an AdaptationController
+// re-translates the service's environment view on every network-monitor
+// event, so subsequent (re)planning sees fresh properties, and repairs any
+// deployment tracked on it.
 #pragma once
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "net/network.hpp"
+#include "runtime/adaptation.hpp"
 #include "runtime/generic.hpp"
 #include "runtime/lease.hpp"
 #include "runtime/lookup.hpp"
@@ -70,9 +73,12 @@ class Framework {
       net::NodeId client_node, const std::string& service,
       planner::PlanRequest defaults);
 
-  // Re-translate `service`'s environment whenever the monitor reports a
-  // change, so later planning sees current properties.
-  void enable_adaptation(const std::string& service);
+  // Creates an AdaptationController for `service` (which must already be
+  // registered) and keeps it for the framework's lifetime. Every monitor
+  // change re-translates the service's environment, so later planning sees
+  // current properties; deployments tracked on the returned controller are
+  // also checked and repaired.
+  runtime::AdaptationController& enable_adaptation(const std::string& service);
 
   // Fault injection, oracle flavor: crashes every instance on `node`, marks
   // the node down, and immediately fires a kNodeFailure monitor event (the
@@ -130,6 +136,7 @@ class Framework {
   runtime::ShardedLookupService sharded_lookup_;
   runtime::GenericServer server_;
   runtime::NetworkMonitor monitor_;
+  std::vector<std::unique_ptr<runtime::AdaptationController>> controllers_;
   std::unique_ptr<runtime::LeaseManager> lease_;
   runtime::RetryTelemetry retry_telemetry_;
 };

@@ -66,6 +66,11 @@ void ViewMailServerComponent::on_start() {
 void ViewMailServerComponent::on_stop() {
   if (replica_) replica_->flush();
   if (directory_) directory_->flush_staged();
+  // A stopped view is done with coherence. An in-flight continuation may
+  // keep this object alive past uninstall, but the final flush's response
+  // and any later timer tick must find no replica to act on.
+  replica_.reset();
+  directory_.reset();
 }
 
 void ViewMailServerComponent::prepare_migration(std::function<void()> done) {

@@ -163,8 +163,9 @@ class Network {
   const Route* cached_route(NodeId from, NodeId to) const;
 
   // Eagerly materializes every row (O(V) Dijkstras, O(V^2) entries). Only
-  // worth it when most pairs will actually be queried — e.g. the megascale
-  // engine; the hierarchical planner relies on lazy rows instead.
+  // worth it when most pairs will actually be queried; the hierarchical
+  // planner relies on lazy rows instead, and tests use this as the eager
+  // reference the lazy rows must match.
   void precompute_routes() const;
 
   // Rows materialized since the last mutation — observability for the lazy

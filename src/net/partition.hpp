@@ -1,10 +1,7 @@
 // Shared graph-partitioning utility over net::Network.
 //
-// One deterministic algorithm, two consumers:
-//  - the region-parallel simulation engine (sim::partition_network wraps
-//    this and derives its conservative lookahead);
-//  - the hierarchical planner (planner::ClusterIndex builds capacity-bounded
-//    clusters, border nodes, and a quotient graph on top of it).
+// The hierarchical planner's planner::ClusterIndex builds capacity-bounded
+// clusters, border nodes, and a quotient graph on top of it.
 //
 // The algorithm is the parameter-server streaming idiom: stream nodes in
 // BFS order, assign each to the capacity-bounded part holding most of its

@@ -1,8 +1,7 @@
 // ClusterIndex: the hierarchical planner's view of a partitioned topology.
 //
-// Built on net::partition_graph (the same capacity-bounded streaming
-// partition the region-parallel engine uses), it adds what two-level search
-// needs:
+// Built on net::partition_graph (a capacity-bounded streaming partition),
+// it adds what two-level search needs:
 //   - members(c): the nodes of cluster c, in id order;
 //   - border_nodes(c): members of c incident to at least one cut link;
 //   - a quotient graph over clusters whose edge (a, b) carries the MINIMUM

@@ -42,7 +42,11 @@ struct StateSnapshot {
   std::shared_ptr<const MessageBody> body;
 };
 
-class Component {
+// The runtime holds every component by shared_ptr, and call()/charge_cpu()
+// hand each continuation they schedule a share of it: an uninstalled
+// component stays alive exactly until its last in-flight continuation has
+// run, so a handler capturing `this` never touches freed memory.
+class Component : public std::enable_shared_from_this<Component> {
  public:
   virtual ~Component() = default;
 
@@ -72,7 +76,8 @@ class Component {
 
  protected:
   // Issues a request along the wire bound to `iface` (set up by the
-  // deployment engine per the plan). Fails the callback when unwired.
+  // deployment engine per the plan). Fails the callback when unwired, and
+  // with kDeadTarget once this component has been uninstalled.
   void call(const std::string& iface, Request request, ResponseCallback done);
 
   // Charges `units` of CPU on this component's node, then continues.
@@ -89,6 +94,9 @@ class Component {
   friend class SmockRuntime;
   SmockRuntime* runtime_ = nullptr;
   RuntimeInstanceId self_ = 0;
+  // Cached at install: a retired component's late continuations still know
+  // where to charge CPU after its Instance record is gone.
+  net::NodeId node_;
 };
 
 class ComponentFactoryRegistry {

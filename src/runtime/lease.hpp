@@ -11,7 +11,7 @@
 // A sweep timer on the registry side expires leases not renewed within
 // `heartbeat + grace` and fires NetworkMonitor::report_node_failure, which
 // drives the existing adaptation chain (GenericServer epoch bump + pool
-// eviction, PlanCache invalidation, RedeploymentManager::check_now). If a
+// eviction, PlanCache invalidation, AdaptationController::check_now). If a
 // renewal later arrives (a healed partition), the lease reactivates.
 //
 // Determinism: timers are plain simulator events; no RNG is involved. With

@@ -1,4 +1,4 @@
-// Sharded attribute-based lookup (megascale scale-out of §3.2).
+// Sharded attribute-based lookup (a scale-out of §3.2's registry).
 //
 // A single LookupService registry anchored at one node becomes the
 // bottleneck (and single point of failure) once clients number in the

@@ -13,13 +13,18 @@ namespace psf::runtime {
 void Component::call(const std::string& iface, Request request,
                      ResponseCallback done) {
   PSF_CHECK_MSG(runtime_ != nullptr, "component used before installation");
-  runtime_->call(self_, iface, std::move(request), std::move(done));
+  runtime_->call(self_, iface, std::move(request),
+                 [keep_alive = shared_from_this(),
+                  done = std::move(done)](Response response) {
+                   done(std::move(response));
+                 });
 }
 
 void Component::charge_cpu(double units, std::function<void()> then) {
   PSF_CHECK(runtime_ != nullptr);
-  runtime_->charge_cpu(runtime_->instance(self_).node, units,
-                       std::move(then));
+  runtime_->charge_cpu(
+      node_, units,
+      [keep_alive = shared_from_this(), then = std::move(then)] { then(); });
 }
 
 sim::Simulator& Component::simulator() {
@@ -39,7 +44,7 @@ const planner::FactorBindings& Component::factors() const {
 
 net::NodeId Component::node() const {
   PSF_CHECK(runtime_ != nullptr);
-  return runtime_->instance(self_).node;
+  return node_;
 }
 
 SmockRuntime& Component::runtime() {
@@ -92,6 +97,7 @@ void SmockRuntime::install(
         inst.component = std::move(component).value();
         inst.component->runtime_ = this;
         inst.component->self_ = id;
+        inst.component->node_ = node;
         instances_.emplace(id, std::move(inst));
         ++stats_.installs;
         (*shared_done)(id);
@@ -334,7 +340,15 @@ std::vector<RuntimeInstanceId> SmockRuntime::instances_on(
 
 void SmockRuntime::call(RuntimeInstanceId from, const std::string& iface,
                         Request request, ResponseCallback done) {
-  Instance& src = instance(from);
+  auto src_it = instances_.find(from);
+  if (src_it == instances_.end()) {
+    // A continuation of an uninstalled component: the chain behind it is
+    // gone as far as the caller is concerned.
+    done(Response::transport_failure(TransportError::kDeadTarget,
+                                     "calling instance was uninstalled"));
+    return;
+  }
+  Instance& src = src_it->second;
   auto wire_it = src.wires.find(iface);
   if (wire_it == src.wires.end()) {
     done(Response::failure("instance '" + src.def->name +
@@ -445,7 +459,9 @@ void SmockRuntime::deliver(RuntimeInstanceId target, Request request,
       [this, target, request = std::move(request), reply_to, target_node,
        done = std::move(done)]() mutable {
         if (!exists(target)) {
-          done(Response::failure("target instance vanished in flight"));
+          done(Response::transport_failure(
+              TransportError::kDeadTarget,
+              "target instance vanished while queued on its CPU"));
           return;
         }
         Instance& inst = instance(target);

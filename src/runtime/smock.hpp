@@ -56,7 +56,9 @@ struct Instance {
   // to exists()/instances_on() and rejects new work, but keeps the object
   // alive for stragglers (the cost: crashed objects persist for the run).
   bool crashed = false;
-  std::unique_ptr<Component> component;
+  // Shared with the component's in-flight continuations (see Component), so
+  // uninstall frees the object only once the last of them has run.
+  std::shared_ptr<Component> component;
   std::map<std::string, RuntimeInstanceId> wires;  // iface -> server
   InstanceStats stats;
 };

@@ -16,7 +16,7 @@
 // anything over 16 bytes). Cancellation state is a watermarked flag window:
 // ids below the minimum outstanding id are dropped from the front, so
 // memory tracks the number of in-flight events, not the total ever
-// scheduled — a week-long megascale run stays flat.
+// scheduled — a week-long simulated run stays flat.
 #pragma once
 
 #include <cstdint>
@@ -36,6 +36,14 @@ using EventId = std::uint64_t;
 class Simulator {
  public:
   Simulator() = default;
+
+  // Pending closures may hold the last reference to objects whose
+  // destructors cancel their own timers here (a component kept alive by an
+  // in-flight continuation), so they are destroyed while the queue and the
+  // flag window are still intact.
+  ~Simulator() {
+    while (!queue_.empty()) pop_top();
+  }
 
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;

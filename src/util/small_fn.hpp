@@ -1,10 +1,10 @@
 // Small-buffer-optimized move-only callable for the event hot path.
 //
 // std::function heap-allocates any capture larger than its tiny internal
-// buffer (16 bytes on libstdc++), which at megascale means one malloc per
-// scheduled event. SmallFn inlines captures up to kInlineBytes — sized so
-// every hot-path closure in the simulator and the parallel engine fits —
-// and falls back to the heap only for oversized captures (the cold
+// buffer (16 bytes on libstdc++), which means one malloc per scheduled
+// event. SmallFn inlines captures up to kInlineBytes — sized so every
+// hot-path closure in the simulator fits — and falls back to the heap only
+// for oversized captures (the cold
 // install/bind paths). Global counters expose the fallback rate so benches
 // can gate on allocator traffic.
 #pragma once
@@ -23,7 +23,7 @@ namespace psf::util {
 class SmallFn {
  public:
   // Large enough for the simulator's hop-walker and timer closures
-  // (shared_ptr + a couple of words) and the megascale per-request closures.
+  // (shared_ptr + a couple of words).
   static constexpr std::size_t kInlineBytes = 48;
 
   SmallFn() = default;

@@ -2,9 +2,14 @@
 // Violations are classified against tracked plans, Planner::repair pins
 // survivors and re-searches the affected neighborhood, and the runtime
 // migrates component state sync-then-cutover with a drain window for
-// stragglers. Also covers SmockRuntime::migrate directly and the plan-cache
-// guarantee that a stale handle never binds a migrated-away instance.
+// stragglers. Also covers SmockRuntime::migrate directly, the plan-cache
+// guarantee that a stale handle never binds a migrated-away instance,
+// orphan collection, repair-vs-cold constraint equivalence, and a retired
+// component outliving the replies still in flight toward it.
 #include <gtest/gtest.h>
+
+#include <set>
+#include <string>
 
 #include "core/case_study.hpp"
 #include "core/framework.hpp"
@@ -12,6 +17,8 @@
 #include "mail/registration.hpp"
 #include "mail/types.hpp"
 #include "mail/view_server.hpp"
+#include "planner/planner.hpp"
+#include "planner/validate.hpp"
 #include "runtime/adaptation.hpp"
 
 namespace psf {
@@ -105,6 +112,14 @@ struct AdaptationControllerFixture : public ::testing::Test {
     EXPECT_TRUE(fw->run_until_condition([&done]() { return done; },
                                         sim::Duration::from_seconds(30)));
     return got;
+  }
+
+  std::set<std::string> live_components(net::NodeId node) {
+    std::set<std::string> out;
+    for (auto id : fw->runtime().instances_on(node)) {
+      out.insert(fw->runtime().instance(id).def->name);
+    }
+    return out;
   }
 
   // The runtime id + node of the tracked plan's ViewMailServer placement.
@@ -314,6 +329,164 @@ TEST_F(AdaptationControllerFixture, SiteTrustLossIsUnsatisfiable) {
   }
   EXPECT_TRUE(unsatisfiable_seen);
   EXPECT_EQ(ctl->stats().repaired, 0u);
+}
+
+TEST_F(AdaptationControllerFixture, OrphanedTunnelIsCollected) {
+  // An unpinned client (a batch job that may run anywhere in the branch)
+  // lets the repair move off the degraded node entirely, leaving the old
+  // chain unreachable — the controller must retire it.
+  auto request = sd_request();
+  request.pin_entry_to_client = false;
+  auto outcome = bind(request);
+  ctl->track(outcome, request);
+
+  ASSERT_TRUE(live_components(sites.sd_client).count("ViewMailServer"));
+  const std::size_t before = fw->runtime().instance_count();
+
+  // sd-2 loses the company's trust: every old placement there is invalid,
+  // and nothing trust-4 may return to it. The new chain lands on the other
+  // San Diego nodes.
+  fw->monitor().set_node_credential(sites.sd_client, "trust",
+                                    std::int64_t{3});
+  fw->run_for(sim::Duration::from_seconds(60));
+  ASSERT_EQ(ctl->stats().repaired, 1u)
+      << (ctl->events().empty() ? "no events" : ctl->events().back().detail);
+  std::size_t repaired_events = 0;
+  for (const auto& event : ctl->events()) {
+    if (event.outcome != runtime::AdaptationEvent::Outcome::kRepaired) {
+      continue;
+    }
+    ++repaired_events;
+    EXPECT_EQ(event.detail, "property-drift@sd-2");
+  }
+  EXPECT_EQ(repaired_events, 1u);
+
+  // The old view and tunnel on the degraded node are gone (the preserved
+  // entry MailClient is grafted onto the new chain and stays).
+  EXPECT_FALSE(live_components(sites.sd_client).count("ViewMailServer"));
+  EXPECT_FALSE(live_components(sites.sd_client).count("Encryptor"));
+  // A fresh chain exists elsewhere in San Diego.
+  bool new_view = false;
+  for (net::NodeId n : sites.san_diego) {
+    if (n == sites.sd_client) continue;
+    new_view |= live_components(n).count("ViewMailServer") != 0;
+  }
+  EXPECT_TRUE(new_view);
+  // No instance leak: old chain collected as the new one arrived.
+  EXPECT_LE(fw->runtime().instance_count(), before + 2);
+}
+
+TEST_F(AdaptationControllerFixture,
+       RepairSatisfiesColdPlanConstraintsDeterministically) {
+  auto request = sd_request();
+  auto outcome = bind(request);
+
+  // Fault: the client machine shrinks below the co-located view's footprint,
+  // then the environment view is refreshed so both planner paths see the
+  // post-fault world.
+  fw->monitor().set_node_capacity(sites.sd_client, 3.5e3);
+  ASSERT_TRUE(fw->server().refresh_environment("SecureMail").is_ok());
+  const spec::ServiceSpec* spec = fw->server().service_spec("SecureMail");
+  const planner::EnvironmentView* env = fw->server().environment("SecureMail");
+  ASSERT_NE(spec, nullptr);
+  ASSERT_NE(env, nullptr);
+  planner::Planner planner(*spec, *env);
+
+  std::vector<planner::RepairViolation> violations(1);
+  violations[0].kind = planner::RepairViolation::Kind::kLoadOverCapacity;
+  violations[0].node = sites.sd_client;
+  const auto& pool = fw->server().existing_instances("SecureMail");
+
+  planner::RepairOutcome ro;
+  auto repaired = planner.repair(request, outcome.plan, violations, pool, &ro);
+  ASSERT_TRUE(repaired.has_value()) << repaired.status().to_string();
+
+  // The incremental result satisfies exactly the constraints a cold plan
+  // must: the full validator accepts it against the post-fault environment.
+  EXPECT_TRUE(
+      planner::validate_plan(*spec, *env, request, *repaired, pool).ok())
+      << planner::validate_plan(*spec, *env, request, *repaired, pool)
+             .to_string();
+  auto cold = planner.plan(request, pool);
+  ASSERT_TRUE(cold.has_value()) << cold.status().to_string();
+  EXPECT_TRUE(planner::validate_plan(*spec, *env, request, *cold, pool).ok());
+
+  // Repair stayed local: the violating node left the candidate set, some
+  // placements broke, the rest were pinned, and no fallback was needed.
+  EXPECT_FALSE(ro.fell_back_to_full);
+  EXPECT_GE(ro.broken_placements, 1u);
+  EXPECT_EQ(ro.surviving_placements + ro.broken_placements,
+            outcome.plan.placements.size());
+  for (net::NodeId n : ro.candidate_nodes) EXPECT_NE(n, sites.sd_client);
+  // Only the pinned entry may remain on the squeezed node.
+  for (const auto& p : repaired->placements) {
+    if (p.node == sites.sd_client) {
+      EXPECT_EQ(p.component->name, "MailClient");
+    }
+  }
+
+  // Bit-identical under a fixed environment: a second repair with the same
+  // inputs renders the same plan, byte for byte.
+  planner::RepairOutcome ro2;
+  auto repaired2 =
+      planner.repair(request, outcome.plan, violations, pool, &ro2);
+  ASSERT_TRUE(repaired2.has_value());
+  EXPECT_EQ(repaired->to_string(fw->network()),
+            repaired2->to_string(fw->network()));
+  EXPECT_EQ(ro.candidate_nodes, ro2.candidate_nodes);
+}
+
+TEST_F(AdaptationControllerFixture, RetiredEncryptorOutlivesInFlightReply) {
+  // An Encryptor retired by a drain shorter than its tunnel round trip: the
+  // sealed reply is still crossing the slow WAN when the drain window
+  // closes and the instance is uninstalled. The reply's continuation runs
+  // inside the component, so the component must live until it has landed.
+  const auto wan =
+      fw->network().link_between(sites.san_diego[0], sites.new_york[0]);
+  ASSERT_TRUE(wan.has_value());
+  fw->monitor().set_link_latency(*wan, sim::Duration::from_millis(1500));
+
+  auto request = sd_request();
+  auto outcome = bind(request);
+  ctl->track(outcome, request);
+  ASSERT_TRUE(live_components(sites.sd_client).count("Encryptor"));
+  config->keys->provision_user("sam", mail::kMaxSensitivity);
+
+  // High-sensitivity receives always cross the tunnel to the home. Keep
+  // them flowing every 100 ms across the drain, cutover and retirement.
+  constexpr int kReceives = 100;
+  const runtime::RuntimeInstanceId entry = outcome.entry;
+  int completed = 0;
+  int ok = 0;
+  const auto receive = [&] {
+    auto body = std::make_shared<mail::ReceiveBody>();
+    body->user = "sam";
+    body->include_high_sensitivity = true;
+    runtime::Request recv;
+    recv.op = mail::ops::kReceive;
+    recv.body = body;
+    recv.wire_bytes = 256;
+    recv.principal = "sam";
+    fw->runtime().invoke_from_node(sites.sd_client, entry, std::move(recv),
+                                   [&completed, &ok](runtime::Response r) {
+                                     ++completed;
+                                     if (r.ok) ++ok;
+                                   });
+  };
+  for (int i = 0; i < kReceives; ++i) {
+    fw->simulator().schedule(sim::Duration::from_millis(100 * i), receive);
+  }
+  fw->simulator().schedule(sim::Duration::from_millis(500),
+                           [this] { ctl->drain_node(sites.sd_client); });
+  ASSERT_TRUE(fw->run_until_condition(
+      [&completed] { return completed == kReceives; },
+      sim::Duration::from_seconds(120)));
+
+  // The tunnel moved off the drained node, and the replies that were in
+  // flight through the retired Encryptor were unsealed and delivered.
+  ASSERT_GE(ctl->stats().repaired, 1u);
+  EXPECT_FALSE(live_components(sites.sd_client).count("Encryptor"));
+  EXPECT_GT(ok, 0);
 }
 
 TEST_F(AdaptationControllerFixture, MigrateMovesStateAndRetiresSource) {

@@ -295,6 +295,57 @@ TEST_F(ChaosFixture, RebindRecoversFromUpstreamCrash) {
   EXPECT_GE(fw->retry_telemetry().rebinds, 1u);
 }
 
+TEST_F(ChaosFixture, RequestQueuedOnCrashedTargetRebinds) {
+  // A request already delivered to an instance but still waiting for its
+  // node's CPU when the node crashes must fail as kDeadTarget — the
+  // transport error the retry layer answers by rebinding — not as an
+  // application error it would hand straight back to the caller.
+  config->keys->provision_user("fay", mail::kMaxSensitivity);
+  bind_ok(sites.sd_client, 4);  // deploys the San Diego view
+  auto proxy = bind_ok(sites.sea_client, 2);
+  runtime::RetryPolicy policy;
+  policy.attempt_timeout = sim::Duration::from_seconds(20);
+  policy.backoff_base = sim::Duration::from_millis(200);
+  policy.max_attempts = 8;
+  proxy->enable_retries(policy, &fw->retry_telemetry());
+  fw->run_for(sim::Duration::from_seconds(5));  // settle registrations
+
+  runtime::RuntimeInstanceId sd_view = 0;
+  for (auto id : fw->runtime().instances_on(sites.sd_client)) {
+    if (fw->runtime().instance(id).def->name == "ViewMailServer") sd_view = id;
+  }
+  ASSERT_NE(sd_view, 0u);
+
+  // Keep sd-2's CPU busy for seconds, so the forwarded receive is delivered
+  // to the San Diego view and then queues behind that work.
+  fw->runtime().charge_cpu(
+      sites.sd_client,
+      5.0 * fw->network().node(sites.sd_client).cpu_capacity, [] {});
+  const std::uint64_t handled_before =
+      fw->runtime().instance(sd_view).stats.requests_handled;
+  runtime::Response response;
+  bool done = false;
+  proxy->invoke(receive_request("fay", true), [&](runtime::Response r) {
+    response = r;
+    done = true;
+  });
+  ASSERT_TRUE(fw->run_until_condition(
+      [&]() {
+        return fw->runtime().instance(sd_view).stats.requests_handled >
+               handled_before;
+      },
+      sim::Duration::from_seconds(3)));
+  ASSERT_FALSE(done);
+  fw->crash_node(sites.sd_client);  // the receive is still on the CPU queue
+
+  fw->run_until_condition([&]() { return done; },
+                          sim::Duration::from_seconds(300));
+  ASSERT_TRUE(done);
+  EXPECT_TRUE(response.ok) << response.error;
+  EXPECT_GE(fw->retry_telemetry().dead_targets, 1u);
+  EXPECT_GE(fw->retry_telemetry().rebinds, 1u);
+}
+
 // Two identical worlds driven by the same FaultPlan seed must agree on every
 // counter — the replayability contract chaos debugging depends on.
 TEST(ChaosReplayTest, SameSeedIsBitIdentical) {

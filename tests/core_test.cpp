@@ -4,12 +4,12 @@
 
 #include "core/case_study.hpp"
 #include "core/framework.hpp"
-#include "core/redeploy.hpp"
 #include "core/scenarios.hpp"
 #include "core/workload.hpp"
 #include "mail/mail_spec.hpp"
 #include "mail/registration.hpp"
 #include "mail/server.hpp"
+#include "runtime/adaptation.hpp"
 
 namespace psf::core {
 namespace {
@@ -92,15 +92,15 @@ TEST(ScenarioMetaTest, NamesAndKinds) {
   EXPECT_EQ(std::size(kAllScenarios), 9u);
 }
 
-TEST(RedeployMetaTest, OutcomeNames) {
-  EXPECT_STREQ(redeploy_outcome_name(RedeployEvent::Outcome::kStillValid),
+TEST(AdaptationMetaTest, OutcomeNames) {
+  using Outcome = runtime::AdaptationEvent::Outcome;
+  EXPECT_STREQ(runtime::adaptation_outcome_name(Outcome::kStillValid),
                "still-valid");
-  EXPECT_STREQ(redeploy_outcome_name(RedeployEvent::Outcome::kRedeployed),
-               "redeployed");
-  EXPECT_STREQ(redeploy_outcome_name(RedeployEvent::Outcome::kUnsatisfiable),
+  EXPECT_STREQ(runtime::adaptation_outcome_name(Outcome::kRepaired),
+               "repaired");
+  EXPECT_STREQ(runtime::adaptation_outcome_name(Outcome::kUnsatisfiable),
                "unsatisfiable");
-  EXPECT_STREQ(redeploy_outcome_name(RedeployEvent::Outcome::kFailed),
-               "failed");
+  EXPECT_STREQ(runtime::adaptation_outcome_name(Outcome::kFailed), "failed");
 }
 
 // ---- WorkloadClient against a bare MailServer ------------------------------

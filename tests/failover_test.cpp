@@ -11,7 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "core/case_study.hpp"
-#include "core/redeploy.hpp"
+#include "core/framework.hpp"
 #include "mail/mail_spec.hpp"
 #include "mail/registration.hpp"
 #include "mail/types.hpp"
@@ -33,7 +33,7 @@ struct FailoverFixture : public ::testing::Test {
     auto st = fw->register_service(mail::mail_registration(sites.mail_home),
                                    mail::mail_translator());
     ASSERT_TRUE(st.is_ok()) << st.to_string();
-    fw->enable_adaptation("SecureMail");
+    controller = &fw->enable_adaptation("SecureMail");
     // After register_service (it drains the simulator); the lease timers
     // run forever, so tests below only use bounded run_* calls.
     lease = &fw->enable_failure_detection(params);
@@ -76,6 +76,7 @@ struct FailoverFixture : public ::testing::Test {
   mail::MailConfigPtr config;
   runtime::LeaseParams params;  // defaults: 500ms heartbeat, 1500ms grace
   runtime::LeaseManager* lease = nullptr;
+  runtime::AdaptationController* controller = nullptr;
 };
 
 TEST_F(FailoverFixture, CrashTearsDownHostedInstances) {
@@ -158,34 +159,37 @@ TEST_F(FailoverFixture, NextClientPlansAroundTheCrash) {
   EXPECT_TRUE(ok);
 }
 
-TEST_F(FailoverFixture, ManagerReportsLostEntryAsUnrecoverable) {
+TEST_F(FailoverFixture, ControllerReportsLostEntryAsUnrecoverable) {
   auto outcome = try_bind(sites.sd_client);
   ASSERT_TRUE(outcome.has_value());
-  core::RedeploymentManager manager(*fw, "SecureMail");
   planner::PlanRequest request;
   request.interface_name = "ClientInterface";
   request.required_properties.emplace_back("TrustLevel",
                                            spec::PropertyValue::integer(4));
   request.client_node = sites.sd_client;
   request.request_rate_rps = 50.0;
-  manager.track(*outcome, request);
+  controller->track(*outcome, request);
 
   // The crash takes the client's own entry with it: the binding cannot be
-  // preserved, which the manager must surface rather than silently "fix".
-  // With the client node physically gone the replan is unsatisfiable (no
-  // node can host the entry); a partial failure would read as kFailed.
+  // preserved, which the controller must surface rather than silently
+  // "fix". With the client node physically gone the repair is
+  // unsatisfiable (no node can host the pinned entry).
   crash_and_detect(sites.sd_client);
   fw->run_for(sim::Duration::from_seconds(10));
 
-  ASSERT_FALSE(manager.events().empty());
-  bool unrecoverable_seen = false;
-  for (const auto& event : manager.events()) {
-    unrecoverable_seen |=
-        event.outcome == core::RedeployEvent::Outcome::kFailed ||
-        event.outcome == core::RedeployEvent::Outcome::kUnsatisfiable;
+  bool unsatisfiable_seen = false;
+  for (const auto& event : controller->events()) {
+    if (event.outcome != runtime::AdaptationEvent::Outcome::kUnsatisfiable) {
+      continue;
+    }
+    unsatisfiable_seen = true;
+    EXPECT_NE(event.detail.find("node-death@sd-2"), std::string::npos)
+        << event.detail;
+    EXPECT_NE(event.detail.find("backing instance gone"), std::string::npos)
+        << event.detail;
   }
-  EXPECT_TRUE(unrecoverable_seen);
-  EXPECT_EQ(manager.redeploy_count(), 0u);
+  EXPECT_TRUE(unsatisfiable_seen);
+  EXPECT_EQ(controller->stats().repaired, 0u);
 }
 
 TEST_F(FailoverFixture, PartitionHealFiresExactlyOneExpiryAndOneRecovery) {

@@ -141,9 +141,9 @@ TEST(PartitionGraphTest, DeterministicAndCutStatsConsistent) {
   EXPECT_EQ(a.min_cut_latency_ns, min_latency);
 }
 
-TEST(PartitionGraphTest, SimRegionWrapperAgrees) {
-  // sim::partition_network is now a thin wrapper; both views of the same
-  // partition must agree exactly.
+TEST(PartitionGraphTest, PartOfAgreesWithNodeTable) {
+  // The part_of() accessor and the raw per-node table are two views of the
+  // same assignment; they must agree exactly.
   const net::Network network = waxman(40, 3);
   const net::GraphPartition part = net::partition_graph(network, 5);
   for (net::NodeId id : network.all_nodes()) {

@@ -4,7 +4,6 @@
 #include <set>
 #include <thread>
 
-#include "util/arena.hpp"
 #include "util/rng.hpp"
 #include "util/small_fn.hpp"
 #include "util/stats.hpp"
@@ -281,45 +280,6 @@ TEST(SmallFnTest, MoveRelocatesInlineStateAndEmptiesSource) {
 TEST(SmallFnTest, CallingEmptyFnDies) {
   SmallFn empty;
   EXPECT_DEATH(empty(), "empty SmallFn");
-}
-
-// ---- SlabPool --------------------------------------------------------------
-
-TEST(SlabPoolTest, RecyclesStorageWithoutNewBlocks) {
-  struct Node {
-    explicit Node(int v) : value(v) {}
-    int value;
-  };
-  SlabPool<Node> pool(/*block_items=*/4);
-  // Churn far more objects than one block holds, but never more than 4 live
-  // at once: a single slab must cover the whole run.
-  std::vector<Node*> live;
-  for (int round = 0; round < 100; ++round) {
-    for (int i = 0; i < 4; ++i) live.push_back(pool.create(round * 4 + i));
-    for (Node* n : live) pool.destroy(n);
-    live.clear();
-  }
-  const auto& stats = pool.stats();
-  EXPECT_EQ(stats.created, 400u);
-  EXPECT_EQ(stats.blocks, 1u);           // one allocator call total
-  EXPECT_EQ(stats.recycled, 400u - 4u);  // all but the first batch reused
-}
-
-TEST(SlabPoolTest, CrossPoolDestroyFeedsReceiverFreelist) {
-  struct Msg {
-    std::uint64_t payload = 0;
-  };
-  SlabPool<Msg> sender(8);
-  SlabPool<Msg> receiver(8);
-  // Mailbox pattern: sender allocates, receiver destroys and reuses.
-  Msg* m = sender.create();
-  m->payload = 99;
-  receiver.destroy(m);
-  Msg* again = receiver.create();
-  EXPECT_EQ(static_cast<void*>(again), static_cast<void*>(m));
-  EXPECT_EQ(receiver.stats().recycled, 1u);
-  EXPECT_EQ(receiver.stats().blocks, 0u);  // never allocated a slab itself
-  receiver.destroy(again);
 }
 
 }  // namespace

@@ -5,7 +5,8 @@
 #   tools/check.sh            # standard build + tier-1 ctest + TSan planner test
 #   tools/check.sh --no-tsan  # standard build + tier-1 ctest only
 #   tools/check.sh --asan     # also: AddressSanitizer build running the
-#                             # plan-cache / generic-server suites
+#                             # plan-cache / generic-server / adaptation
+#                             # controller suites
 #   tools/check.sh --stress   # also: long-running suites (ctest -L stress)
 #   tools/check.sh --coherence # only: the coherence smoke suite
 #                             # (build + ctest -L coherence, via the
@@ -21,9 +22,6 @@
 #   tools/check.sh --adapt    # only: the adaptation suite (build + ctest
 #                             # -L adapt + the adaptation_sweep bench gates
 #                             # + a TSan run of the controller tests)
-#   tools/check.sh --megascale # only: the parallel-engine suite (build +
-#                             # ctest -L megascale + the megascale bench
-#                             # smoke gates + a TSan run of the engine tests)
 #   tools/check.sh --planner  # only: the planner suite (build + ctest -L
 #                             # planner + the planner_scaling bench smoke
 #                             # gates + a TSan run of the parallel search
@@ -58,7 +56,6 @@ COHERENCE_ONLY=0
 LINT_ONLY=0
 CHAOS_ONLY=0
 ADAPT_ONLY=0
-MEGASCALE_ONLY=0
 PLANNER_ONLY=0
 for arg in "$@"; do
   case "${arg}" in
@@ -71,7 +68,6 @@ for arg in "$@"; do
     --lint) LINT_ONLY=1 ;;
     --chaos) CHAOS_ONLY=1 ;;
     --adapt) ADAPT_ONLY=1 ;;
-    --megascale) MEGASCALE_ONLY=1 ;;
     --planner) PLANNER_ONLY=1 ;;
     *) echo "unknown option: ${arg}" >&2; exit 2 ;;
   esac
@@ -104,7 +100,7 @@ if [[ "${ADAPT_ONLY}" == 1 ]]; then
   echo "== adaptation suite (controller + repair + migration + cache) =="
   cmake -B build -S . >/dev/null
   cmake --build build -j "${JOBS}" --target \
-    adaptation_controller_test redeploy_test plan_cache_test failover_test \
+    adaptation_controller_test plan_cache_test failover_test \
     adaptation_sweep
   (cd build && ctest --output-on-failure -L adapt)
   echo "== adaptation_sweep acceptance gates =="
@@ -114,20 +110,6 @@ if [[ "${ADAPT_ONLY}" == 1 ]]; then
   cmake --build build-tsan -j "${JOBS}" --target adaptation_controller_test
   ./build-tsan/tests/adaptation_controller_test
   echo "== adaptation suite passed =="
-  exit 0
-fi
-
-if [[ "${MEGASCALE_ONLY}" == 1 ]]; then
-  echo "== megascale suite (region-parallel engine + sharded lookup) =="
-  cmake -B build -S . >/dev/null
-  cmake --build build -j "${JOBS}" \
-    --target parallel_sim_test sharded_lookup_test megascale
-  (cd build && ctest --output-on-failure -L megascale)
-  echo "== TSan build (parallel engine) =="
-  cmake -B build-tsan -S . -DPSF_SANITIZE=thread >/dev/null
-  cmake --build build-tsan -j "${JOBS}" --target parallel_sim_test
-  ./build-tsan/tests/parallel_sim_test
-  echo "== megascale suite passed =="
   exit 0
 fi
 
@@ -169,13 +151,12 @@ if [[ "${RUN_STRESS}" == 1 ]]; then
 fi
 
 if [[ "${RUN_TSAN}" == 1 ]]; then
-  echo "== ThreadSanitizer build (parallel planner + parallel engine) =="
+  echo "== ThreadSanitizer build (parallel planner) =="
   cmake -B build-tsan -S . -DPSF_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j "${JOBS}" \
-    --target planner_parallel_test hierarchy_test parallel_sim_test
+    --target planner_parallel_test hierarchy_test
   ./build-tsan/tests/planner_parallel_test
   ./build-tsan/tests/hierarchy_test
-  ./build-tsan/tests/parallel_sim_test
 fi
 
 if [[ "${RUN_TIDY}" == 1 ]]; then
@@ -200,13 +181,15 @@ if [[ "${RUN_UBSAN}" == 1 ]]; then
 fi
 
 if [[ "${RUN_ASAN}" == 1 ]]; then
-  echo "== AddressSanitizer build (plan cache + generic server) =="
+  echo "== AddressSanitizer build (plan cache + generic server + adaptation) =="
   cmake -B build-asan -S . -DPSF_SANITIZE=address >/dev/null
   cmake --build build-asan -j "${JOBS}" \
-    --target plan_cache_test generic_test telemetry_test
+    --target plan_cache_test generic_test telemetry_test \
+    adaptation_controller_test
   ./build-asan/tests/plan_cache_test
   ./build-asan/tests/generic_test
   ./build-asan/tests/telemetry_test
+  ./build-asan/tests/adaptation_controller_test
 fi
 
 echo "== all checks passed =="
