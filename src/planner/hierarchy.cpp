@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace psf::planner {
 
@@ -62,7 +63,9 @@ std::vector<ClusterRefinement> build_refinements(
     std::sort(cand.begin(), cand.end());
     cand.erase(std::unique(cand.begin(), cand.end()), cand.end());
 
-    if (ref.cluster != home && request.objective == Objective::kMinLatency) {
+    if (request.objective != Objective::kMinLatency) {
+      ref.lower_bound = -std::numeric_limits<double>::infinity();
+    } else if (ref.cluster != home) {
       // Any plan placing a new component in c carries at least one wire
       // crossing from the home side, whose RTT is >= 2 * one-way quotient
       // LB; the floor converts it into score units (see header).

@@ -33,9 +33,11 @@ namespace psf::planner {
 struct ClusterRefinement {
   ClusterIndex::ClusterId cluster = 0;
   // Admissible lower bound on the primary score of plans unique to this
-  // refinement. Always 0 for the client cluster and for objectives other
-  // than kMinLatency (deployment cost and headroom do not grow with
-  // distance in a way the quotient can bound).
+  // refinement. 0 for the client cluster. -inf (no bound: the refinement is
+  // never skipped) for objectives other than kMinLatency: deployment cost
+  // and headroom do not grow with distance in a way the quotient can
+  // bound, and kMaxCapacity's primary score (-min_headroom) is negative, so
+  // 0 would not be a lower bound at all.
   double lower_bound = 0.0;
   std::vector<net::NodeId> candidates;  // id-sorted, duplicate-free
 };

@@ -5,6 +5,8 @@
 #include <sstream>
 #include <vector>
 
+#include "util/assert.hpp"
+
 namespace psf::planner {
 
 std::string FactorBindings::to_string() const {
@@ -81,6 +83,46 @@ std::string DeploymentPlan::to_dot(const net::Network& network) const {
   }
   oss << "}\n";
   return oss.str();
+}
+
+spec::PropertyValue resolve_value(const spec::ValueExpr& expr,
+                                  const spec::Environment& node_env,
+                                  const FactorBindings& factors) {
+  switch (expr.kind) {
+    case spec::ValueExpr::Kind::kLiteral:
+      return expr.literal;
+    case spec::ValueExpr::Kind::kEnvRef:
+      if (expr.env_scope == spec::EnvScope::kNode) {
+        return node_env.get(expr.ref_name).value_or(spec::PropertyValue());
+      }
+      return {};  // link refs are not meaningful at placement time
+    case spec::ValueExpr::Kind::kFactorRef: {
+      auto it = factors.values.find(expr.ref_name);
+      return it == factors.values.end() ? spec::PropertyValue() : it->second;
+    }
+    case spec::ValueExpr::Kind::kAny:
+      return {};
+  }
+  return {};
+}
+
+EffectiveProps declared_effective(const spec::ServiceSpec& spec,
+                                  const spec::ComponentDef& comp,
+                                  const spec::Environment& node_env,
+                                  const FactorBindings& factors) {
+  EffectiveProps out;
+  for (const spec::LinkageDecl& decl : comp.implements) {
+    const spec::InterfaceDef* iface = spec.find_interface(decl.interface_name);
+    PSF_CHECK(iface != nullptr);
+    auto& props = out[decl.interface_name];
+    for (const std::string& prop : iface->properties) {
+      auto expr = decl.value_of(prop);
+      if (!expr) continue;
+      spec::PropertyValue value = resolve_value(*expr, node_env, factors);
+      if (value.is_set()) props[prop] = std::move(value);
+    }
+  }
+  return out;
 }
 
 }  // namespace psf::planner

@@ -83,4 +83,20 @@ struct DeploymentPlan {
   std::string to_dot(const net::Network& network) const;
 };
 
+// Binds one declared value expression at a node: literals as written, node
+// environment references from `node_env`, factor references from `factors`.
+// Link references and `any` bind to nothing (unset) at placement time.
+spec::PropertyValue resolve_value(const spec::ValueExpr& expr,
+                                  const spec::Environment& node_env,
+                                  const FactorBindings& factors);
+
+// The properties `comp` declares for each interface it implements, bound at
+// a node through resolve_value; values that bind to nothing are left out.
+// Transparent inheritance from downstream is the search's business, not
+// this function's.
+EffectiveProps declared_effective(const spec::ServiceSpec& spec,
+                                  const spec::ComponentDef& comp,
+                                  const spec::Environment& node_env,
+                                  const FactorBindings& factors);
+
 }  // namespace psf::planner

@@ -1,12 +1,10 @@
 // detlint:ordered-output — search visit order decides plan tie-breaks.
-// detlint:allow-file(DET004 PlanRequest::deadline_budget is a wall-clock anytime budget by design)
 #include "planner/planner.hpp"
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <functional>
-#include <future>
 #include <limits>
 #include <map>
 #include <optional>
@@ -80,6 +78,19 @@ struct EntryBranch {
   net::NodeId node;
 };
 
+// The strict bound test shared by the in-search prune and the driver's
+// unit skip: true when `bound` exceeds the incumbent primary `inc` by more
+// than a small relative margin. The margin absorbs floating-point
+// reassociation between an incrementally accumulated bound and the final
+// score computation, so a mathematical tie is never cut — that is what
+// keeps the parallel result bit-identical to the serial one (ties keep the
+// earliest visit, and an exact-tie subtree must survive to report its
+// candidate).
+bool beyond_incumbent(double bound, double inc) {
+  if (inc == kInfinity) return false;
+  return bound > inc + 1e-9 * std::max(1.0, std::abs(inc));
+}
+
 // The incumbent's primary score, shared across search workers so that one
 // worker's good plan prunes the others' subtrees. Only the primary field is
 // shared: it is sufficient for the strict bound test, and a single double
@@ -113,6 +124,7 @@ class Search {
          const std::vector<ExistingInstance>& existing,
          SharedIncumbent& shared, SearchStats& stats,
          const std::vector<net::NodeId>& candidate_nodes,
+         // detlint:allow(DET004 deadline_budget is a wall-clock anytime budget)
          std::chrono::steady_clock::time_point deadline, bool has_deadline)
       : spec_(spec),
         env_(env),
@@ -173,30 +185,6 @@ class Search {
     const net::Route* route_to_parent;  // from the child's node to `parent`
   };
 
-  // ---- value resolution ---------------------------------------------------
-
-  spec::PropertyValue resolve(const spec::ValueExpr& expr,
-                              const spec::Environment& node_env,
-                              const FactorBindings& factors) const {
-    switch (expr.kind) {
-      case spec::ValueExpr::Kind::kLiteral:
-        return expr.literal;
-      case spec::ValueExpr::Kind::kEnvRef:
-        if (expr.env_scope == spec::EnvScope::kNode) {
-          return node_env.get(expr.ref_name).value_or(spec::PropertyValue());
-        }
-        return {};  // link refs are not meaningful at placement time
-      case spec::ValueExpr::Kind::kFactorRef: {
-        auto it = factors.values.find(expr.ref_name);
-        return it == factors.values.end() ? spec::PropertyValue()
-                                          : it->second;
-      }
-      case spec::ValueExpr::Kind::kAny:
-        return {};
-    }
-    return {};
-  }
-
   // ---- branch-and-bound ---------------------------------------------------
 
   // The incumbent primary score this worker must beat: the better of its own
@@ -209,16 +197,8 @@ class Search {
     return inc;
   }
 
-  // Strict bound test with a small relative margin. The margin absorbs
-  // floating-point reassociation between the incrementally accumulated bound
-  // and the final score computation, so a mathematical tie is never pruned —
-  // that is what keeps the parallel result bit-identical to the serial one
-  // (ties keep the earliest branch, and an exact-tie subtree must survive to
-  // report its candidate).
   bool should_prune(double bound) const {
-    const double inc = incumbent_primary();
-    if (inc == kInfinity) return false;
-    return bound > inc + 1e-9 * std::max(1.0, std::abs(inc));
+    return beyond_incumbent(bound, incumbent_primary());
   }
 
   // Anytime deadline. Polled on a counter so the clock read stays off the
@@ -232,6 +212,7 @@ class Search {
     if (deadline_expired_) return true;
     if ((++deadline_poll_ & kDeadlinePollMask) != 0) return false;
     if (incumbent_primary() == kInfinity) return false;
+    // detlint:allow(DET004 deadline_budget is a wall-clock anytime budget)
     if (std::chrono::steady_clock::now() >= deadline_) {
       deadline_expired_ = true;
       stats_.deadline_hit = true;
@@ -500,7 +481,7 @@ class Search {
     // Bind factors against the node environment.
     FactorBindings factors;
     for (const spec::PropertyAssignment& f : comp.factors) {
-      spec::PropertyValue v = resolve(f.value, node_env, factors);
+      spec::PropertyValue v = resolve_value(f.value, node_env, factors);
       if (!v.is_set()) {
         ++stats_.rejected_factor;
         return;  // unbindable factor: infeasible here
@@ -525,7 +506,8 @@ class Search {
     // for the property, prune before recursing.
     for (const auto& [prop, required] : reqs) {
       if (auto declared = impl.value_of(prop)) {
-        const spec::PropertyValue v = resolve(*declared, node_env, factors);
+        const spec::PropertyValue v =
+            resolve_value(*declared, node_env, factors);
         if (v.is_set() && spec_.rules.find(prop) == nullptr &&
             !v.satisfies(required)) {
           ++stats_.subtrees_pruned;
@@ -695,7 +677,7 @@ class Search {
     // the *requiring* component's context).
     Requirements reqs;
     for (const spec::PropertyAssignment& pa : req.properties) {
-      spec::PropertyValue v = resolve(pa.value, node_env, factors);
+      spec::PropertyValue v = resolve_value(pa.value, node_env, factors);
       if (v.is_set()) reqs.emplace_back(pa.property, std::move(v));
     }
 
@@ -763,7 +745,7 @@ class Search {
       for (const std::string& prop : iface->properties) {
         spec::PropertyValue value;
         if (auto expr = decl.value_of(prop)) {
-          value = resolve(*expr, node_env, factors);
+          value = resolve_value(*expr, node_env, factors);
         } else if (comp.transparent) {
           // Inherit from downstream: the minimum across children of the
           // child's effective value transformed along the connecting route.
@@ -863,6 +845,7 @@ class Search {
   SearchStats& stats_;
   const bool bound_pruning_;
   const std::vector<net::NodeId>& candidate_nodes_;
+  // detlint:allow(DET004 deadline_budget is a wall-clock anytime budget)
   const std::chrono::steady_clock::time_point deadline_;
   const bool has_deadline_;
   std::uint32_t deadline_poll_ = 0;
@@ -908,6 +891,145 @@ std::vector<EntryBranch> make_entry_branches(
     }
   }
   return branches;
+}
+
+// One restricted search the driver runs: NEW components land only on
+// `candidates` (existing instances are reachable wherever they live), and
+// `branches` is the entry-level fan-out in serial visit order. `lower_bound`
+// is admissible for the primary score of every plan only this unit can
+// express; -inf means the unit has no bound and is never skipped.
+struct SearchUnit {
+  std::vector<net::NodeId> candidates;
+  std::vector<EntryBranch> branches;
+  double lower_bound = -kInfinity;
+};
+
+struct DriveResult {
+  std::optional<DeploymentPlan> plan;
+  SearchStats stats;  // merged over every worker
+  std::uint64_t units_skipped = 0;   // lower bound above the incumbent
+  std::uint64_t units_searched = 0;  // actually ran a Search
+};
+
+// The one search driver: owns the anytime deadline, the worker count, the
+// shared incumbent and the thread pool, runs `units` and reduces their
+// results. A lone unit (flat search) is striped round-robin across the
+// workers so adjacent, similar-cost branches spread out; several units
+// (hierarchical refinements) take one worker each, the first running alone
+// so its incumbent prunes the fan-out. The reduction keeps the lowest
+// (score, serial visit position), where a position is (unit, entry branch):
+// exactly the serial search's first-best-kept rule, so the result is
+// independent of worker count and timing.
+DriveResult drive_search(const spec::ServiceSpec& spec,
+                         const EnvironmentView& env,
+                         const spec::ImplementerIndex& index,
+                         const PlanRequest& request,
+                         const std::vector<ExistingInstance>& existing,
+                         const std::vector<SearchUnit>& units) {
+  const auto deadline =
+      // detlint:allow(DET004 deadline_budget is a wall-clock anytime budget)
+      std::chrono::steady_clock::now() +
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::duration<double>(std::max(0.0,
+                                                 request.deadline_budget)));
+  const bool has_deadline = request.deadline_budget > 0.0;
+
+  const bool striped = units.size() == 1;
+  std::size_t workers = request.search_threads == 0
+                            ? util::ThreadPool::default_thread_count()
+                            : request.search_threads;
+  workers = std::min(workers,
+                     std::max<std::size_t>(
+                         striped ? units[0].branches.size() : units.size(), 1));
+
+  struct Slice {
+    std::size_t unit = 0;
+    std::size_t first = 0;
+    std::size_t stride = 1;
+    SearchStats stats;
+    std::optional<DeploymentPlan> plan;
+    Score score;
+    std::size_t branch = 0;
+  };
+  std::vector<Slice> slices(striped ? workers : units.size());
+  for (std::size_t i = 0; i < slices.size(); ++i) {
+    if (striped) {
+      slices[i].first = i;
+      slices[i].stride = workers;
+    } else {
+      slices[i].unit = i;
+    }
+  }
+
+  SharedIncumbent shared;
+  std::atomic<std::uint64_t> skipped{0};
+  std::atomic<std::uint64_t> searched{0};
+  std::atomic<bool> deadline_hit{false};
+  const auto run_slice = [&](Slice& slice) {
+    const SearchUnit& unit = units[slice.unit];
+    const double inc = shared.load();
+    // Skipping a unit whose bound exceeds the incumbent (the in-search
+    // margin) can only drop plans strictly worse than one already found.
+    if (request.bound_pruning && beyond_incumbent(unit.lower_bound, inc)) {
+      skipped.fetch_add(1, std::memory_order_relaxed);
+      return;
+    }
+    if (has_deadline && inc < kInfinity &&
+        // detlint:allow(DET004 deadline_budget is a wall-clock anytime budget)
+        std::chrono::steady_clock::now() >= deadline) {
+      deadline_hit.store(true, std::memory_order_relaxed);
+      return;
+    }
+    searched.fetch_add(1, std::memory_order_relaxed);
+    Search search(spec, env, index, request, existing, shared, slice.stats,
+                  unit.candidates, deadline, has_deadline);
+    search.run_branches(unit.branches, slice.first, slice.stride);
+    slice.plan = search.take_best();
+    slice.score = search.best_score();
+    slice.branch = search.best_branch();
+  };
+
+  if (workers <= 1) {
+    for (Slice& slice : slices) run_slice(slice);
+  } else {
+    // Route rows materialize lazily and thread-safely, so workers fault in
+    // only the rows their candidate sets touch.
+    const std::size_t lead = striped ? 0 : 1;
+    for (std::size_t i = 0; i < lead; ++i) run_slice(slices[i]);
+    util::ThreadPool pool(workers);
+    pool.parallel_for(slices.size() - lead,
+                      [&](std::size_t i) { run_slice(slices[lead + i]); });
+  }
+
+  DriveResult out;
+  Score best_score;
+  std::pair<std::size_t, std::size_t> best_position;
+  for (Slice& slice : slices) {
+    out.stats += slice.stats;
+    if (!slice.plan.has_value()) continue;
+    const std::pair<std::size_t, std::size_t> position{slice.unit,
+                                                       slice.branch};
+    if (!out.plan.has_value() || slice.score < best_score ||
+        (score_equal(slice.score, best_score) && position < best_position)) {
+      out.plan = std::move(slice.plan);
+      best_score = slice.score;
+      best_position = position;
+    }
+  }
+  out.stats.workers_used = workers;
+  out.stats.deadline_hit =
+      out.stats.deadline_hit || deadline_hit.load(std::memory_order_relaxed);
+  out.units_skipped = skipped.load(std::memory_order_relaxed);
+  out.units_searched = searched.load(std::memory_order_relaxed);
+  return out;
+}
+
+util::Status no_plan(const spec::ServiceSpec& spec, const EnvironmentView& env,
+                     const PlanRequest& request, const std::string& detail) {
+  return util::unsatisfiable(
+      "no deployment of '" + spec.name + "' satisfies interface '" +
+      request.interface_name + "' from node '" +
+      env.network().node(request.client_node).name + "'" + detail);
 }
 
 // Detects a fault-free path topology with `client` at an endpoint and
@@ -1035,36 +1157,6 @@ double plan_primary_score(Objective objective, const PlanMetrics& metrics) {
 Planner::Planner(const spec::ServiceSpec& spec, const EnvironmentView& env)
     : spec_(spec), env_(env), iface_index_(spec.build_implementer_index()) {}
 
-std::vector<util::Expected<DeploymentPlan>> Planner::plan_many(
-    const std::vector<PlanRequest>& requests,
-    const std::vector<ExistingInstance>& existing,
-    std::size_t num_threads) const {
-  std::vector<util::Expected<DeploymentPlan>> results;
-  results.reserve(requests.size());
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    results.emplace_back(util::internal_error("not planned"));
-  }
-  if (requests.empty()) return results;
-
-  const std::size_t threads =
-      num_threads == 0
-          ? std::min(requests.size(), util::ThreadPool::default_thread_count())
-          : num_threads;
-  if (threads <= 1) {
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      results[i] = plan(requests[i], existing);
-    }
-    return results;
-  }
-  // Route rows materialize lazily and thread-safely; no eager O(V^2)
-  // precompute needed before the fan-out.
-  util::ThreadPool pool(threads);
-  pool.parallel_for(requests.size(), [&](std::size_t i) {
-    results[i] = plan(requests[i], existing);
-  });
-  return results;
-}
-
 util::Expected<DeploymentPlan> Planner::plan(
     const PlanRequest& request, const std::vector<ExistingInstance>& existing,
     SearchStats* stats) const {
@@ -1106,94 +1198,17 @@ util::Expected<DeploymentPlan> Planner::plan(
 util::Expected<DeploymentPlan> Planner::plan_flat(
     const PlanRequest& request, const std::vector<ExistingInstance>& existing,
     SearchStats* stats) const {
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(std::max(0.0,
-                                                 request.deadline_budget)));
-  const bool has_deadline = request.deadline_budget > 0.0;
-
-  const std::vector<net::NodeId> all_nodes =
-      request.candidate_nodes.empty() ? env_.network().all_nodes()
-                                      : request.candidate_nodes;
-  const std::vector<EntryBranch> branches =
-      make_entry_branches(iface_index_, request, all_nodes);
-
-  std::size_t workers = request.search_threads == 0
-                            ? util::ThreadPool::default_thread_count()
-                            : request.search_threads;
-  workers = std::min(workers, std::max<std::size_t>(branches.size(), 1));
-
-  SharedIncumbent shared;
-  SearchStats merged;
-  std::optional<DeploymentPlan> best;
-  Score best_score;
-  std::size_t best_branch = 0;
-
-  if (workers <= 1) {
-    Search search(spec_, env_, iface_index_, request, existing, shared,
-                  merged, all_nodes, deadline, has_deadline);
-    search.run_branches(branches, 0, 1);
-    best = search.take_best();
-    best_score = search.best_score();
-    best_branch = search.best_branch();
-    merged.workers_used = 1;
-  } else {
-    // Workers read the route cache concurrently; per-row materialization is
-    // thread-safe, so rows fault in on demand instead of paying the full
-    // O(V^2) table up front.
-    struct WorkerOutcome {
-      SearchStats stats;
-      std::optional<DeploymentPlan> plan;
-      Score score;
-      std::size_t branch = 0;
-    };
-    std::vector<WorkerOutcome> outcomes(workers);
-    {
-      util::ThreadPool pool(workers);
-      std::vector<std::future<void>> futures;
-      futures.reserve(workers);
-      for (std::size_t w = 0; w < workers; ++w) {
-        futures.push_back(pool.submit([&, w] {
-          WorkerOutcome& out = outcomes[w];
-          Search search(spec_, env_, iface_index_, request, existing, shared,
-                        out.stats, all_nodes, deadline, has_deadline);
-          search.run_branches(branches, w, workers);
-          out.plan = search.take_best();
-          out.score = search.best_score();
-          out.branch = search.best_branch();
-        }));
-      }
-      for (auto& f : futures) f.get();
-    }
-
-    // Deterministic reduction: lowest (score, entry branch index) wins, so
-    // equal-score plans resolve to the one the serial search would have kept
-    // regardless of worker timing.
-    for (std::size_t w = 0; w < workers; ++w) {
-      merged += outcomes[w].stats;
-      if (!outcomes[w].plan.has_value()) continue;
-      const bool better =
-          !best.has_value() || outcomes[w].score < best_score ||
-          (score_equal(outcomes[w].score, best_score) &&
-           outcomes[w].branch < best_branch);
-      if (better) {
-        best = std::move(outcomes[w].plan);
-        best_score = outcomes[w].score;
-        best_branch = outcomes[w].branch;
-      }
-    }
-    merged.workers_used = workers;
-  }
-
-  if (stats != nullptr) *stats = merged;
-  if (!best) {
-    return util::unsatisfiable(
-        "no deployment of '" + spec_.name + "' satisfies interface '" +
-        request.interface_name + "' from node '" +
-        env_.network().node(request.client_node).name + "'");
-  }
-  return std::move(*best);
+  std::vector<SearchUnit> units(1);
+  units[0].candidates = request.candidate_nodes.empty()
+                            ? env_.network().all_nodes()
+                            : request.candidate_nodes;
+  units[0].branches =
+      make_entry_branches(iface_index_, request, units[0].candidates);
+  DriveResult result =
+      drive_search(spec_, env_, iface_index_, request, existing, units);
+  if (stats != nullptr) *stats = result.stats;
+  if (!result.plan) return no_plan(spec_, env_, request, "");
+  return std::move(*result.plan);
 }
 
 std::optional<util::Expected<DeploymentPlan>> Planner::try_chain_dp(
@@ -1286,24 +1301,6 @@ std::optional<util::Expected<DeploymentPlan>> Planner::try_chain_dp(
     rate[i] = rate[i - 1] * chain[i - 1]->behaviors.rrf;
   }
 
-  const auto resolve_literal =
-      [&](const spec::ValueExpr& expr,
-          const spec::Environment& node_env) -> spec::PropertyValue {
-    switch (expr.kind) {
-      case spec::ValueExpr::Kind::kLiteral:
-        return expr.literal;
-      case spec::ValueExpr::Kind::kEnvRef:
-        if (expr.env_scope == spec::EnvScope::kNode) {
-          return node_env.get(expr.ref_name).value_or(spec::PropertyValue());
-        }
-        return {};
-      case spec::ValueExpr::Kind::kFactorRef:  // factors.empty() was checked
-      case spec::ValueExpr::Kind::kAny:
-        return {};
-    }
-    return {};
-  };
-
   for (std::size_t i = 0; i < k; ++i) {
     const net::NodeId node = (*path)[best_result.assignment[i]];
     Placement p;
@@ -1311,19 +1308,8 @@ std::optional<util::Expected<DeploymentPlan>> Planner::try_chain_dp(
     p.component = chain[i];
     p.node = node;
     p.inbound_rate_rps = rate[i];
-    const spec::Environment& node_env = env_.node_env(node);
-    for (const spec::LinkageDecl& decl : chain[i]->implements) {
-      const spec::InterfaceDef* iface =
-          spec_.find_interface(decl.interface_name);
-      PSF_CHECK(iface != nullptr);
-      auto& props = p.effective[decl.interface_name];
-      for (const std::string& prop : iface->properties) {
-        if (auto expr = decl.value_of(prop)) {
-          spec::PropertyValue v = resolve_literal(*expr, node_env);
-          if (v.is_set()) props[prop] = std::move(v);
-        }
-      }
-    }
+    p.effective =
+        declared_effective(spec_, *chain[i], env_.node_env(node), {});
     plan.placements.push_back(std::move(p));
   }
 
@@ -1442,111 +1428,36 @@ std::optional<util::Expected<DeploymentPlan>> Planner::try_chain_dp(
 util::Expected<DeploymentPlan> Planner::plan_hierarchical(
     const PlanRequest& request, const std::vector<ExistingInstance>& existing,
     SearchStats* stats) const {
-  const net::Network& network = env_.network();
-  const std::size_t n = network.node_count();
+  const std::size_t n = env_.network().node_count();
   const std::size_t k = request.cluster_count == 0
                             ? ClusterIndex::default_cluster_count(n)
                             : request.cluster_count;
-  const ClusterIndex index(network, k);
+  const ClusterIndex index(env_.network(), k);
   if (index.num_clusters() < 2) return plan_flat(request, existing, stats);
 
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(std::max(0.0,
-                                                 request.deadline_budget)));
-  const bool has_deadline = request.deadline_budget > 0.0;
-
-  const std::vector<ClusterRefinement> refinements =
-      build_refinements(index, spec_, request, existing);
-
-  SharedIncumbent shared;
-  struct RefinementOutcome {
-    SearchStats stats;
-    std::optional<DeploymentPlan> plan;
-    Score score;
-    std::size_t branch = 0;
-  };
-  std::vector<RefinementOutcome> outcomes(refinements.size());
-  std::atomic<std::uint64_t> pruned{0};
-  std::atomic<std::uint64_t> refined{0};
-  std::atomic<bool> deadline_hit{false};
-
-  const auto run_refinement = [&](std::size_t r) {
-    const ClusterRefinement& ref = refinements[r];
-    RefinementOutcome& out = outcomes[r];
-    const double inc = shared.load();
-    // Cluster-level bound: plans unique to this refinement score at least
-    // ref.lower_bound; skipping it when that exceeds the incumbent (same
-    // strict margin as the in-search bound) can only drop dominated plans.
-    if (request.bound_pruning && inc < kInfinity &&
-        ref.lower_bound > inc + 1e-9 * std::max(1.0, std::abs(inc))) {
-      pruned.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    if (has_deadline && inc < kInfinity &&
-        std::chrono::steady_clock::now() >= deadline) {
-      deadline_hit.store(true, std::memory_order_relaxed);
-      return;
-    }
-    refined.fetch_add(1, std::memory_order_relaxed);
-    Search search(spec_, env_, iface_index_, request, existing, shared,
-                  out.stats, ref.candidates, deadline, has_deadline);
-    search.run_branches(make_entry_branches(iface_index_, request,
-                                            ref.candidates),
-                        0, 1);
-    out.plan = search.take_best();
-    out.score = search.best_score();
-    out.branch = search.best_branch();
-  };
-
-  std::size_t workers = request.search_threads == 0
-                            ? util::ThreadPool::default_thread_count()
-                            : request.search_threads;
-  workers = std::min(workers, std::max<std::size_t>(refinements.size(), 1));
-
-  if (workers <= 1) {
-    for (std::size_t r = 0; r < refinements.size(); ++r) run_refinement(r);
-  } else {
-    // Rank 0 (the client's own cluster, lower bound 0) runs first so its
-    // incumbent prunes the fan-out; the remaining refinements go wide.
-    run_refinement(0);
-    util::ThreadPool pool(workers);
-    pool.parallel_for(refinements.size() - 1,
-                      [&](std::size_t i) { run_refinement(i + 1); });
+  // One unit per refinement, in rank order (client cluster first).
+  std::vector<SearchUnit> units;
+  for (ClusterRefinement& ref :
+       build_refinements(index, spec_, request, existing)) {
+    SearchUnit unit;
+    unit.branches = make_entry_branches(iface_index_, request, ref.candidates);
+    unit.candidates = std::move(ref.candidates);
+    unit.lower_bound = ref.lower_bound;
+    units.push_back(std::move(unit));
   }
-
-  // Deterministic reduction: refinements are rank-ordered, so iterating in
-  // rank order and replacing only on strictly-better scores keeps, among
-  // ties, the lowest (rank, entry branch) — independent of worker timing.
-  SearchStats merged;
-  std::optional<DeploymentPlan> best;
-  Score best_score;
-  for (std::size_t r = 0; r < refinements.size(); ++r) {
-    merged += outcomes[r].stats;
-    if (!outcomes[r].plan.has_value()) continue;
-    if (!best.has_value() || outcomes[r].score < best_score) {
-      best = std::move(outcomes[r].plan);
-      best_score = outcomes[r].score;
-    }
+  DriveResult result =
+      drive_search(spec_, env_, iface_index_, request, existing, units);
+  result.stats.used_hierarchy = true;
+  result.stats.clusters_total = units.size();
+  result.stats.clusters_pruned = result.units_skipped;
+  result.stats.clusters_refined = result.units_searched;
+  if (stats != nullptr) *stats = result.stats;
+  if (!result.plan) {
+    return no_plan(spec_, env_, request,
+                   " (hierarchical search, " + std::to_string(units.size()) +
+                       " clusters)");
   }
-  merged.workers_used = workers;
-  merged.used_hierarchy = true;
-  merged.clusters_total = refinements.size();
-  merged.clusters_pruned = pruned.load(std::memory_order_relaxed);
-  merged.clusters_refined = refined.load(std::memory_order_relaxed);
-  merged.deadline_hit =
-      merged.deadline_hit || deadline_hit.load(std::memory_order_relaxed);
-
-  if (stats != nullptr) *stats = merged;
-  if (!best) {
-    return util::unsatisfiable(
-        "no deployment of '" + spec_.name + "' satisfies interface '" +
-        request.interface_name + "' from node '" +
-        network.node(request.client_node).name + "' (hierarchical search, " +
-        std::to_string(refinements.size()) + " clusters)");
-  }
-  return std::move(*best);
+  return std::move(*result.plan);
 }
 
 }  // namespace psf::planner

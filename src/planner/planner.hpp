@@ -236,16 +236,6 @@ class Planner {
       const std::vector<ExistingInstance>& existing = {},
       SearchStats* stats = nullptr) const;
 
-  // Plans many requests concurrently across a thread pool (what-if
-  // analysis: each plan is computed against the same snapshot of existing
-  // instances and does NOT see the others' resource reservations — commit
-  // them one at a time through the generic server for that). num_threads
-  // 0 = hardware concurrency. Results are index-aligned with requests.
-  std::vector<util::Expected<DeploymentPlan>> plan_many(
-      const std::vector<PlanRequest>& requests,
-      const std::vector<ExistingInstance>& existing = {},
-      std::size_t num_threads = 0) const;
-
   // Incremental plan repair (ROADMAP item 2, after Dearle/Kirby's autonomic
   // management loop). Classifies old_plan's placements into surviving vs
   // broken under the given violations, pins the survivors by offering them
@@ -268,6 +258,9 @@ class Planner {
   const EnvironmentView& environment() const { return env_; }
 
  private:
+  // Both feed the one search driver (planner.cpp) restricted-search units:
+  // flat search is one unit over every node (or request.candidate_nodes),
+  // hierarchical search one unit per cluster refinement (hierarchy.hpp).
   util::Expected<DeploymentPlan> plan_flat(
       const PlanRequest& request,
       const std::vector<ExistingInstance>& existing, SearchStats* stats) const;

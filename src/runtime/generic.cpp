@@ -1,58 +1,14 @@
-// detlint:allow-file(DET004 plan-latency telemetry and anytime deadlines deliberately read the host clock)
 #include "runtime/generic.hpp"
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <utility>
 
 #include "runtime/monitor.hpp"
 #include "util/logging.hpp"
 
 namespace psf::runtime {
-
-namespace {
-
-// Resolves the declared implements properties of an initial placement (no
-// downstream chain exists yet, so transparent inheritance contributes
-// nothing — initial components are normally roots like MailServer anyway).
-planner::EffectiveProps initial_effective(const spec::ServiceSpec& spec,
-                                          const spec::ComponentDef& comp,
-                                          const spec::Environment& node_env,
-                                          const planner::FactorBindings& factors) {
-  planner::EffectiveProps out;
-  for (const spec::LinkageDecl& decl : comp.implements) {
-    const spec::InterfaceDef* iface = spec.find_interface(decl.interface_name);
-    PSF_CHECK(iface != nullptr);
-    auto& props = out[decl.interface_name];
-    for (const std::string& prop : iface->properties) {
-      auto expr = decl.value_of(prop);
-      if (!expr) continue;
-      spec::PropertyValue value;
-      switch (expr->kind) {
-        case spec::ValueExpr::Kind::kLiteral:
-          value = expr->literal;
-          break;
-        case spec::ValueExpr::Kind::kEnvRef:
-          if (expr->env_scope == spec::EnvScope::kNode) {
-            value = node_env.get(expr->ref_name)
-                        .value_or(spec::PropertyValue());
-          }
-          break;
-        case spec::ValueExpr::Kind::kFactorRef: {
-          auto it = factors.values.find(expr->ref_name);
-          if (it != factors.values.end()) value = it->second;
-          break;
-        }
-        case spec::ValueExpr::Kind::kAny:
-          break;
-      }
-      if (value.is_set()) props[prop] = value;
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 void GenericServer::register_service(
     ServiceRegistration registration,
@@ -116,7 +72,7 @@ void GenericServer::register_service(
             if (first_error->is_ok()) *first_error = id.status();
           } else {
             Instance& inst = runtime_.instance(*id);
-            inst.effective = initial_effective(
+            inst.effective = planner::declared_effective(
                 raw->registration.spec, *comp,
                 raw->env->node_env(ip.node), ip.factors);
             inst.downstream_latency_s =
@@ -143,14 +99,8 @@ void GenericServer::register_service(
 void GenericServer::request_access(
     const std::string& service, planner::PlanRequest request,
     std::function<void(util::Expected<AccessOutcome>)> done) {
-  ServiceState* state = state_of(service);
-  if (state == nullptr) {
-    done(util::not_found("service '" + service + "' not registered"));
-    return;
-  }
-  if (!request.code_origin.valid()) {
-    request.code_origin = state->registration.code_origin;
-  }
+  ServiceState* state = resolve_request(service, request, done);
+  if (state == nullptr) return;
   // The service's anytime deadline caps cold-access planning unless the
   // client set its own budget. Excluded from the fingerprint on purpose: a
   // truncated and a complete search answer the same logical request, and the
@@ -159,105 +109,33 @@ void GenericServer::request_access(
       state->registration.anytime_deadline_s > 0.0) {
     request.deadline_budget = state->registration.anytime_deadline_s;
   }
-  merge_principal_requirements(*state, request);
   const std::string fingerprint = plan_fingerprint(request);
 
   // Warm path: an identical client already holds a validated access path.
   if (try_cached_access(*state, fingerprint, done)) return;
 
-  // Coalesce: an identical access is being planned/deployed right now —
-  // attach as a waiter instead of running the planner again (the
-  // "thundering herd" on a newly advertised service).
-  if (auto it = state->inflight.find(fingerprint);
-      it != state->inflight.end()) {
-    ++cache_telemetry_.coalesced;
-    it->second->waiters.push_back(std::move(done));
-    return;
-  }
+  auto flight = open_flight(*state, fingerprint, done);
+  if (flight == nullptr) return;
   // Neither cached nor in flight: this access runs the cold path and is the
-  // one that counts as a miss (coalesced waiters above do not).
+  // one that counts as a miss (coalesced waiters do not).
   ++cache_telemetry_.misses;
-  auto flight = std::make_shared<InFlightAccess>();
-  flight->epoch_at_start = state->epoch;
-  state->inflight.emplace(fingerprint, flight);
-
-  // Lazily retire pooled instances stranded by a crash upstream: alive but
-  // wired (transitively) to a dead instance. Without detection enabled no
-  // monitor event fires, so this hit-time sweep is what keeps replans from
-  // rebuilding the same broken chain.
-  for (auto it = state->existing.begin(); it != state->existing.end();) {
-    if (runtime_.has_dangling_wires(it->runtime_id)) {
-      PSF_INFO() << "retiring pooled instance " << it->runtime_id << " ("
-                 << it->component->name << "): dangling wire downstream";
-      state->cache.evict_referencing(it->runtime_id, cache_telemetry_);
-      it = state->existing.erase(it);
-    } else {
-      ++it;
-    }
-  }
-
-  // Cold path: run the planner (host wall-clock measured for the benches),
-  // then charge the equivalent CPU at this server's host before deploying.
-  const auto wall_start = std::chrono::steady_clock::now();
-  planner::SearchStats stats;
-  auto plan = state->planner->plan(request, state->existing, &stats);
-  const double wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
-  if (!plan) {
-    finish_access(*state, fingerprint, flight, std::move(done),
-                  plan.status());
-    return;
-  }
-
-  const double planning_units =
-      state->registration.planning_cpu_per_candidate *
-      static_cast<double>(stats.candidates_examined);
-  const sim::Time before_planning = runtime_.simulator().now();
-
-  auto plan_value = std::make_shared<planner::DeploymentPlan>(
-      std::move(plan).value());
-  runtime_.charge_cpu(
-      host_, planning_units,
-      [this, state, plan_value, wall_seconds, before_planning, stats,
-       fingerprint, flight, request = std::move(request),
-       done = std::move(done)]() mutable {
-        const sim::Time after_planning = runtime_.simulator().now();
-        engine_.deploy(
-            *plan_value, state->registration.code_origin,
-            [this, state, plan_value, wall_seconds, before_planning,
-             after_planning, stats, fingerprint, flight,
-             request = std::move(request),
-             done = std::move(done)](util::Expected<DeployedPlan> deployed) {
-              if (!deployed) {
-                finish_access(*state, fingerprint, flight, std::move(done),
-                              deployed.status());
-                return;
-              }
-              absorb_deployment(*state, *plan_value, *deployed);
-              if (stats.deadline_hit) {
-                // The deadline truncated this search; queue a full replan so
-                // drain_improvements can hot-swap a better plan in later.
-                ImprovementJob job;
-                job.service = state->registration.spec.name;
-                job.fingerprint = fingerprint;
-                job.request = request;
-                job.epoch_at_enqueue = state->epoch;
-                improvements_.push_back(std::move(job));
-                ++anytime_telemetry_.jobs_enqueued;
-              }
-              AccessOutcome outcome;
-              outcome.entry = deployed->entry;
-              outcome.plan = *plan_value;
-              outcome.instances = deployed->instances;
-              outcome.costs.planning = after_planning - before_planning;
-              outcome.costs.deployment = deployed->elapsed;
-              outcome.costs.planning_wall_seconds = wall_seconds;
-              outcome.search = stats;
-              finish_access(*state, fingerprint, flight, std::move(done),
-                            std::move(outcome));
-            });
+  TimedPlan planned = timed_search([&](planner::SearchStats& stats) {
+    return state->planner->plan(request, state->existing, &stats);
+  });
+  deploy_plan(
+      *state, std::move(planned),
+      [this, state, fingerprint, flight, request = std::move(request),
+       done = std::move(done)](util::Expected<AccessOutcome> result) mutable {
+        if (result && result->search.deadline_hit) {
+          // The deadline truncated this search; queue a full replan so
+          // drain_improvements can hot-swap a better plan in later.
+          improvements_.push_back({state->registration.spec.name,
+                                   fingerprint, std::move(request),
+                                   state->epoch});
+          ++anytime_telemetry_.jobs_enqueued;
+        }
+        finish_access(*state, fingerprint, flight, std::move(done),
+                      std::move(result));
       });
 }
 
@@ -267,105 +145,46 @@ void GenericServer::request_repair(
     const std::vector<planner::RepairViolation>& violations,
     std::function<void(util::Expected<AccessOutcome>)> done,
     planner::RepairOutcome* repair_outcome) {
+  ServiceState* state = resolve_request(service, request, done);
+  if (state == nullptr) return;
+  const std::string fingerprint = plan_fingerprint(request);
+  ++repair_telemetry_.repairs_attempted;
+
+  auto flight = open_flight(*state, fingerprint, done);
+  if (flight == nullptr) return;
+  TimedPlan planned = timed_search([&](planner::SearchStats& stats) {
+    planner::RepairOutcome outcome;
+    auto plan = state->planner->repair(request, old_plan, violations,
+                                       state->existing, &outcome);
+    if (outcome.fell_back_to_full) ++repair_telemetry_.full_fallbacks;
+    stats = outcome.stats;
+    if (repair_outcome != nullptr) *repair_outcome = std::move(outcome);
+    return plan;
+  });
+  repair_telemetry_.repair_wall_ms.add(planned.wall_seconds * 1000.0);
+  deploy_plan(*state, std::move(planned),
+              [this, state, fingerprint, flight, done = std::move(done)](
+                  util::Expected<AccessOutcome> result) mutable {
+                if (result) ++repair_telemetry_.repairs_succeeded;
+                finish_access(*state, fingerprint, flight, std::move(done),
+                              std::move(result));
+              });
+}
+
+GenericServer::ServiceState* GenericServer::resolve_request(
+    const std::string& service, planner::PlanRequest& request,
+    AccessCallback& done) {
   ServiceState* state = state_of(service);
   if (state == nullptr) {
     done(util::not_found("service '" + service + "' not registered"));
-    return;
+    return nullptr;
   }
   if (!request.code_origin.valid()) {
     request.code_origin = state->registration.code_origin;
   }
-  merge_principal_requirements(*state, request);
-  const std::string fingerprint = plan_fingerprint(request);
-  ++repair_telemetry_.repairs_attempted;
-
-  // An identical access (or repair) is already in flight: ride it. This is
-  // how a client rebinding mid-repair and the controller's own repair
-  // converge on one planner run.
-  if (auto it = state->inflight.find(fingerprint);
-      it != state->inflight.end()) {
-    ++cache_telemetry_.coalesced;
-    it->second->waiters.push_back(std::move(done));
-    return;
-  }
-  auto flight = std::make_shared<InFlightAccess>();
-  flight->epoch_at_start = state->epoch;
-  state->inflight.emplace(fingerprint, flight);
-
-  // Same stranded-instance sweep as the cold path: the violation that
-  // triggered this repair usually left pooled instances wired to dead ones.
-  for (auto it = state->existing.begin(); it != state->existing.end();) {
-    if (runtime_.has_dangling_wires(it->runtime_id)) {
-      PSF_INFO() << "retiring pooled instance " << it->runtime_id << " ("
-                 << it->component->name << "): dangling wire downstream";
-      state->cache.evict_referencing(it->runtime_id, cache_telemetry_);
-      it = state->existing.erase(it);
-    } else {
-      ++it;
-    }
-  }
-
-  const auto wall_start = std::chrono::steady_clock::now();
-  planner::RepairOutcome repair_stats;
-  auto plan = state->planner->repair(request, old_plan, violations,
-                                     state->existing, &repair_stats);
-  const double wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
-  repair_telemetry_.repair_wall_ms.add(wall_seconds * 1000.0);
-  if (repair_stats.fell_back_to_full) ++repair_telemetry_.full_fallbacks;
-  if (repair_outcome != nullptr) *repair_outcome = repair_stats;
-  if (!plan) {
-    finish_access(*state, fingerprint, flight, std::move(done),
-                  plan.status());
-    return;
-  }
-
-  const double planning_units =
-      state->registration.planning_cpu_per_candidate *
-      static_cast<double>(repair_stats.stats.candidates_examined);
-  const sim::Time before_planning = runtime_.simulator().now();
-
-  auto plan_value = std::make_shared<planner::DeploymentPlan>(
-      std::move(plan).value());
-  runtime_.charge_cpu(
-      host_, planning_units,
-      [this, state, plan_value, wall_seconds, before_planning,
-       stats = repair_stats.stats, fingerprint, flight,
-       done = std::move(done)]() mutable {
-        const sim::Time after_planning = runtime_.simulator().now();
-        engine_.deploy(
-            *plan_value, state->registration.code_origin,
-            [this, state, plan_value, wall_seconds, before_planning,
-             after_planning, stats, fingerprint, flight,
-             done = std::move(done)](util::Expected<DeployedPlan> deployed) {
-              if (!deployed) {
-                finish_access(*state, fingerprint, flight, std::move(done),
-                              deployed.status());
-                return;
-              }
-              absorb_deployment(*state, *plan_value, *deployed);
-              ++repair_telemetry_.repairs_succeeded;
-              AccessOutcome outcome;
-              outcome.entry = deployed->entry;
-              outcome.plan = *plan_value;
-              outcome.instances = deployed->instances;
-              outcome.costs.planning = after_planning - before_planning;
-              outcome.costs.deployment = deployed->elapsed;
-              outcome.costs.planning_wall_seconds = wall_seconds;
-              outcome.search = stats;
-              finish_access(*state, fingerprint, flight, std::move(done),
-                            std::move(outcome));
-            });
-      });
-}
-
-void GenericServer::merge_principal_requirements(
-    ServiceState& state, planner::PlanRequest& request) const {
-  if (request.principal.empty()) return;
+  if (request.principal.empty()) return state;
   const spec::Environment& derived =
-      state.env->principal_env(request.principal);
+      state->env->principal_env(request.principal);
   for (const auto& [prop, value] : derived.all()) {
     const bool present = std::any_of(
         request.required_properties.begin(),
@@ -375,11 +194,103 @@ void GenericServer::merge_principal_requirements(
     // properties the client did not already demand.
     if (!present) request.required_properties.emplace_back(prop, value);
   }
+  return state;
 }
 
-bool GenericServer::try_cached_access(
+std::shared_ptr<GenericServer::InFlightAccess> GenericServer::open_flight(
     ServiceState& state, const std::string& fingerprint,
-    std::function<void(util::Expected<AccessOutcome>)>& done) {
+    AccessCallback& done) {
+  // Coalesce: an identical access or repair is being planned/deployed right
+  // now — attach as a waiter instead of running the planner again. This is
+  // how the "thundering herd" on a newly advertised service, and a client
+  // rebinding mid-repair, converge on one planner run.
+  if (auto it = state.inflight.find(fingerprint);
+      it != state.inflight.end()) {
+    ++cache_telemetry_.coalesced;
+    it->second->waiters.push_back(std::move(done));
+    return nullptr;
+  }
+  auto flight = std::make_shared<InFlightAccess>();
+  flight->epoch_at_start = state.epoch;
+  state.inflight.emplace(fingerprint, flight);
+
+  // Lazily retire pooled instances stranded by a crash upstream: alive but
+  // wired (transitively) to a dead instance. Without detection enabled no
+  // monitor event fires, so this sweep is what keeps replans (and repairs,
+  // whose triggering violation usually strands some) from rebuilding the
+  // same broken chain.
+  for (auto it = state.existing.begin(); it != state.existing.end();) {
+    if (runtime_.has_dangling_wires(it->runtime_id)) {
+      PSF_INFO() << "retiring pooled instance " << it->runtime_id << " ("
+                 << it->component->name << "): dangling wire downstream";
+      state.cache.evict_referencing(it->runtime_id, cache_telemetry_);
+      it = state.existing.erase(it);
+    } else {
+      ++it;
+    }
+  }
+  return flight;
+}
+
+GenericServer::TimedPlan GenericServer::timed_search(
+    const PlanSearch& search) {
+  // detlint:allow(DET004 planning wall time is bench telemetry)
+  const auto wall_start = std::chrono::steady_clock::now();
+  planner::SearchStats stats;
+  auto plan = search(stats);
+  const double wall_seconds =
+      // detlint:allow(DET004 planning wall time is bench telemetry)
+      std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                    wall_start)
+          .count();
+  return {std::move(plan), stats, wall_seconds};
+}
+
+void GenericServer::deploy_plan(ServiceState& state, TimedPlan planned,
+                                AccessCallback publish) {
+  if (!planned.plan) {
+    publish(planned.plan.status());
+    return;
+  }
+  const double planning_units =
+      state.registration.planning_cpu_per_candidate *
+      static_cast<double>(planned.stats.candidates_examined);
+  const sim::Time before_planning = runtime_.simulator().now();
+  auto plan = std::make_shared<planner::DeploymentPlan>(
+      std::move(planned.plan).value());
+  runtime_.charge_cpu(
+      host_, planning_units,
+      [this, service = &state, plan, before_planning, stats = planned.stats,
+       wall_seconds = planned.wall_seconds,
+       publish = std::move(publish)]() mutable {
+        const sim::Time after_planning = runtime_.simulator().now();
+        engine_.deploy(
+            *plan, service->registration.code_origin,
+            [this, service, plan, before_planning, after_planning, stats,
+             wall_seconds, publish = std::move(publish)](
+                util::Expected<DeployedPlan> deployed) mutable {
+              if (!deployed) {
+                publish(deployed.status());
+                return;
+              }
+              absorb_deployment(*service, *plan, *deployed);
+              AccessOutcome outcome;
+              outcome.entry = deployed->entry;
+              outcome.plan = *plan;
+              outcome.instances = deployed->instances;
+              outcome.costs.planning = after_planning - before_planning;
+              outcome.costs.deployment = deployed->elapsed;
+              outcome.costs.planning_wall_seconds = wall_seconds;
+              outcome.search = stats;
+              publish(std::move(outcome));
+            });
+      });
+}
+
+bool GenericServer::try_cached_access(ServiceState& state,
+                                      const std::string& fingerprint,
+                                      AccessCallback& done) {
+  // detlint:allow(DET004 warm-access wall time is bench telemetry)
   const auto wall_start = std::chrono::steady_clock::now();
   PlanCache::Entry* entry =
       state.cache.find(fingerprint, state.epoch, cache_telemetry_);
@@ -447,6 +358,7 @@ bool GenericServer::try_cached_access(
   outcome.instances = entry->access.instances;
   outcome.cache_hit = true;
   outcome.costs.planning_wall_seconds =
+      // detlint:allow(DET004 warm-access wall time is bench telemetry)
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     wall_start)
           .count();
@@ -484,6 +396,7 @@ void GenericServer::finish_access(
   flight->waiters.clear();
 
   if (result) {
+    account_access_load(state, result->plan, result->instances);
     cache_telemetry_.cold_access_ms.add(
         (result->costs.planning + result->costs.deployment).millis());
     if (state.epoch == flight->epoch_at_start) {
@@ -514,16 +427,7 @@ void GenericServer::absorb_deployment(ServiceState& state,
                                       const DeployedPlan& deployed) {
   for (std::size_t i = 0; i < plan.placements.size(); ++i) {
     const planner::Placement& p = plan.placements[i];
-    if (p.reuse_existing) {
-      // Account the additional load on the reused instance.
-      for (auto& existing : state.existing) {
-        if (existing.runtime_id == p.existing_runtime_id) {
-          existing.current_load_rps += p.inbound_rate_rps;
-        }
-      }
-      continue;
-    }
-    if (p.id == plan.entry) continue;  // client-private entry component
+    if (p.reuse_existing || p.id == plan.entry) continue;
     planner::ExistingInstance existing;
     existing.runtime_id = deployed.instances[i];
     existing.component = p.component;
@@ -531,114 +435,105 @@ void GenericServer::absorb_deployment(ServiceState& state,
     existing.factors = p.factors;
     existing.effective = p.effective;
     existing.downstream_latency_s = p.expected_latency_s;
-    existing.current_load_rps = p.inbound_rate_rps;
-    state.existing.push_back(std::move(existing));
+    if (justified(state, existing)) {
+      state.existing.push_back(std::move(existing));
+    }
   }
+}
+
+bool GenericServer::justified(const ServiceState& state,
+                              const planner::ExistingInstance& inst) const {
+  if (!runtime_.exists(inst.runtime_id)) return false;  // crashed/retired
+  const spec::Environment& env = state.env->node_env(inst.node);
+  for (const spec::Condition& cond : inst.component->conditions) {
+    if (!cond.holds(env)) return false;
+  }
+  for (const spec::PropertyAssignment& f : inst.component->factors) {
+    auto it = inst.factors.values.find(f.property);
+    if (it == inst.factors.values.end() ||
+        !(it->second == planner::resolve_value(f.value, env, inst.factors))) {
+      return false;
+    }
+  }
+  return true;
+}
+
+PlanCache::Entry* GenericServer::improvable_entry(ServiceState* state,
+                                                  const ImprovementJob& job) {
+  // An epoch that moved since the truncated access makes its entry
+  // unreplayable, and an "improvement" planned against the old world must
+  // never be installed. An entry that is gone (the epoch raced the deploy,
+  // or it was evicted since) can be bound by nobody, so there is nothing
+  // to improve.
+  PlanCache::Entry* entry =
+      state == nullptr || state->epoch != job.epoch_at_enqueue
+          ? nullptr
+          : state->cache.find(job.fingerprint, state->epoch,
+                              cache_telemetry_);
+  if (entry == nullptr) ++anytime_telemetry_.discarded_stale;
+  return entry;
 }
 
 void GenericServer::drain_improvements(std::function<void()> done) {
-  run_improvement(std::move(done));
-}
+  while (!improvements_.empty()) {
+    ImprovementJob job = std::move(improvements_.front());
+    improvements_.pop_front();
+    ServiceState* state = state_of(job.service);
+    const PlanCache::Entry* entry = improvable_entry(state, job);
+    if (entry == nullptr) continue;
+    const double incumbent_score = planner::plan_primary_score(
+        job.request.objective, entry->access.plan.metrics);
 
-void GenericServer::run_improvement(std::function<void()> done) {
-  if (improvements_.empty()) {
-    done();
-    return;
-  }
-  ImprovementJob job = std::move(improvements_.front());
-  improvements_.pop_front();
-
-  ServiceState* state = state_of(job.service);
-  if (state == nullptr || state->epoch != job.epoch_at_enqueue) {
-    // The environment moved since the truncated access: its cached entry is
-    // already unreplayable (epoch mismatch), so an "improvement" planned
-    // against the old world must never be installed.
-    ++anytime_telemetry_.discarded_stale;
-    run_improvement(std::move(done));
-    return;
-  }
-  PlanCache::Entry* entry =
-      state->cache.find(job.fingerprint, state->epoch, cache_telemetry_);
-  if (entry == nullptr) {
-    // Entry never landed (epoch raced the deploy) or was evicted since;
-    // nobody can bind it, so there is nothing to improve.
-    ++anytime_telemetry_.discarded_stale;
-    run_improvement(std::move(done));
-    return;
-  }
-  const double incumbent_score = planner::plan_primary_score(
-      job.request.objective, entry->access.plan.metrics);
-
-  planner::PlanRequest request = job.request;
-  request.deadline_budget = 0.0;  // background: plan to completion
-  planner::SearchStats stats;
-  auto plan = state->planner->plan(request, state->existing, &stats);
-  if (!plan) {
-    ++anytime_telemetry_.no_better;
-    run_improvement(std::move(done));
-    return;
-  }
-  const double improved_score =
-      planner::plan_primary_score(request.objective, plan->metrics);
-  if (!(improved_score < incumbent_score - 1e-12)) {
-    ++anytime_telemetry_.no_better;
-    run_improvement(std::move(done));
-    return;
-  }
-
-  auto plan_value =
-      std::make_shared<planner::DeploymentPlan>(std::move(plan).value());
-  engine_.deploy(
-      *plan_value, state->registration.code_origin,
-      [this, job = std::move(job), plan_value, improved_score,
-       done = std::move(done)](util::Expected<DeployedPlan> deployed) mutable {
-        if (!deployed) {
-          // The improvement failed to deploy (e.g. a node died mid-transfer);
-          // the truncated plan keeps serving, the job is dropped.
-          ++anytime_telemetry_.discarded_stale;
-          run_improvement(std::move(done));
-          return;
-        }
-        // Deployment took simulated time: re-check the epoch AND the entry
-        // before swapping, exactly like finish_access does for cold plans.
-        ServiceState* fresh_state = state_of(job.service);
-        if (fresh_state == nullptr ||
-            fresh_state->epoch != job.epoch_at_enqueue) {
-          ++anytime_telemetry_.discarded_stale;
-          run_improvement(std::move(done));
-          return;
-        }
-        PlanCache::Entry* fresh_entry = fresh_state->cache.find(
-            job.fingerprint, fresh_state->epoch, cache_telemetry_);
-        if (fresh_entry == nullptr) {
-          ++anytime_telemetry_.discarded_stale;
-          run_improvement(std::move(done));
-          return;
-        }
-        const double current = planner::plan_primary_score(
-            job.request.objective, fresh_entry->access.plan.metrics);
-        if (!(improved_score < current - 1e-12)) {
-          // The entry improved past us while we were deploying; refusing the
-          // install keeps per-fingerprint swap scores monotonically
-          // non-increasing.
-          ++anytime_telemetry_.nonmonotonic_refused;
-          run_improvement(std::move(done));
-          return;
-        }
-        absorb_deployment(*fresh_state, *plan_value, *deployed);
-        CachedAccess cached;
-        cached.plan = *plan_value;
-        cached.instances = deployed->instances;
-        cached.entry = deployed->entry;
-        fresh_state->cache.insert(job.fingerprint, fresh_state->epoch,
+    planner::PlanRequest request = job.request;
+    request.deadline_budget = 0.0;  // background: plan to completion
+    TimedPlan planned = timed_search([&](planner::SearchStats& stats) {
+      return state->planner->plan(request, state->existing, &stats);
+    });
+    const double improved_score =
+        planned.plan ? planner::plan_primary_score(request.objective,
+                                                   planned.plan->metrics)
+                     : std::numeric_limits<double>::infinity();
+    if (!(improved_score < incumbent_score - 1e-12)) {
+      ++anytime_telemetry_.no_better;
+      continue;
+    }
+    deploy_plan(
+        *state, std::move(planned),
+        [this, state, job = std::move(job), improved_score,
+         done = std::move(done)](util::Expected<AccessOutcome> result) mutable {
+          if (!result) {
+            // The improvement failed to deploy (e.g. a node died
+            // mid-transfer); the truncated plan keeps serving.
+            ++anytime_telemetry_.discarded_stale;
+          } else if (PlanCache::Entry* fresh = improvable_entry(state, job)) {
+            // Deployment took simulated time: the epoch and the entry were
+            // re-checked above, and the score is re-checked here — an entry
+            // that improved past us while we deployed is never replaced, so
+            // per-fingerprint swap scores are monotonically non-increasing.
+            const double current = planner::plan_primary_score(
+                job.request.objective, fresh->access.plan.metrics);
+            if (!(improved_score < current - 1e-12)) {
+              ++anytime_telemetry_.nonmonotonic_refused;
+            } else {
+              CachedAccess cached;
+              cached.plan = result->plan;
+              cached.instances = result->instances;
+              cached.entry = result->entry;
+              state->cache.insert(job.fingerprint, state->epoch,
                                   std::move(cached), cache_telemetry_);
-        ++anytime_telemetry_.improved_swaps;
-        anytime_telemetry_.swap_primary_scores.push_back(improved_score);
-        PSF_INFO() << "anytime improver swapped access path for '"
-                   << job.service << "' (primary " << current << " -> "
-                   << improved_score << ")";
-        run_improvement(std::move(done));
-      });
+              ++anytime_telemetry_.improved_swaps;
+              anytime_telemetry_.swap_primary_scores.push_back(
+                  improved_score);
+              PSF_INFO() << "anytime improver swapped access path for '"
+                         << job.service << "' (primary " << current
+                         << " -> " << improved_score << ")";
+            }
+          }
+          drain_improvements(std::move(done));
+        });
+    return;
+  }
+  done();
 }
 
 util::Status GenericServer::refresh_environment(const std::string& service) {
@@ -656,46 +551,11 @@ util::Status GenericServer::refresh_environment(const std::string& service) {
   state->planner = std::make_unique<planner::Planner>(
       state->registration.spec, *state->env);
 
-  // Quarantine reusable instances the new environment no longer justifies:
-  // an instance whose installation conditions fail, or whose factor
-  // bindings no longer re-derive from its node's environment (e.g. a
-  // trust-4 view on a node demoted to trust 3), must not be offered to
-  // future plans. The instance keeps running — redeployment managers decide
-  // when to retire it.
-  auto factors_rederive = [&](const planner::ExistingInstance& inst) {
-    for (const spec::PropertyAssignment& f : inst.component->factors) {
-      spec::PropertyValue derived;
-      switch (f.value.kind) {
-        case spec::ValueExpr::Kind::kLiteral:
-          derived = f.value.literal;
-          break;
-        case spec::ValueExpr::Kind::kEnvRef:
-          if (f.value.env_scope == spec::EnvScope::kNode) {
-            derived = state->env->node_env(inst.node)
-                          .get(f.value.ref_name)
-                          .value_or(spec::PropertyValue());
-          }
-          break;
-        default:
-          break;
-      }
-      auto it = inst.factors.values.find(f.property);
-      if (it == inst.factors.values.end() || !(it->second == derived)) {
-        return false;
-      }
-    }
-    return true;
-  };
-  auto still_valid = [&](const planner::ExistingInstance& inst) {
-    if (!runtime_.exists(inst.runtime_id)) return false;  // crashed/retired
-    const spec::Environment& env = state->env->node_env(inst.node);
-    for (const spec::Condition& cond : inst.component->conditions) {
-      if (!cond.holds(env)) return false;
-    }
-    return factors_rederive(inst);
-  };
+  // Quarantine reusable instances the new environment no longer justifies
+  // so they are never offered to future plans. An instance keeps running —
+  // the AdaptationController decides when to retire it.
   for (auto it = state->existing.begin(); it != state->existing.end();) {
-    if (still_valid(*it)) {
+    if (justified(*state, *it)) {
       ++it;
     } else {
       PSF_INFO() << "environment refresh quarantines instance "

@@ -196,17 +196,19 @@ class GenericServer {
 
   // Processes the background-improvement queue: for each job (a cold access
   // whose anytime deadline truncated the search), re-plans WITHOUT a
-  // deadline and, when the full search finds a strictly better plan, deploys
-  // it and hot-swaps the cached access path so later identical clients bind
-  // the improved plan. Safety is epoch-based, the same mechanism that keeps
-  // cached plans honest: a job whose service epoch moved since enqueue — or
-  // whose cache entry is gone — is discarded, never deployed over a changed
-  // world; the epoch is re-checked after the (simulated-time) deployment
-  // too, so a monitor event racing the deploy also voids the swap. A swap
-  // that would *raise* the primary score is refused outright — incumbent
-  // scores are monotonically non-increasing per fingerprint. Jobs run
-  // sequentially; `done` fires when the queue is empty. Clients already
-  // bound to the pre-swap plan keep their working (just slower) path.
+  // deadline and, when the full search finds a strictly better plan, charges
+  // the planning CPU and deploys it like any cold plan (its new instances
+  // join the pool idle), then hot-swaps the cached access path so later
+  // identical clients bind the improved plan. Safety is epoch-based, the
+  // same mechanism that keeps cached plans honest: a job whose service epoch
+  // moved since enqueue — or whose cache entry is gone — is discarded, never
+  // deployed over a changed world; the epoch is re-checked after the
+  // (simulated-time) deployment too, so a monitor event racing the deploy
+  // also voids the swap. A swap that would *raise* the primary score is
+  // refused outright — incumbent scores are monotonically non-increasing
+  // per fingerprint. Jobs run sequentially; `done` fires when the queue is
+  // empty. Clients already bound to the pre-swap plan keep their working
+  // (just slower) path.
   void drain_improvements(std::function<void()> done);
 
   // Improvement jobs queued and not yet drained (diagnostics/tests).
@@ -217,13 +219,25 @@ class GenericServer {
   }
 
  private:
+  using AccessCallback = std::function<void(util::Expected<AccessOutcome>)>;
+
   // Requests coalescing on an identical in-flight access: the first caller
   // runs the planner, later identical callers attach here and receive
   // copies of the outcome (flagged `coalesced`).
   struct InFlightAccess {
     std::uint64_t epoch_at_start = 0;
-    std::vector<std::function<void(util::Expected<AccessOutcome>)>> waiters;
+    std::vector<AccessCallback> waiters;
   };
+
+  // The first half of the cold path: a search, run synchronously and timed
+  // on the host clock for the benches.
+  struct TimedPlan {
+    util::Expected<planner::DeploymentPlan> plan;
+    planner::SearchStats stats;
+    double wall_seconds = 0.0;
+  };
+  using PlanSearch = std::function<util::Expected<planner::DeploymentPlan>(
+      planner::SearchStats&)>;
 
   // A deadline-truncated access to re-plan in the background. Carries the
   // fully merged request (principal properties + code origin resolved) so
@@ -251,44 +265,75 @@ class GenericServer {
   ServiceState* state_of(const std::string& service);
   const ServiceState* state_of(const std::string& service) const;
 
-  // Adds a deployed placement to the reusable-instance pool (entry
-  // components are client-private and excluded).
+  // Request preparation shared by access and repair: looks up the service
+  // (failing `done` when it is unknown), defaults the code origin and
+  // merges the principal's translated properties into the requirements
+  // (explicit requirements win; memoized per principal in the view).
+  ServiceState* resolve_request(const std::string& service,
+                                planner::PlanRequest& request,
+                                AccessCallback& done);
+
+  // Attaches `done` to an identical in-flight access or repair and returns
+  // nullptr, or opens a new flight for `fingerprint` and returns it. Opening
+  // a flight first retires pooled instances stranded by a crash upstream.
+  std::shared_ptr<InFlightAccess> open_flight(ServiceState& state,
+                                              const std::string& fingerprint,
+                                              AccessCallback& done);
+
+  static TimedPlan timed_search(const PlanSearch& search);
+
+  // The second half of the one cold path (Fig. 1 steps 3-5), shared by
+  // access, repair and the improver: charges the search's candidates as
+  // planning CPU at this host, deploys, pools the plan's new shared
+  // instances (absorb_deployment), and hands `publish` the outcome. A
+  // failed search or deploy reaches `publish` as its status.
+  void deploy_plan(ServiceState& state, TimedPlan planned,
+                   AccessCallback publish);
+
+  // Adds a deployment's new shared instances to the reusable pool with zero
+  // load: load belongs to bound clients, and each accounts its own through
+  // account_access_load. Entry components are client-private and excluded,
+  // and so is any instance the current environment does not justify (a
+  // refresh_environment ran while the plan was charged or deployed).
   void absorb_deployment(ServiceState& state,
                          const planner::DeploymentPlan& plan,
                          const DeployedPlan& deployed);
 
-  // Merges the principal's translated properties into the request's
-  // requirements (memoized per principal in the environment view).
-  void merge_principal_requirements(ServiceState& state,
-                                    planner::PlanRequest& request) const;
+  // Whether `inst` may be offered to future plans under the service's
+  // current environment: it is alive, its installation conditions hold at
+  // its node, and its factor bindings re-derive from that node (a trust-4
+  // view on a node demoted to trust 3 does not). The one test every pooled
+  // instance passes — on entry and at every refresh_environment.
+  bool justified(const ServiceState& state,
+                 const planner::ExistingInstance& inst) const;
 
   // Warm path: replays a cached outcome when one exists for `fingerprint`
   // under the current epoch AND every instance it hands out is alive, still
   // pooled, and has capacity headroom for the added load. Returns true when
   // `done` was invoked (synchronously — a hit costs no simulated time at
   // the server). Failed validation evicts the entry and returns false.
-  bool try_cached_access(
-      ServiceState& state, const std::string& fingerprint,
-      std::function<void(util::Expected<AccessOutcome>)>& done);
+  bool try_cached_access(ServiceState& state, const std::string& fingerprint,
+                         AccessCallback& done);
 
-  // Accounts one client's worth of load on the shared (non-entry)
-  // placements of `plan` — the hit/coalesced-path counterpart of what
-  // absorb_deployment does for the cold path.
+  // Accounts one bound client's load on the shared (non-entry) placements
+  // of `plan`: the cold primary, each coalesced waiter and each cache hit.
   void account_access_load(ServiceState& state,
                            const planner::DeploymentPlan& plan,
                            const std::vector<RuntimeInstanceId>& instances);
 
-  // Cold-path completion: publishes the outcome into the cache (unless the
-  // epoch moved while planning), releases the in-flight slot, and fans the
-  // result out to the primary caller and every coalesced waiter.
-  void finish_access(
-      ServiceState& state, const std::string& fingerprint,
-      const std::shared_ptr<InFlightAccess>& flight,
-      std::function<void(util::Expected<AccessOutcome>)> primary,
-      util::Expected<AccessOutcome> result);
+  // Access/repair completion: releases the in-flight slot, publishes the
+  // outcome into the cache (unless the epoch moved while planning), and
+  // fans it out to the primary caller and every coalesced waiter, each
+  // accounting its own load first.
+  void finish_access(ServiceState& state, const std::string& fingerprint,
+                     const std::shared_ptr<InFlightAccess>& flight,
+                     AccessCallback primary,
+                     util::Expected<AccessOutcome> result);
 
-  // Runs one queued job, then recurses onto the rest of the queue.
-  void run_improvement(std::function<void()> done);
+  // The cache entry an improvement job would replace, or nullptr (counted
+  // as a stale discard) when the job can no longer apply.
+  PlanCache::Entry* improvable_entry(ServiceState* state,
+                                     const ImprovementJob& job);
 
   SmockRuntime& runtime_;
   net::NodeId host_;

@@ -489,6 +489,57 @@ TEST_F(AdaptationControllerFixture, RetiredEncryptorOutlivesInFlightReply) {
   EXPECT_GT(ok, 0);
 }
 
+TEST_F(AdaptationControllerFixture, AccessArrivingDuringRepairRidesIt) {
+  // A client rebinding while the controller's repair of the same request is
+  // in flight must ride the repair, not plan cold beside it: it attaches to
+  // the repair's flight and gets the repaired instances, and the repair's
+  // outcome is what the cache serves next.
+  auto request = sd_request();
+  auto outcome = bind(request);
+  fw->server().invalidate_cached_plans();
+  const std::uint64_t misses = fw->server().access_telemetry().misses;
+
+  std::vector<planner::RepairViolation> violations(1);
+  violations[0].kind = planner::RepairViolation::Kind::kNodeDeath;
+  violations[0].node = sites.seattle[1];
+  util::Expected<runtime::AccessOutcome> repaired =
+      util::internal_error("incomplete");
+  util::Expected<runtime::AccessOutcome> rider =
+      util::internal_error("incomplete");
+  std::size_t finished = 0;
+  fw->server().request_repair(
+      "SecureMail", request, outcome.plan, violations,
+      [&](util::Expected<runtime::AccessOutcome> r) {
+        repaired = std::move(r);
+        ++finished;
+      });
+  // No simulated time has passed: the repair is still planning/deploying.
+  fw->server().request_access("SecureMail", request,
+                              [&](util::Expected<runtime::AccessOutcome> r) {
+                                rider = std::move(r);
+                                ++finished;
+                              });
+  ASSERT_TRUE(fw->run_until_condition([&finished]() { return finished == 2; },
+                                      sim::Duration::from_seconds(60)));
+  ASSERT_TRUE(repaired.has_value()) << repaired.status().to_string();
+  ASSERT_TRUE(rider.has_value()) << rider.status().to_string();
+  EXPECT_TRUE(rider->coalesced);
+  EXPECT_FALSE(rider->cache_hit);
+  EXPECT_EQ(rider->instances, repaired->instances);
+  EXPECT_EQ(fw->server().access_telemetry().misses, misses);
+  EXPECT_EQ(fw->server().repair_telemetry().repairs_succeeded, 1u);
+
+  bool hit_done = false;
+  fw->server().request_access(
+      "SecureMail", request, [&](util::Expected<runtime::AccessOutcome> r) {
+        ASSERT_TRUE(r.has_value()) << r.status().to_string();
+        EXPECT_TRUE(r->cache_hit);
+        EXPECT_EQ(r->instances, repaired->instances);
+        hit_done = true;
+      });
+  EXPECT_TRUE(hit_done);  // a hit answers synchronously
+}
+
 TEST_F(AdaptationControllerFixture, MigrateMovesStateAndRetiresSource) {
   // SmockRuntime::migrate directly: install-at-target, start, sync state
   // through prepare_migration/export/import, hand back the new id, then

@@ -277,39 +277,55 @@ TEST(HierarchyScheduleTest, DiscountFloorUsesDepthAndMinRrf) {
 // ---- Hierarchical search vs flat -------------------------------------------
 
 TEST(HierarchicalSearchTest, MatchesFlatOptimalityOnSmallTopologies) {
-  for (std::uint64_t seed : {2026ull, 7ull, 99ull}) {
-    WaxmanWorld world(16, seed);
-    for (planner::Objective objective :
-         {planner::Objective::kMinLatency,
-          planner::Objective::kMinDeploymentCost}) {
-      planner::PlanRequest flat = world.request(objective);
-      flat.search_mode = planner::SearchMode::kFlat;
+  for (std::size_t nodes : {16u, 24u}) {
+    for (std::uint64_t seed : {2026ull, 7ull, 99ull, 13ull}) {
+      WaxmanWorld world(nodes, seed);
+      for (planner::Objective objective :
+           {planner::Objective::kMinLatency,
+            planner::Objective::kMinDeploymentCost,
+            planner::Objective::kMaxCapacity}) {
+        planner::PlanRequest flat = world.request(objective);
+        flat.search_mode = planner::SearchMode::kFlat;
 
-      planner::PlanRequest hier = world.request(objective);
-      hier.search_mode = planner::SearchMode::kHierarchical;
-      hier.cluster_count = 4;
+        planner::PlanRequest hier = world.request(objective);
+        hier.search_mode = planner::SearchMode::kHierarchical;
+        hier.cluster_count = 4;
+        // bound_pruning promises never to change the returned plan, and
+        // skipping a cluster is part of that pruning: a refinement without
+        // an admissible bound must never be skipped (kMaxCapacity's primary
+        // score, -min_headroom, is negative, so a bound of 0 would cut
+        // clusters holding better plans).
+        planner::PlanRequest exhaustive = hier;
+        exhaustive.bound_pruning = false;
 
-      planner::SearchStats flat_stats, hier_stats;
-      auto a = world.planner->plan(flat, world.existing, &flat_stats);
-      auto b = world.planner->plan(hier, world.existing, &hier_stats);
+        planner::SearchStats flat_stats, hier_stats;
+        auto a = world.planner->plan(flat, world.existing, &flat_stats);
+        auto b = world.planner->plan(hier, world.existing, &hier_stats);
+        auto c = world.planner->plan(exhaustive, world.existing);
 
-      const std::string label = "seed=" + std::to_string(seed) +
-                                " objective=" +
-                                planner::objective_name(objective);
-      ASSERT_EQ(a.has_value(), b.has_value()) << label;
-      if (!a.has_value()) continue;
-      EXPECT_FALSE(flat_stats.used_hierarchy) << label;
-      EXPECT_TRUE(hier_stats.used_hierarchy) << label;
-      EXPECT_GE(hier_stats.clusters_total, 2u) << label;
+        const std::string label =
+            "nodes=" + std::to_string(nodes) + " seed=" +
+            std::to_string(seed) + " objective=" +
+            planner::objective_name(objective);
+        ASSERT_EQ(a.has_value(), b.has_value()) << label;
+        ASSERT_EQ(b.has_value(), c.has_value()) << label;
+        if (!a.has_value()) continue;
+        EXPECT_FALSE(flat_stats.used_hierarchy) << label;
+        EXPECT_TRUE(hier_stats.used_hierarchy) << label;
+        EXPECT_GE(hier_stats.clusters_total, 2u) << label;
 
-      const double fa =
-          planner::plan_primary_score(objective, a->metrics);
-      const double fb =
-          planner::plan_primary_score(objective, b->metrics);
-      // Hierarchical search is exact within its restricted plan space, so
-      // it can never beat flat; the gap gate is the bench's 5% bound.
-      EXPECT_GE(fb, fa - 1e-12) << label;
-      EXPECT_LE(fb, fa + 0.05 * std::max(1e-9, std::abs(fa))) << label;
+        const double fa =
+            planner::plan_primary_score(objective, a->metrics);
+        const double fb =
+            planner::plan_primary_score(objective, b->metrics);
+        // Hierarchical search is exact within its restricted plan space, so
+        // it can never beat flat; the gap gate is the bench's 5% bound.
+        EXPECT_GE(fb, fa - 1e-12) << label;
+        EXPECT_LE(fb, fa + 0.05 * std::max(1e-9, std::abs(fa))) << label;
+        EXPECT_EQ(describe_plan(*b), describe_plan(*c)) << label;
+        EXPECT_EQ(fb, planner::plan_primary_score(objective, c->metrics))
+            << label;
+      }
     }
   }
 }
@@ -662,6 +678,81 @@ TEST_F(AnytimeFixture, DrainImprovesOrConfirmsAndStaysMonotonic) {
     EXPECT_LT(warm_score, truncated_score);
     ASSERT_EQ(t.swap_primary_scores.size(), 1u);
     EXPECT_NEAR(t.swap_primary_scores[0], warm_score, 1e-12);
+  }
+}
+
+TEST_F(AnytimeFixture, ImprovementSwapLeavesNoPhantomLoad) {
+  // The improver deploys a plan no client is bound to yet: its instances
+  // must join the pool idle. Load belongs to bound clients only, so once
+  // every client releases what it accounted, the whole pool is idle again.
+  const runtime::AccessOutcome truncated = access();
+  ASSERT_TRUE(truncated.search.deadline_hit);
+  ASSERT_EQ(drain(), 0u);
+  ASSERT_EQ(fw->server().anytime_telemetry().improved_swaps, 1u);
+  const runtime::AccessOutcome improved = access();
+  ASSERT_TRUE(improved.cache_hit);
+
+  for (const runtime::AccessOutcome* client : {&truncated, &improved}) {
+    const planner::DeploymentPlan& plan = client->plan;
+    for (std::size_t i = 0; i < plan.placements.size(); ++i) {
+      const planner::Placement& p = plan.placements[i];
+      if (p.id == plan.entry) continue;
+      EXPECT_TRUE(fw->server()
+                      .release_load("SecureMail", client->instances[i],
+                                    p.inbound_rate_rps)
+                      .is_ok());
+    }
+  }
+  for (const planner::ExistingInstance& inst :
+       fw->server().existing_instances("SecureMail")) {
+    EXPECT_NEAR(inst.current_load_rps, 0.0, 1e-9)
+        << inst.component->name << " #" << inst.runtime_id;
+  }
+}
+
+TEST_F(AnytimeFixture, RefreshDuringImprovementDeployPoolsNothingStale) {
+  // The improvement is planned, and its planning CPU and deployment are
+  // queued, when every node but the home loses one trust level and the
+  // environment is refreshed. The swap must be discarded, and the pool must
+  // hold only instances the new environment justifies: no view whose trust
+  // factor no longer re-derives from its demoted node.
+  ASSERT_TRUE(access().search.deadline_hit);
+  bool drained = false;
+  fw->server().drain_improvements([&] { drained = true; });
+  for (net::NodeId id : fw->network().all_nodes()) {
+    if (id == net::NodeId{0}) continue;
+    const std::int64_t trust =
+        fw->network().node(id).credentials.get_int("trust", 1);
+    fw->monitor().set_node_credential(id, "trust", trust - 1);
+  }
+  ASSERT_TRUE(fw->server().refresh_environment("SecureMail").is_ok());
+  fw->run();
+  ASSERT_TRUE(drained);
+  const runtime::AnytimeTelemetry& t = fw->server().anytime_telemetry();
+  EXPECT_EQ(t.discarded_stale, 1u);
+  EXPECT_EQ(t.improved_swaps, 0u);
+
+  const planner::EnvironmentView* env =
+      fw->server().environment("SecureMail");
+  ASSERT_NE(env, nullptr);
+  const auto& pool = fw->server().existing_instances("SecureMail");
+  ASSERT_FALSE(pool.empty());  // the home's MailServer stays justified
+  for (const planner::ExistingInstance& inst : pool) {
+    const spec::Environment& node_env = env->node_env(inst.node);
+    const std::string label =
+        inst.component->name + " #" + std::to_string(inst.runtime_id);
+    for (const spec::Condition& cond : inst.component->conditions) {
+      EXPECT_TRUE(cond.holds(node_env)) << label;
+    }
+    for (const spec::PropertyAssignment& f : inst.component->factors) {
+      ASSERT_EQ(inst.factors.values.count(f.property), 1u) << label;
+      const spec::PropertyValue& bound = inst.factors.values.at(f.property);
+      const spec::PropertyValue derived =
+          planner::resolve_value(f.value, node_env, inst.factors);
+      EXPECT_TRUE(bound == derived)
+          << label << " factor " << f.property << ": bound "
+          << bound.to_string() << ", re-derives " << derived.to_string();
+    }
   }
 }
 

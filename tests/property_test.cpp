@@ -4,7 +4,6 @@
 //    credentials, every plan the search emits passes the independent
 //    validator, and unsatisfiable outcomes never crash.
 //  - Planner determinism: same inputs -> byte-identical plan.
-//  - plan_many ≡ sequential plan.
 //  - Simulator: event ordering invariants under random schedules.
 //  - Crypto: seal/unseal round-trips and tamper detection over random data.
 #include <gtest/gtest.h>
@@ -119,49 +118,6 @@ TEST_P(PlannerSoundness, PlanningIsDeterministic) {
 INSTANTIATE_TEST_SUITE_P(Seeds, PlannerSoundness,
                          ::testing::Values(1, 7, 42, 1337, 271828, 314159,
                                            20260707, 987654321));
-
-TEST(PlanManyTest, MatchesSequentialPlanning) {
-  RandomWorld world(99);
-  planner::EnvironmentView env(world.network, *world.translator);
-  planner::Planner planner(world.spec, env);
-
-  std::vector<planner::PlanRequest> requests;
-  for (std::uint32_t n = 0; n < world.network.node_count(); ++n) {
-    planner::PlanRequest request;
-    request.interface_name = "ClientInterface";
-    request.required_properties.emplace_back("TrustLevel",
-                                             spec::PropertyValue::integer(2));
-    request.client_node = net::NodeId{n};
-    request.max_depth = 5;
-    requests.push_back(request);
-  }
-
-  auto parallel = planner.plan_many(requests, world.existing, 4);
-  ASSERT_EQ(parallel.size(), requests.size());
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    auto sequential = planner.plan(requests[i], world.existing);
-    ASSERT_EQ(parallel[i].has_value(), sequential.has_value()) << i;
-    if (sequential.has_value()) {
-      EXPECT_EQ(parallel[i]->to_string(world.network),
-                sequential->to_string(world.network))
-          << i;
-    }
-  }
-}
-
-TEST(PlanManyTest, EmptyAndSingleThread) {
-  RandomWorld world(5);
-  planner::EnvironmentView env(world.network, *world.translator);
-  planner::Planner planner(world.spec, env);
-  EXPECT_TRUE(planner.plan_many({}, world.existing).empty());
-
-  planner::PlanRequest request;
-  request.interface_name = "ClientInterface";
-  request.client_node = net::NodeId{0};
-  request.max_depth = 4;
-  auto results = planner.plan_many({request}, world.existing, 1);
-  ASSERT_EQ(results.size(), 1u);
-}
 
 // ---- simulator properties ----------------------------------------------
 

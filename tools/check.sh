@@ -6,7 +6,9 @@
 #   tools/check.sh --no-tsan  # standard build + tier-1 ctest only
 #   tools/check.sh --asan     # also: AddressSanitizer build running the
 #                             # plan-cache / generic-server / adaptation
-#                             # controller suites
+#                             # controller suites and hierarchy_test (the
+#                             # anytime improver) — every caller of the
+#                             # server's plan -> deploy pipeline
 #   tools/check.sh --stress   # also: long-running suites (ctest -L stress)
 #   tools/check.sh --coherence # only: the coherence smoke suite
 #                             # (build + ctest -L coherence, via the
@@ -181,15 +183,16 @@ if [[ "${RUN_UBSAN}" == 1 ]]; then
 fi
 
 if [[ "${RUN_ASAN}" == 1 ]]; then
-  echo "== AddressSanitizer build (plan cache + generic server + adaptation) =="
+  echo "== AddressSanitizer build (plan cache + generic server + adaptation + improver) =="
   cmake -B build-asan -S . -DPSF_SANITIZE=address >/dev/null
   cmake --build build-asan -j "${JOBS}" \
     --target plan_cache_test generic_test telemetry_test \
-    adaptation_controller_test
+    adaptation_controller_test hierarchy_test
   ./build-asan/tests/plan_cache_test
   ./build-asan/tests/generic_test
   ./build-asan/tests/telemetry_test
   ./build-asan/tests/adaptation_controller_test
+  ./build-asan/tests/hierarchy_test
 fi
 
 echo "== all checks passed =="
