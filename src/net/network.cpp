@@ -6,39 +6,6 @@
 
 namespace psf::net {
 
-Network::Network(const Network& other)
-    : nodes_(other.nodes_),
-      links_(other.links_),
-      adjacency_(other.adjacency_) {}
-
-Network& Network::operator=(const Network& other) {
-  if (this != &other) {
-    nodes_ = other.nodes_;
-    links_ = other.links_;
-    adjacency_ = other.adjacency_;
-    invalidate_cache();
-  }
-  return *this;
-}
-
-Network::Network(Network&& other) noexcept
-    : nodes_(std::move(other.nodes_)),
-      links_(std::move(other.links_)),
-      adjacency_(std::move(other.adjacency_)) {
-  other.invalidate_cache();
-}
-
-Network& Network::operator=(Network&& other) noexcept {
-  if (this != &other) {
-    nodes_ = std::move(other.nodes_);
-    links_ = std::move(other.links_);
-    adjacency_ = std::move(other.adjacency_);
-    invalidate_cache();
-    other.invalidate_cache();
-  }
-  return *this;
-}
-
 NodeId Network::add_node(std::string name, double cpu_capacity,
                          Credentials credentials) {
   PSF_CHECK_MSG(cpu_capacity > 0.0, "node cpu capacity must be positive");
@@ -189,42 +156,20 @@ std::optional<Route> Network::route(NodeId from, NodeId to) const {
 const Route* Network::cached_route(NodeId from, NodeId to) const {
   PSF_CHECK(from.valid() && from.value < nodes_.size());
   PSF_CHECK(to.valid() && to.value < nodes_.size());
-  return &(*route_row(from))[to.value];
+  return &route_row(from)[to.value];
 }
 
-const std::vector<Route>* Network::route_row(NodeId from) const {
-  // Fast path: cache generation valid and the row already published. The
-  // acquire on cache_valid_ pairs with the release in the slow path below,
-  // making the row_slots_ array itself visible; the acquire on the slot
-  // makes the row contents visible.
-  if (cache_valid_.load(std::memory_order_acquire)) {
-    const std::vector<Route>* row =
-        row_slots_[from.value].row.load(std::memory_order_acquire);
-    if (row != nullptr) return row;
-  }
-
-  std::lock_guard<std::mutex> lock(route_mutex_);
-  if (!cache_valid_.load(std::memory_order_relaxed)) {
-    row_slots_ = std::make_unique<RouteRowSlot[]>(nodes_.size());
-    row_storage_.clear();
-    rows_materialized_.store(0, std::memory_order_relaxed);
-    cache_valid_.store(true, std::memory_order_release);
-  }
-  RouteRowSlot& slot = row_slots_[from.value];
-  if (const std::vector<Route>* row =
-          slot.row.load(std::memory_order_relaxed)) {
-    return row;  // lost the race to another materializer
-  }
-  auto row = std::make_unique<std::vector<Route>>(compute_route_row(from));
-  const std::vector<Route>* published = row.get();
-  row_storage_.push_back(std::move(row));
-  rows_materialized_.fetch_add(1, std::memory_order_relaxed);
-  slot.row.store(published, std::memory_order_release);
-  return published;
+const std::vector<Route>& Network::route_row(NodeId from) const {
+  if (route_rows_.empty()) route_rows_.resize(nodes_.size());
+  std::vector<Route>& row = route_rows_[from.value];
+  if (row.empty()) row = compute_route_row(from);
+  return row;
 }
 
 std::size_t Network::route_rows_materialized() const {
-  return rows_materialized_.load(std::memory_order_relaxed);
+  return static_cast<std::size_t>(
+      std::count_if(route_rows_.begin(), route_rows_.end(),
+                    [](const std::vector<Route>& row) { return !row.empty(); }));
 }
 
 std::vector<Route> Network::compute_route_row(NodeId from) const {
@@ -382,14 +327,6 @@ std::string Network::to_string() const {
   return oss.str();
 }
 
-void Network::invalidate_cache() {
-  // Mutations are not concurrent with reads (unchanged contract), but take
-  // the mutex anyway so a mutation can never tear a row mid-materialization.
-  std::lock_guard<std::mutex> lock(route_mutex_);
-  cache_valid_.store(false, std::memory_order_release);
-  row_slots_.reset();
-  row_storage_.clear();
-  rows_materialized_.store(0, std::memory_order_relaxed);
-}
+void Network::invalidate_cache() { route_rows_.clear(); }
 
 }  // namespace psf::net

@@ -7,11 +7,8 @@
 // bidirectional, matching the paper's Fig. 5 topology.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <limits>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -100,15 +97,6 @@ struct Route {
 
 class Network {
  public:
-  Network() = default;
-  // Copies/moves transfer the topology but not the route cache (the mutex
-  // and atomic row slots are generation-local); the destination starts with
-  // an empty cache, exactly as after a mutation.
-  Network(const Network& other);
-  Network& operator=(const Network& other);
-  Network(Network&& other) noexcept;
-  Network& operator=(Network&& other) noexcept;
-
   NodeId add_node(std::string name, double cpu_capacity = 1e6,
                   Credentials credentials = {});
   LinkId add_link(NodeId a, NodeId b, double bandwidth_bps,
@@ -155,11 +143,11 @@ class Network {
   // All-pairs convenience built on a row-granular lazy cache; used by the
   // planner's environment view. The first query from a given source runs one
   // full Dijkstra and materializes that source's whole row; later queries
-  // from the same source are pure reads. Materialization is thread-safe
-  // (atomic row publication behind a mutex), so the parallel planner's
-  // refinement workers can fault rows in concurrently without precomputing
-  // the full O(V^2) table. Returned pointers stay valid until the next
-  // mutation (every mutator invalidates the cache).
+  // from the same source are pure reads, so a search touches only the rows
+  // its candidate sets need instead of the full O(V^2) table. Returned
+  // pointers stay valid until the next mutation (every mutator invalidates
+  // the cache). Not safe for concurrent callers: a const query may build a
+  // row.
   const Route* cached_route(NodeId from, NodeId to) const;
 
   // Eagerly materializes every row (O(V) Dijkstras, O(V^2) entries). Only
@@ -186,27 +174,19 @@ class Network {
   // for one-off queries). Row entries: self = empty local route, unreachable
   // pairs = the INT64_MAX/2-latency zero-bandwidth marker.
   std::vector<Route> compute_route_row(NodeId from) const;
-  // Returns the materialized row for `from`, building it under the cache
-  // mutex on first touch. The published pointer is immutable and stable
-  // until the next mutation.
-  const std::vector<Route>* route_row(NodeId from) const;
+  // Returns the row for `from`, building it on first touch.
+  const std::vector<Route>& route_row(NodeId from) const;
 
   std::vector<Node> nodes_;
   std::vector<Link> links_;
   std::vector<std::vector<LinkId>> adjacency_;
 
-  // Lazy route cache, one row per source node. A row slot flips nullptr ->
-  // row exactly once per cache generation; readers acquire-load the slot and
-  // never take the mutex on the hot path. Mutators are NOT thread-safe with
-  // concurrent readers (unchanged contract) — only concurrent *reads* are.
-  struct RouteRowSlot {
-    std::atomic<const std::vector<Route>*> row{nullptr};
-  };
-  mutable std::unique_ptr<RouteRowSlot[]> row_slots_;  // node_count() slots
-  mutable std::vector<std::unique_ptr<std::vector<Route>>> row_storage_;
-  mutable std::mutex route_mutex_;
-  mutable std::atomic<bool> cache_valid_{false};
-  mutable std::atomic<std::size_t> rows_materialized_{0};
+  // Lazy route cache: empty until the first query after a mutation, then
+  // one row per source node, empty until that source is first queried. A
+  // built row is never resized, so pointers into it stay valid until the
+  // next mutation clears the cache. Copies carry the cache along: it
+  // describes the same topology.
+  mutable std::vector<std::vector<Route>> route_rows_;
 };
 
 }  // namespace psf::net

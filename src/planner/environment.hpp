@@ -157,7 +157,7 @@ class EnvironmentView {
 // route identity (pointers into the network's route cache are stable between
 // mutations), traversal origin, property, and input value; distinct input
 // values per key are few, so they live in a small linear-scanned vector.
-// Not thread-safe: each search worker owns one memo.
+// Each Search owns one memo.
 class TransformMemo {
  public:
   spec::PropertyValue transform(const EnvironmentView& env,

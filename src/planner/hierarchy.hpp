@@ -1,8 +1,8 @@
 // Refinement schedule for the hierarchical (two-level) mapping search.
 //
-// The coordinator in planner.cpp searches one ClusterRefinement at a time
-// (or fans them out over the thread pool): an exact BnB search restricted to
-// the refinement's candidate node set. Candidate sets are built so that
+// The search driver in planner.cpp searches one ClusterRefinement at a
+// time, in rank order: an exact BnB search restricted to the refinement's
+// candidate node set. Candidate sets are built so that
 //  - the client cluster's refinement (always rank 0) can express every plan
 //    confined to the client's own cluster plus existing instances, and
 //  - cluster c's refinement can express every plan that stages components

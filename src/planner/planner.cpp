@@ -2,13 +2,11 @@
 #include "planner/planner.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <functional>
 #include <limits>
 #include <map>
 #include <optional>
-#include <set>
+#include <span>
 #include <sstream>
 
 #include "planner/cluster.hpp"
@@ -16,7 +14,6 @@
 #include "planner/hierarchy.hpp"
 #include "planner/linkage.hpp"
 #include "util/logging.hpp"
-#include "util/thread_pool.hpp"
 
 namespace psf::planner {
 
@@ -51,10 +48,6 @@ struct Score {
   }
 };
 
-bool score_equal(const Score& a, const Score& b) {
-  return !(a < b) && !(b < a);
-}
-
 Score score_plan(Objective objective, const PlanMetrics& m) {
   switch (objective) {
     case Objective::kMinLatency:
@@ -69,104 +62,83 @@ Score score_plan(Objective objective, const PlanMetrics& m) {
   return {};
 }
 
-// One entry-level candidate of the mapping search: the depth-1 placement
-// choice (component × node) that roots an independent subtree. The parallel
-// search fans these out across workers.
-struct EntryBranch {
-  const spec::ComponentDef* component = nullptr;
-  const spec::LinkageDecl* impl = nullptr;
-  net::NodeId node;
-};
-
 // The strict bound test shared by the in-search prune and the driver's
 // unit skip: true when `bound` exceeds the incumbent primary `inc` by more
 // than a small relative margin. The margin absorbs floating-point
 // reassociation between an incrementally accumulated bound and the final
-// score computation, so a mathematical tie is never cut — that is what
-// keeps the parallel result bit-identical to the serial one (ties keep the
-// earliest visit, and an exact-tie subtree must survive to report its
-// candidate).
+// score computation, so a mathematical tie on the primary is never cut: a
+// tied plan can still win on the secondary field, and pruning must never
+// change the returned plan.
 bool beyond_incumbent(double bound, double inc) {
   if (inc == kInfinity) return false;
   return bound > inc + 1e-9 * std::max(1.0, std::abs(inc));
 }
 
-// The incumbent's primary score, shared across search workers so that one
-// worker's good plan prunes the others' subtrees. Only the primary field is
-// shared: it is sufficient for the strict bound test, and a single double
-// can be maintained lock-free.
-class SharedIncumbent {
- public:
-  double load() const { return primary_.load(std::memory_order_relaxed); }
-
-  void offer(double primary) {
-    double cur = primary_.load(std::memory_order_relaxed);
-    while (primary < cur &&
-           !primary_.compare_exchange_weak(cur, primary,
-                                           std::memory_order_relaxed)) {
-    }
-  }
-
- private:
-  std::atomic<double> primary_{kInfinity};
-};
+// The anytime budget test shared by the in-search check and the driver's
+// unit skip: a budget is set, `stats` (counted across every unit) has
+// examined at least that many candidates, and an incumbent exists — the
+// search never comes back empty-handed because the budget was tiny.
+bool budget_spent(const PlanRequest& request, const SearchStats& stats,
+                  double incumbent) {
+  return request.candidate_budget != 0 &&
+         stats.candidates_examined >= request.candidate_budget &&
+         incumbent < kInfinity;
+}
 
 class Search {
  public:
   // `candidate_nodes` restricts where NEW components may be placed (existing
   // instances are reachable regardless). The flat search passes every node;
   // a hierarchical refinement passes its cluster's candidate set.
-  // `deadline` (when enabled) turns the search anytime: once any incumbent
-  // exists — this worker's or the fleet's — passing the deadline unwinds
-  // the DFS and returns the best plan found so far.
+  // `incumbent` is the best primary score earlier units found (kInfinity
+  // when none); `stats` carries the counters of those units too, which is
+  // what the anytime budget counts against.
   Search(const spec::ServiceSpec& spec, const EnvironmentView& env,
          const spec::ImplementerIndex& index, const PlanRequest& request,
-         const std::vector<ExistingInstance>& existing,
-         SharedIncumbent& shared, SearchStats& stats,
-         const std::vector<net::NodeId>& candidate_nodes,
-         // detlint:allow(DET004 deadline_budget is a wall-clock anytime budget)
-         std::chrono::steady_clock::time_point deadline, bool has_deadline)
+         const std::vector<ExistingInstance>& existing, double incumbent,
+         SearchStats& stats, const std::vector<net::NodeId>& candidate_nodes)
       : spec_(spec),
         env_(env),
         network_(env.network()),
         index_(index),
         request_(request),
         existing_(existing),
-        shared_(shared),
+        incumbent_(incumbent),
         stats_(stats),
         bound_pruning_(request.bound_pruning),
-        candidate_nodes_(candidate_nodes),
-        deadline_(deadline),
-        has_deadline_(has_deadline) {
+        candidate_nodes_(candidate_nodes) {
     node_load_.assign(network_.node_count(), 0.0);
     link_load_.assign(network_.link_count(), 0.0);
     existing_added_rps_.assign(existing.size(), 0.0);
   }
 
-  // Explores branches[first], branches[first + stride], ... in order. With
-  // first=0, stride=1 this is exactly the serial search; a parallel worker
-  // takes a stride-W slice so that adjacent (similar-cost) branches spread
-  // across workers.
-  void run_branches(const std::vector<EntryBranch>& branches,
-                    std::size_t first, std::size_t stride) {
+  // Explores the entry-level candidates in order: implementing components
+  // in declaration order, each at the client node when the entry is pinned
+  // there, else at every candidate node in the given order.
+  void run() {
     if (request_.max_depth < 1) return;
-    for (std::size_t i = first; i < branches.size(); i += stride) {
-      if (expired()) return;
-      current_branch_ = i;
-      const EntryBranch& b = branches[i];
-      try_new(*b.component, *b.impl, b.node, request_.interface_name,
-              request_.required_properties, request_.client_node,
-              request_.request_rate_rps, /*depth=*/1, kNoParent,
-              /*discount=*/1.0, /*committed=*/0.0,
-              [this](InstanceId root, double padded_s, double warm_s) {
-                finish_plan(root, padded_s, warm_s);
-              });
+    auto it = index_.find(request_.interface_name);
+    if (it == index_.end()) return;
+    const std::span<const net::NodeId> nodes =
+        request_.pin_entry_to_client
+            ? std::span<const net::NodeId>(&request_.client_node, 1)
+            : std::span<const net::NodeId>(candidate_nodes_);
+    for (const spec::ImplementerRef& ref : it->second) {
+      for (net::NodeId node : nodes) {
+        if (expired()) return;
+        try_new(*ref.component, *ref.linkage, node, request_.interface_name,
+                request_.required_properties, request_.client_node,
+                request_.request_rate_rps, /*depth=*/1, kNoParent,
+                /*discount=*/1.0, /*committed=*/0.0,
+                [this](InstanceId root, double padded_s, double warm_s) {
+                  finish_plan(root, padded_s, warm_s);
+                });
+      }
     }
   }
 
   std::optional<DeploymentPlan> take_best() { return std::move(best_); }
   const Score& best_score() const { return best_score_; }
-  std::size_t best_branch() const { return best_branch_; }
 
  private:
   using Requirements =
@@ -187,37 +159,25 @@ class Search {
 
   // ---- branch-and-bound ---------------------------------------------------
 
-  // The incumbent primary score this worker must beat: the better of its own
-  // best and the fleet-wide shared best.
+  // The incumbent primary score to beat: the better of this unit's best and
+  // the earlier units' best.
   double incumbent_primary() const {
-    double inc = shared_.load();
-    if (best_.has_value() && best_score_.primary < inc) {
-      inc = best_score_.primary;
+    if (best_.has_value() && best_score_.primary < incumbent_) {
+      return best_score_.primary;
     }
-    return inc;
+    return incumbent_;
   }
 
   bool should_prune(double bound) const {
     return beyond_incumbent(bound, incumbent_primary());
   }
 
-  // Anytime deadline. Polled on a counter so the clock read stays off the
-  // per-candidate hot path; never fires before SOME incumbent exists (the
-  // search must not come back empty-handed just because the budget was
-  // tiny), so at worst a bounded tail of ~kDeadlinePollMask candidates runs
-  // past the deadline after the first plan completes.
-  static constexpr std::uint32_t kDeadlinePollMask = 0x3F;
+  // Anytime budget (see budget_spent): unwinds the DFS and keeps the best
+  // plan found so far.
   bool expired() {
-    if (!has_deadline_) return false;
-    if (deadline_expired_) return true;
-    if ((++deadline_poll_ & kDeadlinePollMask) != 0) return false;
-    if (incumbent_primary() == kInfinity) return false;
-    // detlint:allow(DET004 deadline_budget is a wall-clock anytime budget)
-    if (std::chrono::steady_clock::now() >= deadline_) {
-      deadline_expired_ = true;
-      stats_.deadline_hit = true;
-    }
-    return deadline_expired_;
+    if (!budget_spent(request_, stats_, incumbent_primary())) return false;
+    stats_.deadline_hit = true;
+    return true;
   }
 
   // Code-transfer time for deploying `comp` at `node` (the deployment-cost
@@ -463,7 +423,8 @@ class Search {
 
     // Cycle guard: never place the same component twice on the same node
     // along one requirement path.
-    if (path_.count({&comp, node.value}) != 0) {
+    if (std::find(path_.begin(), path_.end(),
+                  std::make_pair(&comp, node.value)) != path_.end()) {
       ++stats_.rejected_cycle;
       return;
     }
@@ -595,7 +556,7 @@ class Search {
       return;
     }
     node_load_[node.value] += cpu_add;
-    path_.insert({&comp, node.value});
+    path_.emplace_back(&comp, node.value);
     if (comp.is_view()) view_path_.emplace_back(&comp, factors);
     committed_cost_ += cost_add;
 
@@ -648,7 +609,7 @@ class Search {
     placements_.pop_back();
     committed_cost_ -= cost_add;
     if (comp.is_view()) view_path_.pop_back();
-    path_.erase({&comp, node.value});
+    path_.pop_back();
     node_load_[node.value] -= cpu_add;
     release_route(*route_in, comp.behaviors, rate);
   }
@@ -831,8 +792,6 @@ class Search {
     plan.metrics = metrics;
     best_ = std::move(plan);
     best_score_ = score;
-    best_branch_ = current_branch_;
-    shared_.offer(best_score_.primary);
   }
 
   const spec::ServiceSpec& spec_;
@@ -841,15 +800,10 @@ class Search {
   const spec::ImplementerIndex& index_;
   const PlanRequest& request_;
   const std::vector<ExistingInstance>& existing_;
-  SharedIncumbent& shared_;
+  const double incumbent_;
   SearchStats& stats_;
   const bool bound_pruning_;
   const std::vector<net::NodeId>& candidate_nodes_;
-  // detlint:allow(DET004 deadline_budget is a wall-clock anytime budget)
-  const std::chrono::steady_clock::time_point deadline_;
-  const bool has_deadline_;
-  std::uint32_t deadline_poll_ = 0;
-  bool deadline_expired_ = false;
   TransformMemo memo_;
 
   // Working state (mutated along the DFS, undone on backtrack).
@@ -859,168 +813,71 @@ class Search {
   std::vector<double> link_load_;  // added bps per link
   std::vector<double> existing_added_rps_;
   std::map<std::uint64_t, InstanceId> placed_existing_;
-  std::set<std::pair<const spec::ComponentDef*, std::uint32_t>> path_;
+  // (component, node) pairs along the current requirement path, for the
+  // cycle guard; at most max_depth long.
+  std::vector<std::pair<const spec::ComponentDef*, std::uint32_t>> path_;
   std::vector<std::pair<const spec::ComponentDef*, FactorBindings>>
       view_path_;
   // Committed (1 + code-transfer cost) of the current partial plan's new
   // placements — the kMinDeploymentCost bound.
   double committed_cost_ = 0.0;
 
-  std::size_t current_branch_ = 0;
-  std::size_t best_branch_ = 0;
   std::optional<DeploymentPlan> best_;
   Score best_score_;
 };
 
-// Enumerates the entry-level fan-out in the serial search's visit order:
-// implementing components in declaration order, candidate nodes in the
-// given order (or just the client node when the entry is pinned there).
-std::vector<EntryBranch> make_entry_branches(
-    const spec::ImplementerIndex& index, const PlanRequest& request,
-    const std::vector<net::NodeId>& candidate_nodes) {
-  std::vector<EntryBranch> branches;
-  auto it = index.find(request.interface_name);
-  if (it == index.end()) return branches;
-  for (const spec::ImplementerRef& ref : it->second) {
-    if (request.pin_entry_to_client) {
-      branches.push_back({ref.component, ref.linkage, request.client_node});
-    } else {
-      for (net::NodeId node : candidate_nodes) {
-        branches.push_back({ref.component, ref.linkage, node});
-      }
-    }
-  }
-  return branches;
-}
-
 // One restricted search the driver runs: NEW components land only on
-// `candidates` (existing instances are reachable wherever they live), and
-// `branches` is the entry-level fan-out in serial visit order. `lower_bound`
-// is admissible for the primary score of every plan only this unit can
-// express; -inf means the unit has no bound and is never skipped.
+// `candidates` (existing instances are reachable wherever they live).
+// `lower_bound` is admissible for the primary score of every plan only this
+// unit can express; -inf means the unit has no bound and is never skipped.
 struct SearchUnit {
   std::vector<net::NodeId> candidates;
-  std::vector<EntryBranch> branches;
   double lower_bound = -kInfinity;
 };
 
 struct DriveResult {
   std::optional<DeploymentPlan> plan;
-  SearchStats stats;  // merged over every worker
+  SearchStats stats;  // summed over every unit
   std::uint64_t units_skipped = 0;   // lower bound above the incumbent
   std::uint64_t units_searched = 0;  // actually ran a Search
 };
 
-// The one search driver: owns the anytime deadline, the worker count, the
-// shared incumbent and the thread pool, runs `units` and reduces their
-// results. A lone unit (flat search) is striped round-robin across the
-// workers so adjacent, similar-cost branches spread out; several units
-// (hierarchical refinements) take one worker each, the first running alone
-// so its incumbent prunes the fan-out. The reduction keeps the lowest
-// (score, serial visit position), where a position is (unit, entry branch):
-// exactly the serial search's first-best-kept rule, so the result is
-// independent of worker count and timing.
+// The one search driver: runs `units` in order, carrying one incumbent and
+// one SearchStats across them. A unit whose lower bound exceeds the
+// incumbent (the in-search margin) is skipped — it can only hold plans
+// strictly worse than one already found — and so is every unit after the
+// anytime budget is spent. A unit's plan replaces the incumbent only when
+// its score is strictly lower, so ties keep the earliest (unit, entry
+// candidate), the first-best-kept rule each Search applies within a unit.
 DriveResult drive_search(const spec::ServiceSpec& spec,
                          const EnvironmentView& env,
                          const spec::ImplementerIndex& index,
                          const PlanRequest& request,
                          const std::vector<ExistingInstance>& existing,
                          const std::vector<SearchUnit>& units) {
-  const auto deadline =
-      // detlint:allow(DET004 deadline_budget is a wall-clock anytime budget)
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::duration<double>(std::max(0.0,
-                                                 request.deadline_budget)));
-  const bool has_deadline = request.deadline_budget > 0.0;
-
-  const bool striped = units.size() == 1;
-  std::size_t workers = request.search_threads == 0
-                            ? util::ThreadPool::default_thread_count()
-                            : request.search_threads;
-  workers = std::min(workers,
-                     std::max<std::size_t>(
-                         striped ? units[0].branches.size() : units.size(), 1));
-
-  struct Slice {
-    std::size_t unit = 0;
-    std::size_t first = 0;
-    std::size_t stride = 1;
-    SearchStats stats;
-    std::optional<DeploymentPlan> plan;
-    Score score;
-    std::size_t branch = 0;
-  };
-  std::vector<Slice> slices(striped ? workers : units.size());
-  for (std::size_t i = 0; i < slices.size(); ++i) {
-    if (striped) {
-      slices[i].first = i;
-      slices[i].stride = workers;
-    } else {
-      slices[i].unit = i;
-    }
-  }
-
-  SharedIncumbent shared;
-  std::atomic<std::uint64_t> skipped{0};
-  std::atomic<std::uint64_t> searched{0};
-  std::atomic<bool> deadline_hit{false};
-  const auto run_slice = [&](Slice& slice) {
-    const SearchUnit& unit = units[slice.unit];
-    const double inc = shared.load();
-    // Skipping a unit whose bound exceeds the incumbent (the in-search
-    // margin) can only drop plans strictly worse than one already found.
-    if (request.bound_pruning && beyond_incumbent(unit.lower_bound, inc)) {
-      skipped.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    if (has_deadline && inc < kInfinity &&
-        // detlint:allow(DET004 deadline_budget is a wall-clock anytime budget)
-        std::chrono::steady_clock::now() >= deadline) {
-      deadline_hit.store(true, std::memory_order_relaxed);
-      return;
-    }
-    searched.fetch_add(1, std::memory_order_relaxed);
-    Search search(spec, env, index, request, existing, shared, slice.stats,
-                  unit.candidates, deadline, has_deadline);
-    search.run_branches(unit.branches, slice.first, slice.stride);
-    slice.plan = search.take_best();
-    slice.score = search.best_score();
-    slice.branch = search.best_branch();
-  };
-
-  if (workers <= 1) {
-    for (Slice& slice : slices) run_slice(slice);
-  } else {
-    // Route rows materialize lazily and thread-safely, so workers fault in
-    // only the rows their candidate sets touch.
-    const std::size_t lead = striped ? 0 : 1;
-    for (std::size_t i = 0; i < lead; ++i) run_slice(slices[i]);
-    util::ThreadPool pool(workers);
-    pool.parallel_for(slices.size() - lead,
-                      [&](std::size_t i) { run_slice(slices[lead + i]); });
-  }
-
   DriveResult out;
-  Score best_score;
-  std::pair<std::size_t, std::size_t> best_position;
-  for (Slice& slice : slices) {
-    out.stats += slice.stats;
-    if (!slice.plan.has_value()) continue;
-    const std::pair<std::size_t, std::size_t> position{slice.unit,
-                                                       slice.branch};
-    if (!out.plan.has_value() || slice.score < best_score ||
-        (score_equal(slice.score, best_score) && position < best_position)) {
-      out.plan = std::move(slice.plan);
-      best_score = slice.score;
-      best_position = position;
+  Score incumbent;
+  for (const SearchUnit& unit : units) {
+    if (request.bound_pruning &&
+        beyond_incumbent(unit.lower_bound, incumbent.primary)) {
+      ++out.units_skipped;
+      continue;
+    }
+    if (budget_spent(request, out.stats, incumbent.primary)) {
+      out.stats.deadline_hit = true;
+      continue;
+    }
+    ++out.units_searched;
+    Search search(spec, env, index, request, existing, incumbent.primary,
+                  out.stats, unit.candidates);
+    search.run();
+    std::optional<DeploymentPlan> plan = search.take_best();
+    if (plan.has_value() &&
+        (!out.plan.has_value() || search.best_score() < incumbent)) {
+      out.plan = std::move(plan);
+      incumbent = search.best_score();
     }
   }
-  out.stats.workers_used = workers;
-  out.stats.deadline_hit =
-      out.stats.deadline_hit || deadline_hit.load(std::memory_order_relaxed);
-  out.units_skipped = skipped.load(std::memory_order_relaxed);
-  out.units_searched = searched.load(std::memory_order_relaxed);
   return out;
 }
 
@@ -1076,7 +933,6 @@ SearchStats& SearchStats::operator+=(const SearchStats& other) {
   subtrees_pruned += other.subtrees_pruned;
   plans_scored += other.plans_scored;
   pruned_by_bound += other.pruned_by_bound;
-  workers_used = std::max(workers_used, other.workers_used);
   rejected_static += other.rejected_static;
   rejected_cycle += other.rejected_cycle;
   rejected_duplicate_view += other.rejected_duplicate_view;
@@ -1101,8 +957,7 @@ std::string SearchStats::to_string() const {
   std::ostringstream oss;
   oss << "examined " << candidates_examined << " candidates, scored "
       << plans_scored << " plan(s), pruned " << pruned_by_bound
-      << " subtree(s) by bound, " << workers_used
-      << " worker(s); rejections:";
+      << " subtree(s) by bound; rejections:";
   const std::pair<const char*, std::uint64_t> rows[] = {
       {"static", rejected_static},
       {"cycle", rejected_cycle},
@@ -1202,8 +1057,6 @@ util::Expected<DeploymentPlan> Planner::plan_flat(
   units[0].candidates = request.candidate_nodes.empty()
                             ? env_.network().all_nodes()
                             : request.candidate_nodes;
-  units[0].branches =
-      make_entry_branches(iface_index_, request, units[0].candidates);
   DriveResult result =
       drive_search(spec_, env_, iface_index_, request, existing, units);
   if (stats != nullptr) *stats = result.stats;
@@ -1420,7 +1273,6 @@ std::optional<util::Expected<DeploymentPlan>> Planner::try_chain_dp(
     stats->rejected_condition = rejected_condition;
     stats->rejected_node_capacity = rejected_node_capacity;
     stats->rejected_instance_capacity = rejected_instance_capacity;
-    stats->workers_used = 1;
   }
   return util::Expected<DeploymentPlan>(std::move(plan));
 }
@@ -1439,11 +1291,7 @@ util::Expected<DeploymentPlan> Planner::plan_hierarchical(
   std::vector<SearchUnit> units;
   for (ClusterRefinement& ref :
        build_refinements(index, spec_, request, existing)) {
-    SearchUnit unit;
-    unit.branches = make_entry_branches(iface_index_, request, ref.candidates);
-    unit.candidates = std::move(ref.candidates);
-    unit.lower_bound = ref.lower_bound;
-    units.push_back(std::move(unit));
+    units.push_back({std::move(ref.candidates), ref.lower_bound});
   }
   DriveResult result =
       drive_search(spec_, env_, iface_index_, request, existing, units);

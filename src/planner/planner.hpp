@@ -22,7 +22,6 @@
 // case study.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -57,7 +56,7 @@ const char* objective_name(Objective o);
 //   kHierarchical  — two-level search: partition the topology into ~sqrt(n)
 //                    clusters (ClusterIndex), search the client's cluster
 //                    first (quotient rank 0, lower bound 0 — its result
-//                    seeds the shared incumbent), then refine the remaining
+//                    seeds the incumbent), then refine the remaining
 //                    clusters in quotient lower-bound order, each restricted
 //                    to its own members + the client cluster + the border
 //                    nodes along the quotient path + existing instances.
@@ -107,11 +106,9 @@ struct PlanRequest {
   // while still preferring a *local* new cache over a remote warm one when
   // the WAN savings dominate.
   double cold_view_penalty = 0.1;
-  // Branch-and-bound workers fanned out over the entry-level candidate set
-  // (component × node at depth 1). 1 = serial search (default), 0 = one
-  // worker per hardware thread. Workers share the incumbent score, so the
-  // result is bit-identical to the serial search at any worker count; see
-  // DESIGN.md "Planner search strategy".
+  // Ignored: the planner is one serial search. Kept only because
+  // bench/psfbench/generator.cpp assigns it; delete it together with that
+  // line. It never changed a plan, only how fast the search ran.
   std::size_t search_threads = 1;
   // Admissible lower-bound pruning of the mapping search. Disabling it never
   // changes the returned plan, only the search cost — the toggle exists for
@@ -133,18 +130,20 @@ struct PlanRequest {
   // nodes plus the affected cluster's members so the search touches only the
   // broken suffix of the deployment; existing instances offered for reuse
   // are still considered wherever they live. Excluded from the plan-cache
-  // fingerprint (like deadline_budget): a restricted repair answers the same
+  // fingerprint (like candidate_budget): a restricted repair answers the same
   // logical request, just with a smaller search space.
   std::vector<net::NodeId> candidate_nodes;
-  // Anytime mode: > 0 is a wall-clock budget in seconds. Once a first
-  // incumbent exists, the search stops at the deadline and returns the best
-  // plan found so far (SearchStats::deadline_hit tells the caller the
-  // result may be improvable — the runtime's background improver re-plans
-  // without a deadline and hot-swaps through the plan-cache epoch
-  // mechanism, see GenericServer::drain_improvements). The search never
-  // returns empty-handed because of a deadline: until an incumbent exists
-  // it keeps going.
-  double deadline_budget = 0.0;
+  // Anytime mode: > 0 caps the search at this many candidates examined
+  // (SearchStats::candidates_examined, the quantity the runtime charges as
+  // planning CPU), 0 = no budget. Once the budget is spent and a first
+  // incumbent exists, the search stops and returns the best plan found so
+  // far (SearchStats::deadline_hit tells the caller the result may be
+  // improvable — the runtime's background improver re-plans without a
+  // budget and hot-swaps through the plan-cache epoch mechanism, see
+  // GenericServer::drain_improvements). The search never returns
+  // empty-handed because of the budget: until an incumbent exists it keeps
+  // going. A count, not a clock, so a truncated plan replays bit-identically.
+  std::uint64_t candidate_budget = 0;
 };
 
 struct SearchStats {
@@ -154,8 +153,6 @@ struct SearchStats {
   // Subtrees cut because the admissible lower bound of every completion was
   // already worse than the incumbent plan's score.
   std::uint64_t pruned_by_bound = 0;
-  // Search workers that explored the entry-level fan-out (1 = serial).
-  std::uint64_t workers_used = 1;
 
   // Rejection breakdown — why candidates fell out of the search. The
   // dominant cause is the first place to look when a request comes back
@@ -180,13 +177,11 @@ struct SearchStats {
   bool used_hierarchy = false;
   // The chain-DP fast path answered this request (no tree search ran).
   bool used_chain_dp = false;
-  // The anytime deadline truncated the search; the returned plan is the
-  // best incumbent, not necessarily the optimum.
+  // The anytime candidate budget truncated the search; the returned plan is
+  // the best incumbent, not necessarily the optimum.
   bool deadline_hit = false;
 
-  // Merges another worker's stats into this one: counters add, flags OR,
-  // workers_used keeps the maximum (the coordinator overwrites it with the
-  // actual fan-out after merging).
+  // Merges another search's stats into this one: counters add, flags OR.
   SearchStats& operator+=(const SearchStats& other);
 
   std::string to_string() const;
@@ -230,7 +225,10 @@ class Planner {
   Planner(const spec::ServiceSpec& spec, const EnvironmentView& env);
 
   // Finds the best deployment; kUnsatisfiable when no mapping meets all
-  // constraints. Thread-compatible: concurrent plan() calls are safe.
+  // constraints. A plain serial function of (spec, environment, request,
+  // reuse pool): the same inputs always return the same plan and stats.
+  // Not safe to call concurrently: the search fills the network's route
+  // cache without a lock.
   util::Expected<DeploymentPlan> plan(
       const PlanRequest& request,
       const std::vector<ExistingInstance>& existing = {},

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <limits>
 #include <utility>
 
@@ -9,6 +10,28 @@
 #include "util/logging.hpp"
 
 namespace psf::runtime {
+
+namespace {
+
+// The anytime deadline as a planner candidate budget: the number of
+// candidates whose planning CPU, charged at the host by deploy_plan, fills
+// anytime_deadline_s simulated seconds. 0 = no budget; a positive deadline
+// always buys at least one candidate, and a huge one saturates.
+std::uint64_t anytime_candidate_budget(const ServiceRegistration& registration,
+                                       double host_cpu_capacity) {
+  if (registration.anytime_deadline_s <= 0.0 ||
+      registration.planning_cpu_per_candidate <= 0.0) {
+    return 0;
+  }
+  const double candidates =
+      std::floor(registration.anytime_deadline_s * host_cpu_capacity /
+                 registration.planning_cpu_per_candidate);
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  if (!(candidates < static_cast<double>(kMax))) return kMax;
+  return std::max<std::uint64_t>(1, static_cast<std::uint64_t>(candidates));
+}
+
+}  // namespace
 
 void GenericServer::register_service(
     ServiceRegistration registration,
@@ -105,9 +128,9 @@ void GenericServer::request_access(
   // client set its own budget. Excluded from the fingerprint on purpose: a
   // truncated and a complete search answer the same logical request, and the
   // background improver converges the cached entry to the full-search plan.
-  if (request.deadline_budget <= 0.0 &&
-      state->registration.anytime_deadline_s > 0.0) {
-    request.deadline_budget = state->registration.anytime_deadline_s;
+  if (request.candidate_budget == 0) {
+    request.candidate_budget = anytime_candidate_budget(
+        state->registration, runtime_.network().node(host_).cpu_capacity);
   }
   const std::string fingerprint = plan_fingerprint(request);
 
@@ -485,7 +508,7 @@ void GenericServer::drain_improvements(std::function<void()> done) {
         job.request.objective, entry->access.plan.metrics);
 
     planner::PlanRequest request = job.request;
-    request.deadline_budget = 0.0;  // background: plan to completion
+    request.candidate_budget = 0;  // background: plan to completion
     TimedPlan planned = timed_search([&](planner::SearchStats& stats) {
       return state->planner->plan(request, state->existing, &stats);
     });

@@ -49,10 +49,13 @@ struct ServiceRegistration {
   // Abstract CPU units the generic server spends per planner candidate
   // examined; models planning as real work at the server host.
   double planning_cpu_per_candidate = 0.5;
-  // Anytime planning: > 0 caps each cold access's planner wall-clock at this
-  // many seconds (applied as PlanRequest::deadline_budget unless the request
-  // sets its own). A deadline-truncated access returns the best incumbent
-  // immediately and enqueues a background improvement job; see
+  // Anytime planning: > 0 caps each cold access's planning at this many
+  // simulated seconds of CPU at the server host. Applied as
+  // PlanRequest::candidate_budget = max(1, floor(deadline × host
+  // cpu_capacity / planning_cpu_per_candidate)), the inverse of the planning
+  // charge, unless the request sets its own budget; ignored when
+  // planning_cpu_per_candidate <= 0. A truncated access returns the best
+  // incumbent immediately and enqueues a background improvement job; see
   // GenericServer::drain_improvements. 0 = plan to completion (default).
   double anytime_deadline_s = 0.0;
 };

@@ -1,6 +1,9 @@
 // Toy crypto substrate: round trips, tamper detection, key separation,
-// keystore release-ledger semantics.
+// known-answer vectors, keystore release-ledger semantics.
 #include <gtest/gtest.h>
+
+#include <cstdio>
+#include <string>
 
 #include "crypto/cipher.hpp"
 #include "crypto/keystore.hpp"
@@ -79,6 +82,68 @@ TEST(CipherTest, WireSizeIncludesOverhead) {
   const SymmetricKey key = derive_key(1, "k");
   const SealedBlob blob = seal(key, 1, bytes("12345"));
   EXPECT_EQ(blob.wire_size(), 5u + 16u);
+}
+
+// Known-answer vectors: seal() at a fixed (master, label, nonce) over
+// plaintexts whose lengths cross the keystream's 8-byte word boundary. Any
+// rewrite of the keystream or the MAC must keep these bytes identical — the
+// simulated wire bytes and every sealed payload depend on them.
+std::vector<std::uint8_t> kat_plaintext(std::size_t n) {
+  std::vector<std::uint8_t> p(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    p[i] = static_cast<std::uint8_t>(i * 37 + 11);
+  }
+  return p;
+}
+
+std::string hex(const std::vector<std::uint8_t>& data) {
+  std::string out;
+  char buf[3];
+  for (std::uint8_t b : data) {
+    std::snprintf(buf, sizeof buf, "%02x", b);
+    out += buf;
+  }
+  return out;
+}
+
+std::uint64_t fnv1a(const std::vector<std::uint8_t>& data) {
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  for (std::uint8_t b : data) {
+    h ^= b;
+    h *= 0x100000001B3ULL;
+  }
+  return h;
+}
+
+TEST(CipherTest, KnownAnswerVectors) {
+  const SymmetricKey key = derive_key(2002, "alice#3");
+  EXPECT_EQ(key.k0, 0x4f8b4d77e2cc7047ULL);
+  EXPECT_EQ(key.k1, 0x6844f0358250cd86ULL);
+
+  struct Vector {
+    std::size_t length;
+    const char* ciphertext_hex;
+    std::uint64_t mac;
+  };
+  const Vector vectors[] = {
+      {0, "", 0xcf85a75d3cbc77cfULL},
+      {1, "f4", 0xc9978e3839597d63ULL},
+      {7, "f4d35d88fc5f1e", 0xd5037bc0c18995e7ULL},
+      {8, "f4d35d88fc5f1e8e", 0xf465b7a307b1b21fULL},
+      {9, "f4d35d88fc5f1e8e02", 0x5acd473edcbdffbdULL},
+  };
+  for (const Vector& v : vectors) {
+    const SealedBlob blob = seal(key, /*nonce=*/42, kat_plaintext(v.length));
+    EXPECT_EQ(hex(blob.ciphertext), v.ciphertext_hex) << "length " << v.length;
+    EXPECT_EQ(blob.mac, v.mac) << "length " << v.length;
+    EXPECT_EQ(blob.nonce, 42u);
+  }
+
+  // 2048 bytes: pinned through a 64-bit FNV-1a of the ciphertext.
+  const SealedBlob large = seal(key, 42, kat_plaintext(2048));
+  ASSERT_EQ(large.ciphertext.size(), 2048u);
+  EXPECT_EQ(fnv1a(large.ciphertext), 0xfe52859ce7b34fd4ULL);
+  EXPECT_EQ(large.mac, 0x03ca4044db75fdbfULL);
 }
 
 TEST(CipherTest, CostScalesWithSize) {

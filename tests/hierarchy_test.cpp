@@ -1,16 +1,15 @@
 // Hierarchical anytime planner: shared graph partitioning, the quotient
 // cluster index and its admissible bounds, hierarchical-vs-flat optimality
-// on small topologies, anytime deadline behavior, the chain-DP fast path,
+// on small topologies, the anytime candidate budget, the chain-DP fast path,
 // lazy route-row materialization, and the runtime's background improver.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <sstream>
-#include <thread>
 
 #include "core/framework.hpp"
 #include "mail/mail_spec.hpp"
@@ -330,26 +329,6 @@ TEST(HierarchicalSearchTest, MatchesFlatOptimalityOnSmallTopologies) {
   }
 }
 
-TEST(HierarchicalSearchTest, DeterministicAcrossWorkerCounts) {
-  WaxmanWorld world(72, 13);  // above the auto threshold
-  planner::PlanRequest serial =
-      world.request(planner::Objective::kMinLatency);
-  serial.search_threads = 1;
-
-  planner::PlanRequest parallel = serial;
-  parallel.search_threads = 4;
-
-  planner::SearchStats serial_stats, parallel_stats;
-  auto a = world.planner->plan(serial, world.existing, &serial_stats);
-  auto b = world.planner->plan(parallel, world.existing, &parallel_stats);
-  ASSERT_TRUE(a.has_value()) << a.status().to_string();
-  ASSERT_TRUE(b.has_value()) << b.status().to_string();
-  EXPECT_TRUE(serial_stats.used_hierarchy);  // kAuto picked hierarchy
-  EXPECT_TRUE(parallel_stats.used_hierarchy);
-  EXPECT_EQ(describe_plan(*a), describe_plan(*b));
-  EXPECT_EQ(a->metrics.expected_latency_s, b->metrics.expected_latency_s);
-}
-
 TEST(HierarchicalSearchTest, AutoThresholdSelectsMode) {
   WaxmanWorld small(16, 2026);
   planner::SearchStats stats;
@@ -365,7 +344,7 @@ TEST(HierarchicalSearchTest, AutoThresholdSelectsMode) {
   EXPECT_TRUE(stats.used_hierarchy);
 }
 
-// ---- Anytime deadline ------------------------------------------------------
+// ---- Anytime candidate budget ----------------------------------------------
 
 TEST(AnytimeTest, DeadlineReturnsValidIncumbentAndNeverBeatsFullSearch) {
   WaxmanWorld world(32, 17);
@@ -373,7 +352,7 @@ TEST(AnytimeTest, DeadlineReturnsValidIncumbentAndNeverBeatsFullSearch) {
   full.search_mode = planner::SearchMode::kFlat;
 
   planner::PlanRequest truncated = full;
-  truncated.deadline_budget = 1e-9;  // expires immediately after incumbent
+  truncated.candidate_budget = 1;  // expires immediately after incumbent
 
   planner::SearchStats full_stats, truncated_stats;
   auto best = world.planner->plan(full, world.existing, &full_stats);
@@ -381,7 +360,7 @@ TEST(AnytimeTest, DeadlineReturnsValidIncumbentAndNeverBeatsFullSearch) {
       world.planner->plan(truncated, world.existing, &truncated_stats);
 
   ASSERT_TRUE(best.has_value()) << best.status().to_string();
-  // The deadline never causes empty-handed returns: the search keeps going
+  // The budget never causes empty-handed returns: the search keeps going
   // until a first incumbent exists.
   ASSERT_TRUE(incumbent.has_value()) << incumbent.status().to_string();
   EXPECT_FALSE(full_stats.deadline_hit);
@@ -397,11 +376,58 @@ TEST(AnytimeTest, ZeroBudgetMeansNoDeadline) {
   WaxmanWorld world(16, 17);
   planner::PlanRequest request =
       world.request(planner::Objective::kMinLatency);
-  request.deadline_budget = 0.0;
+  request.candidate_budget = 0;
   planner::SearchStats stats;
   auto plan = world.planner->plan(request, world.existing, &stats);
   ASSERT_TRUE(plan.has_value());
   EXPECT_FALSE(stats.deadline_hit);
+}
+
+TEST(AnytimeTest, CandidateBudgetIsDeterministicAndMonotone) {
+  // A budget is a count, not a clock: a truncated search replays exactly,
+  // and a larger budget only ever runs further along the same search.
+  const std::pair<std::size_t, planner::SearchMode> worlds[] = {
+      {32, planner::SearchMode::kFlat},
+      {72, planner::SearchMode::kHierarchical}};
+  for (const auto& [nodes, mode] : worlds) {
+    WaxmanWorld world(nodes, 17);
+    planner::PlanRequest base = world.request(planner::Objective::kMinLatency);
+    base.search_mode = mode;
+    planner::SearchStats full_stats;
+    auto full = world.planner->plan(base, world.existing, &full_stats);
+    ASSERT_TRUE(full.has_value()) << full.status().to_string();
+    ASSERT_FALSE(full_stats.deadline_hit);
+
+    double previous = std::numeric_limits<double>::infinity();
+    for (std::uint64_t budget : {1ull, 64ull, 1024ull, 16384ull, 0ull}) {
+      const std::string label = "nodes=" + std::to_string(nodes) +
+                                " budget=" + std::to_string(budget);
+      planner::PlanRequest request = base;
+      request.candidate_budget = budget;
+      planner::SearchStats stats, replay_stats;
+      auto plan = world.planner->plan(request, world.existing, &stats);
+      auto replay = world.planner->plan(request, world.existing, &replay_stats);
+      ASSERT_TRUE(plan.has_value()) << label;
+      ASSERT_TRUE(replay.has_value()) << label;
+      EXPECT_EQ(describe_plan(*plan), describe_plan(*replay)) << label;
+      EXPECT_EQ(stats.candidates_examined, replay_stats.candidates_examined)
+          << label;
+
+      const double score = planner::plan_primary_score(
+          planner::Objective::kMinLatency, plan->metrics);
+      EXPECT_LE(score, previous) << label;
+      previous = score;
+      if (stats.deadline_hit) {
+        EXPECT_GE(stats.candidates_examined, budget) << label;
+      }
+      if (budget == 0) {
+        EXPECT_FALSE(stats.deadline_hit) << label;
+        EXPECT_EQ(stats.candidates_examined, full_stats.candidates_examined)
+            << label;
+        EXPECT_EQ(describe_plan(*plan), describe_plan(*full)) << label;
+      }
+    }
+  }
 }
 
 // ---- Chain-DP fast path ----------------------------------------------------
@@ -557,36 +583,14 @@ TEST(LazyRouteRowTest, CachedRowsMatchDirectRouting) {
   }
 }
 
-TEST(LazyRouteRowTest, ConcurrentReadersAreSafe) {
-  // Exercised under TSan by tools/check.sh --planner: many threads fault in
-  // overlapping rows concurrently; every returned route must be correct.
-  net::Network network = waxman(32, 29);
-  constexpr std::size_t kThreads = 8;
-  std::vector<std::thread> threads;
-  std::atomic<std::size_t> mismatches{0};
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&network, &mismatches, t] {
-      for (std::uint32_t from = 0; from < network.node_count(); ++from) {
-        const std::uint32_t source =
-            (from + static_cast<std::uint32_t>(t) * 7) %
-            static_cast<std::uint32_t>(network.node_count());
-        const net::Route* r = network.cached_route(
-            net::NodeId{source},
-            net::NodeId{(source + 1) %
-                        static_cast<std::uint32_t>(network.node_count())});
-        if (r == nullptr) mismatches.fetch_add(1);
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(mismatches.load(), 0u);
-  EXPECT_LE(network.route_rows_materialized(), network.node_count());
-}
-
 // ---- Runtime anytime improver ----------------------------------------------
 
 struct AnytimeFixture : public ::testing::Test {
-  void SetUp() override {
+  void SetUp() override { start(1e-9); }  // truncate at first incumbent
+
+  // (Re)builds the framework with the mail service registered under the
+  // given anytime deadline (simulated planning seconds at the server host).
+  void start(double anytime_deadline_s) {
     net::Network network = waxman(48, 41);
     for (net::NodeId id : network.all_nodes()) {
       network.node(id).credentials.set(
@@ -603,7 +607,7 @@ struct AnytimeFixture : public ::testing::Test {
         mail::register_mail_factories(fw->runtime().factories(), config)
             .is_ok());
     auto registration = mail::mail_registration(net::NodeId{0});
-    registration.anytime_deadline_s = 1e-9;  // truncate at first incumbent
+    registration.anytime_deadline_s = anytime_deadline_s;
     auto st =
         fw->register_service(std::move(registration), mail::mail_translator());
     ASSERT_TRUE(st.is_ok()) << st.to_string();
@@ -653,6 +657,42 @@ TEST_F(AnytimeFixture, TruncatedAccessEnqueuesImprovementJob) {
   EXPECT_FALSE(out.cache_hit);
   EXPECT_EQ(fw->server().pending_improvements(), 1u);
   EXPECT_EQ(fw->server().anytime_telemetry().jobs_enqueued, 1u);
+}
+
+TEST_F(AnytimeFixture, DeadlineIsSimulatedPlanningTimeAndReplays) {
+  start(0.0);  // no deadline: the full search's candidate count
+  const runtime::AccessOutcome full = access();
+  ASSERT_FALSE(full.search.deadline_hit);
+  const std::uint64_t n = full.search.candidates_examined / 2;
+  ASSERT_GT(n, 0u);
+
+  // The simulated time n candidates' planning CPU takes at the host.
+  const double per_candidate =
+      mail::mail_registration(net::NodeId{0}).planning_cpu_per_candidate;
+  const double host_cpu =
+      fw->network().node(fw->server().host()).cpu_capacity;
+  const double deadline_s =
+      static_cast<double>(n) * per_candidate / host_cpu;
+  // The server's budget is the inverse of that charge: exactly n.
+  ASSERT_EQ(std::floor(deadline_s * host_cpu / per_candidate),
+            static_cast<double>(n));
+
+  start(deadline_s);
+  const runtime::AccessOutcome truncated = access();
+  EXPECT_TRUE(truncated.search.deadline_hit);
+  EXPECT_GE(truncated.search.candidates_examined, n);
+
+  // A fresh framework replays the truncated plan and its planning cost.
+  // Rebuilding destroys the spec the first plan's components point into, so
+  // describe that plan first.
+  const std::string truncated_plan = describe_plan(truncated.plan);
+  start(deadline_s);
+  const runtime::AccessOutcome replay = access();
+  EXPECT_TRUE(replay.search.deadline_hit);
+  EXPECT_EQ(describe_plan(replay.plan), truncated_plan);
+  EXPECT_EQ(replay.search.candidates_examined,
+            truncated.search.candidates_examined);
+  EXPECT_EQ(replay.costs.planning.nanos(), truncated.costs.planning.nanos());
 }
 
 TEST_F(AnytimeFixture, DrainImprovesOrConfirmsAndStaysMonotonic) {

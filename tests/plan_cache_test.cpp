@@ -96,7 +96,6 @@ TEST(PlanFingerprintTest, PropertyOrderDoesNotSplitTheCache) {
   // Search shape never affects the planner's result, so it must not split
   // the cache either.
   b = a;
-  b.search_threads = 8;
   b.bound_pruning = false;
   EXPECT_EQ(runtime::plan_fingerprint(a), runtime::plan_fingerprint(b));
 }

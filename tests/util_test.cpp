@@ -1,15 +1,12 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <set>
-#include <thread>
 
 #include "util/rng.hpp"
 #include "util/small_fn.hpp"
 #include "util/stats.hpp"
 #include "util/status.hpp"
 #include "util/strings.hpp"
-#include "util/thread_pool.hpp"
 
 namespace psf::util {
 namespace {
@@ -192,39 +189,6 @@ TEST(StatsTest, PercentileAfterMoreSamples) {
   EXPECT_DOUBLE_EQ(s.percentile(50), 10.0);
   s.add(20.0);  // re-sorts lazily
   EXPECT_DOUBLE_EQ(s.percentile(100), 20.0);
-}
-
-// ---- thread pool --------------------------------------------------------
-
-TEST(ThreadPoolTest, RunsSubmittedTasks) {
-  ThreadPool pool(4);
-  auto f = pool.submit([] { return 21 * 2; });
-  EXPECT_EQ(f.get(), 42);
-}
-
-TEST(ThreadPoolTest, ParallelForCoversAllIndices) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(1000);
-  pool.parallel_for(1000, [&](std::size_t i) { hits[i]++; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPoolTest, ParallelForZeroCount) {
-  ThreadPool pool(2);
-  bool touched = false;
-  pool.parallel_for(0, [&](std::size_t) { touched = true; });
-  EXPECT_FALSE(touched);
-}
-
-TEST(ThreadPoolTest, ManyTasksComplete) {
-  ThreadPool pool(8);
-  std::atomic<int> counter{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 500; ++i) {
-    futures.push_back(pool.submit([&counter] { counter++; }));
-  }
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(counter.load(), 500);
 }
 
 // ---- SmallFn ---------------------------------------------------------------

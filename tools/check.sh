@@ -1,9 +1,8 @@
 #!/usr/bin/env bash
-# Repo check driver: the tier-1 build + test cycle, then a ThreadSanitizer
-# build that exercises the parallel branch-and-bound planner.
+# Repo check driver: the tier-1 build + test cycle, plus optional sanitizer,
+# stress, lint and per-area legs.
 #
-#   tools/check.sh            # standard build + tier-1 ctest + TSan planner test
-#   tools/check.sh --no-tsan  # standard build + tier-1 ctest only
+#   tools/check.sh            # standard build + tier-1 ctest
 #   tools/check.sh --asan     # also: AddressSanitizer build running the
 #                             # plan-cache / generic-server / adaptation
 #                             # controller suites and hierarchy_test (the
@@ -22,12 +21,10 @@
 #   tools/check.sh --chaos    # only: the robustness suite (build + ctest
 #                             # -L chaos + the chaos_sweep bench gates)
 #   tools/check.sh --adapt    # only: the adaptation suite (build + ctest
-#                             # -L adapt + the adaptation_sweep bench gates
-#                             # + a TSan run of the controller tests)
+#                             # -L adapt + the adaptation_sweep bench gates)
 #   tools/check.sh --planner  # only: the planner suite (build + ctest -L
 #                             # planner + the planner_scaling bench smoke
-#                             # gates + a TSan run of the parallel search
-#                             # and hierarchical refinement paths)
+#                             # gates)
 #   tools/check.sh --tidy     # also: clang-tidy (see .clang-tidy) over the
 #                             # analysis layer and tools; skipped with a
 #                             # notice when clang-tidy is not installed
@@ -36,8 +33,8 @@
 # suite; "stress" marks the randomized/fuzz soak tests; "lint" marks the
 # psflint gate over in-tree PSDL specs.
 #
-# Run from the repo root. Build trees: build/ (standard), build-tsan/,
-# build-asan/.
+# Run from the repo root. Build trees: build/ (standard), build-asan/,
+# build-ubsan/.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -49,7 +46,6 @@ WERROR_FLAG=""
 if [[ "${PSF_WERROR:-0}" == 1 ]]; then
   WERROR_FLAG="-DPSF_WERROR=ON"
 fi
-RUN_TSAN=1
 RUN_ASAN=0
 RUN_UBSAN=0
 RUN_STRESS=0
@@ -61,7 +57,6 @@ ADAPT_ONLY=0
 PLANNER_ONLY=0
 for arg in "$@"; do
   case "${arg}" in
-    --no-tsan) RUN_TSAN=0 ;;
     --asan) RUN_ASAN=1 ;;
     --ubsan) RUN_UBSAN=1 ;;
     --stress) RUN_STRESS=1 ;;
@@ -107,10 +102,6 @@ if [[ "${ADAPT_ONLY}" == 1 ]]; then
   (cd build && ctest --output-on-failure -L adapt)
   echo "== adaptation_sweep acceptance gates =="
   ./build/bench/adaptation_sweep
-  echo "== TSan build (adaptation controller) =="
-  cmake -B build-tsan -S . -DPSF_SANITIZE=thread >/dev/null
-  cmake --build build-tsan -j "${JOBS}" --target adaptation_controller_test
-  ./build-tsan/tests/adaptation_controller_test
   echo "== adaptation suite passed =="
   exit 0
 fi
@@ -119,15 +110,9 @@ if [[ "${PLANNER_ONLY}" == 1 ]]; then
   echo "== planner suite (hierarchical search + chain DP + anytime) =="
   cmake -B build -S . >/dev/null
   cmake --build build -j "${JOBS}" --target \
-    planner_test planner_parallel_test dp_chain_test hierarchy_test \
+    planner_test bound_pruning_test dp_chain_test hierarchy_test \
     planner_scaling
   (cd build && ctest --output-on-failure -L planner)
-  echo "== TSan build (parallel refinement + route-row cache) =="
-  cmake -B build-tsan -S . -DPSF_SANITIZE=thread >/dev/null
-  cmake --build build-tsan -j "${JOBS}" \
-    --target planner_parallel_test hierarchy_test
-  ./build-tsan/tests/planner_parallel_test
-  ./build-tsan/tests/hierarchy_test
   echo "== planner suite passed =="
   exit 0
 fi
@@ -150,15 +135,6 @@ echo "== tier-1 tests =="
 if [[ "${RUN_STRESS}" == 1 ]]; then
   echo "== stress tests =="
   (cd build && ctest --output-on-failure -j "${JOBS}" -L stress)
-fi
-
-if [[ "${RUN_TSAN}" == 1 ]]; then
-  echo "== ThreadSanitizer build (parallel planner) =="
-  cmake -B build-tsan -S . -DPSF_SANITIZE=thread >/dev/null
-  cmake --build build-tsan -j "${JOBS}" \
-    --target planner_parallel_test hierarchy_test
-  ./build-tsan/tests/planner_parallel_test
-  ./build-tsan/tests/hierarchy_test
 fi
 
 if [[ "${RUN_TIDY}" == 1 ]]; then
