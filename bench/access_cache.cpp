@@ -173,8 +173,6 @@ int main() {
               static_cast<std::uint64_t>(kBurst - 1),
           "telemetry must count the burst waiters as coalesced");
 
-  std::printf("plan-cache telemetry after run:\n%s", telemetry.report().c_str());
-
   // ---- machine-readable result ---------------------------------------------
   bench::JsonResult json("access_cache");
   json.add("sites", 3);

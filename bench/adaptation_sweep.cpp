@@ -20,9 +20,11 @@
 //      rolling-maintenance move component state live (sync-then-cutover);
 //   3. p50 incremental-repair planning wall <= 25% of the p50 cold-plan
 //      wall measured on the same host;
-//   4. each scenario is bit-identical across two executions with the same
-//      FaultPlan seed (every simulation-domain counter compared; host
-//      wall-clock samples excluded).
+//   4. p50 candidates examined per repair <= 25% of the cold plan's (the
+//      seed bind's) — the deterministic form of gate 3;
+//   5. each scenario is bit-identical across two executions with the same
+//      FaultPlan seed (every simulation-domain counter and candidate count
+//      compared; host wall-clock samples excluded).
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -75,6 +77,10 @@ struct ScenarioResult {
   std::uint64_t state_transfers = 0;
   std::uint64_t instances_retired = 0;
   std::uint64_t state_transfer_bytes = 0;
+  // Planner candidates examined by the seed bind's cold plan and by each
+  // repair, in repair order.
+  std::uint64_t cold_plan_candidates = 0;
+  std::vector<double> repair_candidates;
   bool all_finished = false;
   // Host wall-clock (NOT part of the determinism comparison).
   double cold_plan_wall_ms = 0.0;
@@ -98,7 +104,9 @@ struct ScenarioResult {
            controller_failed == o.controller_failed &&
            state_transfers == o.state_transfers &&
            instances_retired == o.instances_retired &&
-           state_transfer_bytes == o.state_transfer_bytes;
+           state_transfer_bytes == o.state_transfer_bytes &&
+           cold_plan_candidates == o.cold_plan_candidates &&
+           repair_candidates == o.repair_candidates;
   }
 };
 
@@ -162,6 +170,8 @@ ScenarioResult run_scenario(Scenario which, std::uint64_t seed) {
   ScenarioResult result;
   result.cold_plan_wall_ms =
       seed_proxy->outcome().costs.planning_wall_seconds * 1e3;
+  result.cold_plan_candidates =
+      seed_proxy->outcome().search.candidates_examined;
   seed_request.client_node = sites.sd_client;
   ctl.track(seed_proxy->outcome(), seed_request);
 
@@ -316,10 +326,9 @@ ScenarioResult run_scenario(Scenario which, std::uint64_t seed) {
   result.controller_failed = cs.failed;
   result.state_transfers = cs.state_transfers;
   result.instances_retired = cs.instances_retired;
-  util::SampleSet walls = fw.server().repair_telemetry().repair_wall_ms;
-  for (std::size_t i = 0; i < walls.count(); ++i) {
-    result.repair_wall_ms.push_back(walls.samples()[i]);
-  }
+  const runtime::RepairTelemetry& repairs = fw.server().repair_telemetry();
+  result.repair_wall_ms = repairs.repair_wall_ms.samples();
+  result.repair_candidates = repairs.repair_candidates.samples();
   result.all_finished = all_finished;
   return result;
 }
@@ -366,6 +375,21 @@ int main() {
   const double cold_p50_ms = cold_walls.percentile(50.0);
   const double repair_to_cold =
       cold_p50_ms > 0.0 ? repair_p50_ms / cold_p50_ms : 1.0;
+  // Candidate counts are deterministic: the first run of each scenario
+  // holds them all (its replay is checked identical below).
+  util::SampleSet repair_candidates;
+  util::SampleSet cold_candidates;
+  for (const ScenarioResult& r : first) {
+    for (double c : r.repair_candidates) repair_candidates.add(c);
+    cold_candidates.add(static_cast<double>(r.cold_plan_candidates));
+  }
+  const double repair_candidates_p50 =
+      repair_candidates.count() > 0 ? repair_candidates.percentile(50.0)
+                                    : 0.0;
+  const double cold_candidates_p50 = cold_candidates.percentile(50.0);
+  const double repair_to_cold_candidates =
+      cold_candidates_p50 > 0.0 ? repair_candidates_p50 / cold_candidates_p50
+                                : 1.0;
 
   for (int i = 0; i < 3; ++i) {
     const ScenarioResult& r = first[i];
@@ -394,6 +418,11 @@ int main() {
   }
   std::printf("\nrepair p50 %.3fms cold p50 %.3fms ratio %.3f\n",
               repair_p50_ms, cold_p50_ms, repair_to_cold);
+  std::printf("repair candidates:");
+  for (double c : repair_candidates.samples()) std::printf(" %.0f", c);
+  std::printf("\nrepair candidates p50 %.1f cold %.0f ratio %.3f\n",
+              repair_candidates_p50, cold_candidates_p50,
+              repair_to_cold_candidates);
 
   bool deterministic = true;
   for (int i = 0; i < 3; ++i) {
@@ -419,6 +448,8 @@ int main() {
        "rolling maintenance migrated live state");
   gate(repair_walls.count() > 0 && repair_to_cold <= 0.25,
        "repair p50 <= 25% of cold-plan p50");
+  gate(repair_candidates.count() > 0 && repair_to_cold_candidates <= 0.25,
+       "repair candidates p50 <= 25% of cold plan");
   gate(deterministic, "same seed is bit-identical");
 
   bench::JsonResult json("adaptation_sweep");
@@ -442,6 +473,9 @@ int main() {
   json.add("cold_plan_p50_ms", cold_p50_ms);
   json.add("repair_to_cold_ratio", repair_to_cold);
   json.add("repair_samples", static_cast<std::uint64_t>(repair_walls.count()));
+  json.add("cold_plan_candidates", cold_candidates_p50);
+  json.add("repair_candidates_p50", repair_candidates_p50);
+  json.add("repair_to_cold_candidates_ratio", repair_to_cold_candidates);
   json.add("deterministic", deterministic);
   json.add("gates_pass", pass);
   json.write();

@@ -49,15 +49,11 @@ bool CoherenceDirectory::validate_replica(
   replicas_.erase(replica);
   pending_.erase(replica);
   ++stats_.replicas_evicted;
-  if (telemetry_) ++telemetry_->replicas_evicted;
   return false;
 }
 
 void CoherenceDirectory::on_update(const Update& update,
                                    runtime::RuntimeInstanceId origin) {
-  ++stats_.updates_seen;
-  if (telemetry_) ++telemetry_->updates_seen;
-
   // Collect conflicting live replicas first: validate_replica erases dead
   // entries, which must not invalidate the iteration.
   std::vector<runtime::RuntimeInstanceId> targets;
@@ -118,7 +114,6 @@ void CoherenceDirectory::flush_staged() {
     if (it != shared.end()) {
       batch = it->second;
       ++stats_.batches_shared;
-      if (telemetry_) ++telemetry_->batches_shared;
     } else {
       batch = std::make_shared<UpdateBatch>();
       batch->replica_id = home_;
@@ -150,19 +145,9 @@ void CoherenceDirectory::send_push(runtime::RuntimeInstanceId replica,
 
   ++stats_.pushes;
   stats_.push_updates += updates;
-  stats_.push_bytes += request.wire_bytes;
-  // The naive path would have issued one RPC (64-byte envelope each) per
-  // update delivered to this replica.
+  // The naive path would have issued one RPC per update delivered to this
+  // replica.
   stats_.push_rpcs_saved += updates - 1;
-  stats_.push_bytes_saved += 64 * (updates - 1);
-  if (telemetry_) {
-    ++telemetry_->push_rpcs;
-    telemetry_->push_updates += updates;
-    telemetry_->push_bytes += request.wire_bytes;
-    telemetry_->push_rpcs_saved += updates - 1;
-    telemetry_->push_bytes_saved += 64 * (updates - 1);
-    telemetry_->push_batch_updates.add(static_cast<double>(updates));
-  }
 
   const net::NodeId home_node = runtime_.instance(home_).node;
   runtime_.invoke_from_node(home_node, replica, std::move(request),

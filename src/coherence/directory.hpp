@@ -27,21 +27,16 @@
 
 #include "coherence/policy.hpp"
 #include "coherence/types.hpp"
-#include "runtime/coherence_telemetry.hpp"
 #include "runtime/smock.hpp"
 
 namespace psf::coherence {
 
 struct DirectoryStats {
-  std::uint64_t updates_seen = 0;
   std::uint64_t pushes = 0;  // push requests issued (RPCs)
   std::uint64_t push_updates = 0;
-  std::uint64_t push_bytes = 0;
-  // Savings versus the naive fan-out (one RPC per conflicting replica per
-  // update): RPCs avoided by epoch aggregation and the envelope bytes those
-  // avoided requests would have cost.
+  // RPCs avoided versus the naive fan-out (one RPC per conflicting replica
+  // per update) by epoch aggregation.
   std::uint64_t push_rpcs_saved = 0;
-  std::uint64_t push_bytes_saved = 0;
   // Replicas beyond the first that reused an identical immutable batch.
   std::uint64_t batches_shared = 0;
   // Dead replicas pruned lazily on push (instance no longer exists()).
@@ -85,11 +80,6 @@ class CoherenceDirectory {
   const DirectoryTuning& tuning() const { return tuning_; }
   std::size_t staged_updates() const { return staged_.size(); }
 
-  // Shared coherence counters/histograms (optional; must outlive this).
-  void attach_telemetry(runtime::CoherenceTelemetry* telemetry) {
-    telemetry_ = telemetry;
-  }
-
  private:
   // True when the replica is live; otherwise evicts it (lazy pruning).
   bool validate_replica(runtime::RuntimeInstanceId replica);
@@ -116,7 +106,6 @@ class CoherenceDirectory {
   sim::EventId epoch_event_ = 0;
 
   DirectoryStats stats_;
-  runtime::CoherenceTelemetry* telemetry_ = nullptr;
 };
 
 }  // namespace psf::coherence

@@ -44,7 +44,6 @@ void ReplicaCoherence::record_update(
     UpdateDescriptor descriptor,
     std::shared_ptr<const runtime::MessageBody> payload) {
   ++stats_.updates_recorded;
-  if (telemetry_) ++telemetry_->updates_recorded;
 
   if (policy_.coalesce) {
     const std::string key = coalesce_key(descriptor);
@@ -57,10 +56,6 @@ void ReplicaCoherence::record_update(
       const std::uint64_t saved = pending.descriptor.bytes + 32;
       ++stats_.updates_coalesced;
       stats_.coalesced_bytes_saved += saved;
-      if (telemetry_) {
-        ++telemetry_->updates_coalesced;
-        telemetry_->coalesced_bytes_saved += saved;
-      }
       pending.descriptor = std::move(descriptor);
       pending.payload = std::move(payload);
       maybe_auto_flush();
@@ -70,7 +65,6 @@ void ReplicaCoherence::record_update(
   }
 
   queue_.push_back(Update{std::move(descriptor), std::move(payload)});
-  stats_.max_queue_depth = std::max(stats_.max_queue_depth, queue_.size());
   maybe_auto_flush();
 }
 
@@ -130,25 +124,14 @@ void ReplicaCoherence::flush(std::function<void()> done) {
   stats_.updates_flushed += batch->updates.size();
   const std::uint64_t bytes = batch->wire_bytes();
   stats_.bytes_flushed += bytes;
-  if (telemetry_) {
-    ++telemetry_->flushes;
-    telemetry_->updates_flushed += batch->updates.size();
-    telemetry_->bytes_flushed += bytes;
-    telemetry_->flush_batch_updates.add(
-        static_cast<double>(batch->updates.size()));
-    telemetry_->flush_window_depth.add(
-        static_cast<double>(inflight_flushes_));
-  }
 
   runtime::Request request;
   request.op = flush_op_;
   request.body = batch;
   request.wire_bytes = bytes;
 
-  const sim::Time sent_at = runtime_.simulator().now();
   transport_(std::move(request),
-             [this, batch, attempt, sent_at,
-              alive = std::weak_ptr<char>(alive_),
+             [this, batch, attempt, alive = std::weak_ptr<char>(alive_),
               done = std::move(done)](runtime::Response response) mutable {
                if (alive.expired()) {
                  // The replica was retired (live migration / uninstall)
@@ -158,26 +141,20 @@ void ReplicaCoherence::flush(std::function<void()> done) {
                  // component too.
                  return;
                }
-               on_flush_response(std::move(batch), attempt, sent_at,
-                                 std::move(done), std::move(response));
+               on_flush_response(std::move(batch), attempt, std::move(done),
+                                 std::move(response));
              });
 }
 
 void ReplicaCoherence::on_flush_response(std::shared_ptr<UpdateBatch> batch,
                                          std::size_t attempt,
-                                         sim::Time sent_at,
                                          std::function<void()> done,
                                          runtime::Response response) {
   --inflight_flushes_;
   note_window_state();
-  if (telemetry_) {
-    telemetry_->flush_rtt_ms.add(
-        (runtime_.simulator().now() - sent_at).millis());
-  }
 
   if (!response.ok) {
     ++stats_.flushes_rejected;
-    if (telemetry_) ++telemetry_->flushes_rejected;
     if (attempt < policy_.max_flush_retries) {
       // Requeue at the queue front so replay preserves the home's apply
       // order; updates recorded while the batch was in flight stay behind
@@ -188,19 +165,15 @@ void ReplicaCoherence::on_flush_response(std::shared_ptr<UpdateBatch> batch,
       queue_.insert(queue_.begin(),
                     std::make_move_iterator(batch->updates.begin()),
                     std::make_move_iterator(batch->updates.end()));
-      stats_.max_queue_depth =
-          std::max(stats_.max_queue_depth, queue_.size());
       ++stats_.flushes_requeued;
       stats_.updates_requeued += batch->updates.size();
       front_attempts_ = attempt + 1;
-      if (telemetry_) ++telemetry_->flushes_requeued;
       rebuild_coalesce_index();
     } else {
       PSF_WARN() << "coherence flush rejected by home after "
                  << attempt + 1 << " attempts; dropping "
                  << batch->updates.size() << " updates: " << response.error;
       stats_.updates_dropped += batch->updates.size();
-      if (telemetry_) telemetry_->updates_dropped += batch->updates.size();
     }
   }
 

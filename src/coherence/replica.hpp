@@ -28,7 +28,6 @@
 
 #include "coherence/policy.hpp"
 #include "coherence/types.hpp"
-#include "runtime/coherence_telemetry.hpp"
 #include "runtime/smock.hpp"
 
 namespace psf::coherence {
@@ -38,7 +37,6 @@ struct ReplicaStats {
   std::uint64_t flushes = 0;
   std::uint64_t updates_flushed = 0;
   std::uint64_t bytes_flushed = 0;
-  std::size_t max_queue_depth = 0;
   // Coalesced write-back: updates merged into an already-pending update of
   // the same (object_key, field), and the wire bytes that merge saved.
   std::uint64_t updates_coalesced = 0;
@@ -100,11 +98,6 @@ class ReplicaCoherence {
     flush_listener_ = std::move(listener);
   }
 
-  // Shared coherence counters/histograms (optional; must outlive this).
-  void attach_telemetry(runtime::CoherenceTelemetry* telemetry) {
-    telemetry_ = telemetry;
-  }
-
   // Records a local update; may trigger an automatic flush per the policy.
   void record_update(UpdateDescriptor descriptor,
                      std::shared_ptr<const runtime::MessageBody> payload);
@@ -117,8 +110,7 @@ class ReplicaCoherence {
  private:
   void maybe_auto_flush();
   void on_flush_response(std::shared_ptr<UpdateBatch> batch,
-                         std::size_t attempt, sim::Time sent_at,
-                         std::function<void()> done,
+                         std::size_t attempt, std::function<void()> done,
                          runtime::Response response);
   void note_window_state();
   void rebuild_coalesce_index();
@@ -149,7 +141,6 @@ class ReplicaCoherence {
   // dereferencing a dead replica.
   std::shared_ptr<char> alive_ = std::make_shared<char>(0);
   ReplicaStats stats_;
-  runtime::CoherenceTelemetry* telemetry_ = nullptr;
 };
 
 }  // namespace psf::coherence

@@ -5,35 +5,19 @@
 
 namespace psf::core {
 
-namespace {
-
-std::vector<net::NodeId> shard_hosts(const FrameworkOptions& options) {
-  if (!options.lookup_shard_hosts.empty()) return options.lookup_shard_hosts;
-  return {options.lookup_node};
-}
-
-}  // namespace
-
 Framework::Framework(net::Network network, FrameworkOptions options)
     : network_(std::move(network)),
       sim_(),
       runtime_(sim_, network_),
-      sharded_lookup_(network_, shard_hosts(options)),
-      server_(runtime_, options.server_node, sharded_lookup_.shard(0)),
+      lookup_(options.lookup_node),
+      server_(runtime_, options.server_node, lookup_),
       monitor_(sim_, network_) {
   PSF_CHECK_MSG(network_.node_count() > 0, "empty network");
   PSF_CHECK(options.lookup_node.value < network_.node_count());
   PSF_CHECK(options.server_node.value < network_.node_count());
-  for (std::size_t s = 0; s < sharded_lookup_.shard_count(); ++s) {
-    PSF_CHECK(sharded_lookup_.shard(s).host().value < network_.node_count());
-  }
   // Every monitor-reported change bumps the server's environment epochs so
   // cached access paths planned against the old topology are not replayed.
   server_.attach_monitor(monitor_);
-  // Same treatment for lookup shard membership changes: a re-homed service
-  // must be re-planned, never replayed from a stale cached path.
-  sharded_lookup_.on_membership_change(
-      [this] { server_.invalidate_cached_plans(); });
 }
 
 util::Status Framework::register_service(
@@ -73,14 +57,6 @@ std::unique_ptr<runtime::GenericProxy> Framework::make_proxy(
                                                  std::move(defaults));
 }
 
-std::unique_ptr<runtime::GenericProxy> Framework::make_sharded_proxy(
-    net::NodeId client_node, const std::string& service,
-    planner::PlanRequest defaults) {
-  auto proxy = make_proxy(client_node, service, std::move(defaults));
-  proxy->use_sharded_lookup(sharded_lookup_);
-  return proxy;
-}
-
 std::vector<runtime::RuntimeInstanceId> Framework::fail_node(
     net::NodeId node) {
   auto lost = crash_node(node);
@@ -105,7 +81,6 @@ runtime::LeaseManager& Framework::enable_failure_detection(
   PSF_CHECK_MSG(lease_ == nullptr, "failure detection already enabled");
   lease_ = std::make_unique<runtime::LeaseManager>(runtime_, monitor_,
                                                    lookup().host(), params);
-  lease_->set_telemetry(&retry_telemetry_);
   lease_->watch_all();
   lease_->start();
   return *lease_;

@@ -23,7 +23,6 @@
 #include "runtime/generic.hpp"
 #include "runtime/lease.hpp"
 #include "runtime/lookup.hpp"
-#include "runtime/sharded_lookup.hpp"
 #include "runtime/monitor.hpp"
 #include "runtime/retry.hpp"
 #include "runtime/smock.hpp"
@@ -35,11 +34,6 @@ struct FrameworkOptions {
   // Hosts for the infrastructure services; default to node 0.
   net::NodeId lookup_node{0};
   net::NodeId server_node{0};
-  // When non-empty, the lookup registry is sharded over these hosts (the
-  // first entry supersedes lookup_node as shard 0, the registry that
-  // register_service advertises into). Shard membership changes invalidate
-  // cached access plans through the server's epoch mechanism.
-  std::vector<net::NodeId> lookup_shard_hosts;
 };
 
 class Framework {
@@ -49,10 +43,7 @@ class Framework {
   sim::Simulator& simulator() { return sim_; }
   net::Network& network() { return network_; }
   runtime::SmockRuntime& runtime() { return runtime_; }
-  // Shard 0 — the registry services advertise into; the historical
-  // single-registry surface.
-  runtime::LookupService& lookup() { return sharded_lookup_.shard(0); }
-  runtime::ShardedLookupService& sharded_lookup() { return sharded_lookup_; }
+  runtime::LookupService& lookup() { return lookup_; }
   runtime::GenericServer& server() { return server_; }
   runtime::NetworkMonitor& monitor() { return monitor_; }
 
@@ -63,13 +54,6 @@ class Framework {
       std::shared_ptr<const planner::PropertyTranslator> translator);
 
   std::unique_ptr<runtime::GenericProxy> make_proxy(
-      net::NodeId client_node, const std::string& service,
-      planner::PlanRequest defaults);
-
-  // Like make_proxy, but the proxy resolves through the sharded registry:
-  // queries go to the client's nearest shard and forwarding legs are
-  // charged on the fabric. Equivalent to make_proxy with one shard.
-  std::unique_ptr<runtime::GenericProxy> make_sharded_proxy(
       net::NodeId client_node, const std::string& service,
       planner::PlanRequest defaults);
 
@@ -133,7 +117,7 @@ class Framework {
   net::Network network_;
   sim::Simulator sim_;
   runtime::SmockRuntime runtime_;
-  runtime::ShardedLookupService sharded_lookup_;
+  runtime::LookupService lookup_;
   runtime::GenericServer server_;
   runtime::NetworkMonitor monitor_;
   std::vector<std::unique_ptr<runtime::AdaptationController>> controllers_;

@@ -139,7 +139,6 @@ CoherenceSummary collect_coherence_summary(runtime::SmockRuntime& rt) {
     out.push_rpcs += d.pushes;
     out.push_updates += d.push_updates;
     out.push_rpcs_saved += d.push_rpcs_saved;
-    out.push_bytes += d.push_bytes;
     out.replicas_evicted += d.replicas_evicted;
   };
   for (runtime::RuntimeInstanceId id : rt.instance_ids()) {

@@ -52,7 +52,6 @@ struct CoherenceSummary {
   std::uint64_t push_rpcs = 0;
   std::uint64_t push_updates = 0;
   std::uint64_t push_rpcs_saved = 0;
-  std::uint64_t push_bytes = 0;
   std::uint64_t replicas_evicted = 0;
   std::size_t residual_pending = 0;  // staleness left at the replicas
   double blocked_on_flush_ms = 0.0;  // total time views deferred requests

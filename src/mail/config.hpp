@@ -11,7 +11,6 @@
 
 #include "coherence/policy.hpp"
 #include "crypto/keystore.hpp"
-#include "runtime/coherence_telemetry.hpp"
 
 namespace psf::mail {
 
@@ -24,11 +23,6 @@ struct MailServiceConfig {
   // Fan-out tuning for every coherence directory in the service (the home
   // MailServer's and each view's own downstream directory).
   coherence::DirectoryTuning directory_tuning;
-
-  // Optional shared coherence counters; when set, every replica module and
-  // directory the service creates records into it (render through
-  // runtime::Telemetry::attach_coherence).
-  std::shared_ptr<runtime::CoherenceTelemetry> coherence_telemetry;
 
   // Per-(user, sensitivity-level) keys. Conceptually each node holds only
   // the keys its trust level allows; the release ledger in the keystore

@@ -9,9 +9,6 @@ namespace psf::mail {
 void MailServerComponent::on_start() {
   directory_ = std::make_unique<coherence::CoherenceDirectory>(
       runtime(), self(), ops::kPush, nullptr, config_->directory_tuning);
-  if (config_->coherence_telemetry) {
-    directory_->attach_telemetry(config_->coherence_telemetry.get());
-  }
 }
 
 void MailServerComponent::handle_request(const runtime::Request& request,
@@ -115,7 +112,6 @@ void MailServerComponent::handle_sync(const runtime::Request& request,
     done(runtime::Response::failure("malformed sync batch"));
     return;
   }
-  ++stats_.syncs_applied;
   for (const coherence::Update& update : batch->updates) {
     const auto* send = dynamic_cast<const SendBody*>(update.payload.get());
     if (send == nullptr) {

@@ -18,7 +18,6 @@ namespace psf::mail {
 struct MailServerStats {
   std::uint64_t sends = 0;
   std::uint64_t receives = 0;
-  std::uint64_t syncs_applied = 0;
   std::uint64_t sync_updates_applied = 0;
   std::uint64_t reencryptions = 0;
 };

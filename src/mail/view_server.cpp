@@ -41,10 +41,6 @@ void ViewMailServerComponent::on_start() {
   });
   directory_ = std::make_unique<coherence::CoherenceDirectory>(
       runtime(), self(), ops::kPush, nullptr, config_->directory_tuning);
-  if (config_->coherence_telemetry) {
-    replica_->attach_telemetry(config_->coherence_telemetry.get());
-    directory_->attach_telemetry(config_->coherence_telemetry.get());
-  }
 
   // Announce ourselves to the home (relayed through any intermediate views,
   // each of which also records us in its own directory).
@@ -241,7 +237,6 @@ void ViewMailServerComponent::handle_push(const runtime::Request& request,
     if (send == nullptr) continue;
     if (send->message.sensitivity > trust_level_) continue;  // never cache
     apply_send_locally(send->message, /*queue_coherence=*/false);
-    ++stats_.pushes_applied;
   }
   runtime::Response response;
   response.wire_bytes = 64;

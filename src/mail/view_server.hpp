@@ -33,7 +33,6 @@ struct ViewServerStats {
   std::uint64_t sends_forwarded = 0;
   std::uint64_t receives_local = 0;
   std::uint64_t receives_forwarded = 0;
-  std::uint64_t pushes_applied = 0;
   std::uint64_t syncs_relayed = 0;
 
   double forward_fraction() const {

@@ -177,7 +177,6 @@ void AdaptationController::maybe_repair(std::size_t index) {
   std::vector<planner::RepairViolation> violations =
       classify(index, &broken_backing);
   if (violations.empty() && !broken_backing) {
-    ++stats_.still_valid;
     push_event(AdaptationEvent{runtime_.simulator().now(), index,
                                AdaptationEvent::Outcome::kStillValid, false,
                                0, ""});

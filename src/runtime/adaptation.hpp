@@ -74,7 +74,6 @@ const char* adaptation_outcome_name(AdaptationEvent::Outcome outcome);
 struct AdaptationStats {
   std::uint64_t events_observed = 0;  // monitor change events seen
   std::uint64_t checks = 0;
-  std::uint64_t still_valid = 0;
   std::uint64_t repairs_triggered = 0;
   std::uint64_t repaired = 0;
   std::uint64_t unsatisfiable = 0;

@@ -185,6 +185,8 @@ void GenericServer::request_repair(
     return plan;
   });
   repair_telemetry_.repair_wall_ms.add(planned.wall_seconds * 1000.0);
+  repair_telemetry_.repair_candidates.add(
+      static_cast<double>(planned.stats.candidates_examined));
   deploy_plan(*state, std::move(planned),
               [this, state, fingerprint, flight, done = std::move(done)](
                   util::Expected<AccessOutcome> result) mutable {
@@ -385,8 +387,6 @@ bool GenericServer::try_cached_access(ServiceState& state,
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     wall_start)
           .count();
-  cache_telemetry_.warm_access_ms.add(
-      (outcome.costs.planning + outcome.costs.deployment).millis());
   done(std::move(outcome));
   return true;
 }
@@ -420,8 +420,6 @@ void GenericServer::finish_access(
 
   if (result) {
     account_access_load(state, result->plan, result->instances);
-    cache_telemetry_.cold_access_ms.add(
-        (result->costs.planning + result->costs.deployment).millis());
     if (state.epoch == flight->epoch_at_start) {
       CachedAccess cached;
       cached.plan = result->plan;
@@ -710,24 +708,7 @@ void GenericProxy::bind(std::function<void(util::Status)> done) {
   if (binding_) return;  // an earlier bind is in flight; join it
   binding_ = true;
 
-  // The registry that will serve the proxy code, and the node path the
-  // query travels: client -> home shard [-> forwarding hops -> holder] in
-  // sharded mode, client -> registry host otherwise.
-  LookupService* registry = &lookup_;
-  auto hops = std::make_shared<std::vector<net::NodeId>>();
-  hops->push_back(client_node_);
-  const ServiceAdvertisement* ad = nullptr;
-  if (sharded_ != nullptr) {
-    const LookupResolution res = sharded_->resolve(service_, client_node_);
-    ad = res.ad;
-    for (const std::size_t s : res.probe_path) {
-      hops->push_back(sharded_->shard(s).host());
-    }
-    if (ad != nullptr) registry = &sharded_->shard(res.holder_shard);
-  } else {
-    ad = lookup_.find(service_);
-    hops->push_back(lookup_.host());
-  }
+  const ServiceAdvertisement* ad = lookup_.find(service_);
   if (ad == nullptr || ad->server == nullptr) {
     binding_ = false;
     auto waiters = std::move(waiters_);
@@ -739,20 +720,20 @@ void GenericProxy::bind(std::function<void(util::Status)> done) {
   }
 
   const sim::Time t0 = runtime_.simulator().now();
-  // Step 2 of Fig. 1: attribute query to the lookup node (plus any
-  // shard-to-shard forwarding legs), proxy download back to the client. A
-  // node that already downloaded this service's proxy keeps it cached —
-  // repeat binds from the site pay only a small freshness-check reply
-  // instead of the full code transfer.
+  // Step 2 of Fig. 1: attribute query to the lookup node, proxy download
+  // back to the client. A node that already downloaded this service's proxy
+  // keeps it cached — repeat binds from the site pay only a small
+  // freshness-check reply instead of the full code transfer.
   const std::uint64_t download_bytes =
-      registry->proxy_code_cached(service_, client_node_)
+      lookup_.proxy_code_cached(service_, client_node_)
           ? kProxyRevalidateBytes
           : ad->proxy_code_bytes;
-  walk_query_chain(hops, 0, [this, ad, t0, download_bytes, registry,
-                             holder = hops->back()]() {
+  const net::NodeId registry = lookup_.host();
+  runtime_.send_bytes(client_node_, registry, 512, [this, ad, t0, registry,
+                                                    download_bytes]() {
     runtime_.send_bytes(
-        holder, client_node_, download_bytes, [this, ad, t0, registry]() {
-          registry->note_proxy_download(service_, client_node_);
+        registry, client_node_, download_bytes, [this, ad, t0]() {
+          lookup_.note_proxy_download(service_, client_node_);
           const sim::Time lookup_done = runtime_.simulator().now();
           // Step 3: forward the access request (with credentials) to the
           // generic server.
@@ -784,28 +765,6 @@ void GenericProxy::bind(std::function<void(util::Status)> done) {
   });
 }
 
-void GenericProxy::walk_query_chain(
-    std::shared_ptr<std::vector<net::NodeId>> hops, std::size_t index,
-    std::function<void()> then) {
-  if (index + 1 >= hops->size()) {
-    then();
-    return;
-  }
-  const net::NodeId from = (*hops)[index];
-  const net::NodeId to = (*hops)[index + 1];
-  runtime_.send_bytes(from, to, 512,
-                      [this, hops = std::move(hops), index,
-                       then = std::move(then)]() mutable {
-                        walk_query_chain(std::move(hops), index + 1,
-                                         std::move(then));
-                      });
-}
-
-void GenericProxy::use_sharded_lookup(ShardedLookupService& sharded) {
-  sharded_ = &sharded;
-  handle_ = ShardedLookupService::handle_for(service_);
-}
-
 void GenericProxy::finish_bind(util::Status status) {
   binding_ = false;
   auto waiters = std::move(waiters_);
@@ -821,7 +780,6 @@ void GenericProxy::invoke(Request request, ResponseCallback done) {
     call->deadline = policy_.overall_deadline.nanos() > 0
                          ? runtime_.simulator().now() + policy_.overall_deadline
                          : sim::Time::max();
-    if (telemetry_ != nullptr) ++telemetry_->invokes;
     start_attempt(call);
     return;
   }
@@ -909,23 +867,14 @@ void GenericProxy::complete_attempt(
     const std::shared_ptr<PendingInvoke>& call, Response response) {
   if (response.ok || response.transport == TransportError::kNone) {
     // Success, or an application-level error — both final.
-    if (telemetry_ != nullptr) {
-      if (response.ok) {
-        ++telemetry_->successes;
-      } else {
-        ++telemetry_->failures;
-      }
-    }
+    if (telemetry_ != nullptr && response.ok) ++telemetry_->successes;
     call->done(std::move(response));
     return;
   }
   if (telemetry_ != nullptr) {
-    switch (response.transport) {
-      case TransportError::kTimeout: ++telemetry_->timeouts; break;
-      case TransportError::kDropped: ++telemetry_->drops; break;
-      case TransportError::kUnreachable: ++telemetry_->unreachable; break;
-      case TransportError::kDeadTarget: ++telemetry_->dead_targets; break;
-      case TransportError::kNone: break;
+    if (response.transport == TransportError::kTimeout) ++telemetry_->timeouts;
+    if (response.transport == TransportError::kDeadTarget) {
+      ++telemetry_->dead_targets;
     }
   }
 
@@ -943,10 +892,6 @@ void GenericProxy::complete_attempt(
   const bool deadline_ok =
       runtime_.simulator().now() + backoff < call->deadline;
   if (!attempts_left || !deadline_ok) {
-    if (telemetry_ != nullptr) {
-      ++telemetry_->failures;
-      ++telemetry_->budget_exhausted;
-    }
     call->done(std::move(response));
     return;
   }
@@ -962,7 +907,6 @@ void GenericProxy::complete_attempt(
     if (telemetry_ != nullptr) ++telemetry_->rebinds;
   }
 
-  if (telemetry_ != nullptr) telemetry_->backoff_ms.add(backoff.millis());
   runtime_.simulator().schedule(backoff,
                                 [this, call] { start_attempt(call); });
 }

@@ -25,9 +25,9 @@
 #include "runtime/lookup.hpp"
 #include "runtime/plan_cache.hpp"
 #include "runtime/retry.hpp"
-#include "runtime/sharded_lookup.hpp"
 #include "runtime/smock.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 #include "util/status.hpp"
 
 namespace psf::runtime {
@@ -72,14 +72,16 @@ struct AnytimeTelemetry {
   std::vector<double> swap_primary_scores;
 };
 
-// Closed-loop repair counters (GenericServer::repair_telemetry). The wall
-// samples are what the adaptation bench compares against cold planning to
-// gate "repair latency ≪ cold replan".
+// Closed-loop repair counters (GenericServer::repair_telemetry). The
+// per-repair samples are what the adaptation bench compares against cold
+// planning to gate "repair ≪ cold replan": candidates deterministically,
+// wall-clock within a tolerance.
 struct RepairTelemetry {
   std::uint64_t repairs_attempted = 0;
   std::uint64_t repairs_succeeded = 0;   // repaired plan deployed
   std::uint64_t full_fallbacks = 0;      // restricted search was infeasible
   util::SampleSet repair_wall_ms;        // planner wall-clock per repair
+  util::SampleSet repair_candidates;     // candidates examined per repair
 };
 
 // One-time costs of establishing service access (§4.2 reports these summing
@@ -162,9 +164,7 @@ class GenericServer {
   void attach_monitor(NetworkMonitor& monitor);
 
   // Bumps every service's environment epoch, lazily invalidating all cached
-  // access paths. Called by the monitor subscription above and by lookup
-  // shard membership changes (plans embed which registry answered; a
-  // re-homed service must be re-planned, not replayed).
+  // access paths. Called by the monitor subscription above.
   void invalidate_cached_plans();
 
   // Current environment epoch (0 until the first bump); 0 for unknown
@@ -174,8 +174,7 @@ class GenericServer {
   // Cached access paths currently held for `service` (diagnostics/tests).
   std::size_t plan_cache_size(const std::string& service) const;
 
-  // Cache/coalescing counters and latency distributions, shared across all
-  // services this server hosts. Feed to Telemetry::attach_plan_cache.
+  // Cache/coalescing counters, shared across all services this server hosts.
   const PlanCacheTelemetry& access_telemetry() const {
     return cache_telemetry_;
   }
@@ -382,17 +381,9 @@ class GenericProxy {
   // jitter RNG is seeded from policy.seed mixed with the client node, so a
   // fleet of proxies sharing one policy still draws independent streams —
   // deterministically. `telemetry` (optional, caller-owned) accumulates
-  // attempt/timeout/drop counters and the backoff histogram.
+  // attempt/retry/timeout counters.
   void enable_retries(RetryPolicy policy, RetryTelemetry* telemetry = nullptr);
   bool retries_enabled() const { return retry_; }
-
-  // Routes this proxy's lookups through the sharded registry: the query
-  // goes to the client's nearest (home) shard and each peer-to-peer
-  // forwarding hop to the owning shard is charged on the simulated fabric.
-  // The proxy also keeps the service's server-independent LookupHandle,
-  // which stays valid across shard membership changes.
-  void use_sharded_lookup(ShardedLookupService& sharded);
-  LookupHandle lookup_handle() const { return handle_; }
 
  private:
   // One logical invoke() under the retry policy: tracks the attempt budget
@@ -405,10 +396,6 @@ class GenericProxy {
   };
 
   void finish_bind(util::Status status);
-  // Charges one 512-byte query/forwarding message per consecutive hop pair,
-  // then invokes `then` (runs it immediately when hops has < 2 entries).
-  void walk_query_chain(std::shared_ptr<std::vector<net::NodeId>> hops,
-                        std::size_t index, std::function<void()> then);
   void start_attempt(const std::shared_ptr<PendingInvoke>& call);
   void send_attempt(const std::shared_ptr<PendingInvoke>& call);
   void complete_attempt(const std::shared_ptr<PendingInvoke>& call,
@@ -416,8 +403,6 @@ class GenericProxy {
 
   SmockRuntime& runtime_;
   LookupService& lookup_;
-  ShardedLookupService* sharded_ = nullptr;  // non-null: sharded resolution
-  LookupHandle handle_;
   net::NodeId client_node_;
   std::string service_;
   planner::PlanRequest defaults_;

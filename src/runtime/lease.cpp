@@ -88,6 +88,10 @@ void LeaseManager::heartbeat_tick() {
           if (it == leases_.end()) return;
           Lease& renewed = it->second;
           renewed.last_renewal = runtime_.simulator().now();
+          // A live renewal ends any crash the sweep has not detected: the
+          // node revived within its lease, so no later expiry (a partition,
+          // say) may be charged to that crash.
+          renewed.crash_noted = false;
           if (!renewed.active) {
             // A renewal from a node declared dead: the partition healed.
             renewed.active = true;
@@ -110,9 +114,7 @@ void LeaseManager::sweep_tick() {
     const net::NodeId node{id};
     expirations_.push_back({node, now});
     if (lease.crash_noted) {
-      const double latency_ms = (now - lease.crashed_at).millis();
-      detection_ms_.add(latency_ms);
-      if (telemetry_ != nullptr) telemetry_->detection_ms.add(latency_ms);
+      detection_ms_.add((now - lease.crashed_at).millis());
       lease.crash_noted = false;
     }
     PSF_INFO() << "lease for node " << runtime_.network().node(node).name

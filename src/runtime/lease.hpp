@@ -26,7 +26,6 @@
 
 #include "net/network.hpp"
 #include "runtime/monitor.hpp"
-#include "runtime/retry.hpp"
 #include "runtime/smock.hpp"
 #include "sim/simulator.hpp"
 #include "util/stats.hpp"
@@ -94,15 +93,12 @@ class LeaseManager {
     return detection_ms_;
   }
 
-  // Mirrors detection-latency samples into client telemetry (the histogram
-  // RetryTelemetry::report prints). Optional; may be null.
-  void set_telemetry(RetryTelemetry* telemetry) { telemetry_ = telemetry; }
-
  private:
   struct Lease {
     sim::Time last_renewal;
     bool active = true;
-    // Set by note_crash; consumed by the expiry that detects it.
+    // Set by note_crash; consumed by the expiry that detects it, or cleared
+    // by a renewal that proves the node came back before any expiry.
     bool crash_noted = false;
     sim::Time crashed_at;
   };
@@ -124,7 +120,6 @@ class LeaseManager {
   std::uint64_t heartbeats_lost_ = 0;
   std::uint64_t recoveries_ = 0;
   util::SampleSet detection_ms_;
-  RetryTelemetry* telemetry_ = nullptr;
 };
 
 }  // namespace psf::runtime

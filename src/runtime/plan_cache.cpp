@@ -47,62 +47,6 @@ std::string plan_fingerprint(const planner::PlanRequest& request) {
   return oss.str();
 }
 
-namespace {
-
-// Compact log-scale latency histogram: one decade per bucket from 0.01 ms.
-std::string histogram_line(const util::SampleSet& set) {
-  static const double kEdges[] = {0.01, 0.1, 1.0, 10.0, 100.0, 1000.0};
-  constexpr std::size_t kBuckets = sizeof(kEdges) / sizeof(kEdges[0]) + 1;
-  std::size_t counts[kBuckets] = {};
-  for (double ms : set.samples()) {
-    std::size_t b = 0;
-    while (b < kBuckets - 1 && ms > kEdges[b]) ++b;
-    counts[b]++;
-  }
-  std::ostringstream oss;
-  oss << "[";
-  for (std::size_t b = 0; b < kBuckets; ++b) {
-    if (counts[b] == 0) continue;
-    if (b == 0) {
-      oss << " <=" << kEdges[0] << "ms:" << counts[b];
-    } else if (b == kBuckets - 1) {
-      oss << " >" << kEdges[kBuckets - 2] << "ms:" << counts[b];
-    } else {
-      oss << " <=" << kEdges[b] << "ms:" << counts[b];
-    }
-  }
-  oss << " ]";
-  return oss.str();
-}
-
-void sample_line(std::ostringstream& oss, const char* label,
-                 const util::SampleSet& set) {
-  util::SampleSet copy = set;  // percentile() sorts in place
-  oss << "  " << label << ": n=" << copy.count();
-  if (copy.count() > 0) {
-    oss << " mean " << copy.mean() << "ms p50 " << copy.percentile(50.0)
-        << "ms p99 " << copy.percentile(99.0) << "ms max " << copy.max()
-        << "ms " << histogram_line(copy);
-  }
-  oss << "\n";
-}
-
-}  // namespace
-
-std::string PlanCacheTelemetry::report() const {
-  std::ostringstream oss;
-  oss << "plan cache\n"
-      << "  hits " << hits << " misses " << misses << " coalesced "
-      << coalesced << " invalidations " << invalidations << " inserts "
-      << inserts << "\n"
-      << "  evictions: stale-epoch " << stale_epoch_evictions << " liveness "
-      << liveness_evictions << " capacity " << capacity_evictions
-      << "; epoch bumps " << epoch_bumps << "\n";
-  sample_line(oss, "cold access (plan+deploy)", cold_access_ms);
-  sample_line(oss, "warm access (plan+deploy)", warm_access_ms);
-  return oss.str();
-}
-
 PlanCache::Entry* PlanCache::find(const std::string& fingerprint,
                                   std::uint64_t epoch,
                                   PlanCacheTelemetry& telemetry) {
@@ -135,7 +79,6 @@ void PlanCache::insert(const std::string& fingerprint, std::uint64_t epoch,
   entry.epoch = epoch;
   entry.hits = 0;
   entry.last_used = ++tick_;
-  ++telemetry.inserts;
 }
 
 void PlanCache::erase(const std::string& fingerprint,

@@ -22,12 +22,10 @@
 #include "planner/plan.hpp"
 #include "planner/planner.hpp"
 #include "runtime/component.hpp"
-#include "util/stats.hpp"
 
 namespace psf::runtime {
 
-// Cache behavior counters and the cached-vs-cold latency distributions,
-// owned by the GenericServer and rendered by runtime/telemetry.
+// Cache behavior counters, owned by the GenericServer.
 struct PlanCacheTelemetry {
   std::uint64_t hits = 0;
   // Accesses that found no usable entry (absent, stale epoch, or evicted by
@@ -43,14 +41,6 @@ struct PlanCacheTelemetry {
   std::uint64_t liveness_evictions = 0;
   std::uint64_t capacity_evictions = 0;
   std::uint64_t epoch_bumps = 0;
-  std::uint64_t inserts = 0;
-
-  // Simulated planning + deployment time per access (ms). Warm accesses are
-  // zero by construction — the histogram shows the amortization.
-  util::SampleSet cold_access_ms;
-  util::SampleSet warm_access_ms;
-
-  std::string report() const;
 };
 
 // Request-rate bucketing for the fingerprint: rates within the same

@@ -9,11 +9,10 @@
 // traces replay bit-identically for a fixed seed.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <string>
 
 #include "sim/time.hpp"
-#include "util/stats.hpp"
 
 namespace psf::runtime {
 
@@ -39,25 +38,13 @@ struct RetryPolicy {
 };
 
 struct RetryTelemetry {
-  std::uint64_t invokes = 0;        // logical operations issued
-  std::uint64_t attempts = 0;       // wire attempts (>= invokes)
+  std::uint64_t attempts = 0;       // wire attempts, retries included
   std::uint64_t successes = 0;      // operations that eventually succeeded
-  std::uint64_t failures = 0;       // operations that gave up
   std::uint64_t retries = 0;        // attempts beyond the first
   std::uint64_t rebinds = 0;        // bindings discarded and re-requested
-  std::uint64_t budget_exhausted = 0;  // gave up on attempt/deadline budget
-  // Transport failure breakdown across all attempts.
+  // Transport failures by kind, across all attempts.
   std::uint64_t timeouts = 0;
-  std::uint64_t drops = 0;
-  std::uint64_t unreachable = 0;
   std::uint64_t dead_targets = 0;
-  // Scheduled backoff delays (ms), jitter included.
-  util::SampleSet backoff_ms;
-  // Crash-to-lease-expiry latency (ms), filled by the lease manager when
-  // failure detection is enabled (see Framework::enable_failure_detection).
-  util::SampleSet detection_ms;
-
-  std::string report() const;
 };
 
 }  // namespace psf::runtime

@@ -362,7 +362,6 @@ void SmockRuntime::call(RuntimeInstanceId from, const std::string& iface,
     return;
   }
   ++src.stats.requests_forwarded;
-  src.stats.bytes_sent += request.wire_bytes;
   const RuntimeInstanceId target = wire_it->second;
   const net::NodeId from_node = src.node;
   const std::uint64_t bytes = request.wire_bytes;
@@ -451,7 +450,6 @@ void SmockRuntime::deliver(RuntimeInstanceId target, Request request,
   }
   ++stats_.requests_delivered;
   ++dst.stats.requests_handled;
-  dst.stats.bytes_received += request.wire_bytes;
 
   const net::NodeId target_node = dst.node;
   charge_cpu(
@@ -573,21 +571,7 @@ sim::Time SmockRuntime::reserve_link(net::LinkId lid, std::uint64_t bytes) {
   if (start < now) start = now;
   const sim::Time tx_done = start + sim::Duration::from_seconds(serialize_s);
   link_free_[lid.value] = tx_done;
-  if (link_busy_s_.size() <= lid.value) {
-    link_busy_s_.resize(network_.link_count(), 0.0);
-  }
-  link_busy_s_[lid.value] += serialize_s;
   return tx_done + link.latency;
-}
-
-double SmockRuntime::node_busy_seconds(net::NodeId node) const {
-  if (!node.valid() || node.value >= node_busy_s_.size()) return 0.0;
-  return node_busy_s_[node.value];
-}
-
-double SmockRuntime::link_busy_seconds(net::LinkId link) const {
-  if (!link.valid() || link.value >= link_busy_s_.size()) return 0.0;
-  return link_busy_s_[link.value];
 }
 
 void SmockRuntime::charge_cpu(net::NodeId node, double units,
@@ -602,10 +586,6 @@ void SmockRuntime::charge_cpu(net::NodeId node, double units,
   if (start < now) start = now;
   const sim::Time finish = start + sim::Duration::from_seconds(seconds);
   node_cpu_free_[node.value] = finish;
-  if (node_busy_s_.size() <= node.value) {
-    node_busy_s_.resize(network_.node_count(), 0.0);
-  }
-  node_busy_s_[node.value] += seconds;
   sim_.schedule_at(finish, std::move(done));
 }
 

@@ -38,8 +38,6 @@ namespace psf::runtime {
 struct InstanceStats {
   std::uint64_t requests_handled = 0;
   std::uint64_t requests_forwarded = 0;
-  std::uint64_t bytes_received = 0;
-  std::uint64_t bytes_sent = 0;
 };
 
 struct Instance {
@@ -213,11 +211,6 @@ class SmockRuntime {
   // serialization + propagation). Exposed for the transfer walker and tests.
   sim::Time reserve_link(net::LinkId lid, std::uint64_t bytes);
 
-  // Cumulative scheduled busy time of a node's CPU / a link (seconds of
-  // simulated work committed so far — the basis for utilization telemetry).
-  double node_busy_seconds(net::NodeId node) const;
-  double link_busy_seconds(net::LinkId link) const;
-
  private:
   void deliver(RuntimeInstanceId target, Request request,
                net::NodeId reply_to, ResponseCallback done);
@@ -229,8 +222,6 @@ class SmockRuntime {
   RuntimeInstanceId next_id_ = 1;
   std::vector<sim::Time> node_cpu_free_;
   std::vector<sim::Time> link_free_;
-  std::vector<double> node_busy_s_;
-  std::vector<double> link_busy_s_;
   RuntimeStats stats_;
   // Seeded RNG for per-hop loss draws; untouched unless some link has
   // loss > 0 (see set_fault_seed).

@@ -286,6 +286,27 @@ TEST_F(FailoverFixture, StaleHeartbeatCannotReviveACrashedNode) {
   EXPECT_EQ(node_expiries, 1u);
 }
 
+TEST_F(FailoverFixture, ShortCrashLeavesNoStaleDetectionSample) {
+  // A crash shorter than the lease is never detected: the revived node's
+  // next renewal ends it. A later expiry of the same node (here a
+  // partition) must not be charged to that crash as a detection latency.
+  fw->crash_node(sites.sd_client);
+  fw->run_for(sim::Duration::from_millis(500));
+  fw->revive_node(sites.sd_client);
+  fw->run_for(sim::Duration::from_seconds(5));
+  ASSERT_TRUE(lease->lease_active(sites.sd_client));
+
+  std::vector<net::NodeId> others;
+  for (net::NodeId n : fw->network().all_nodes()) {
+    if (!(n == sites.sd_client)) others.push_back(n);
+  }
+  ASSERT_FALSE(fw->monitor().partition({sites.sd_client}, others).empty());
+  ASSERT_TRUE(fw->run_until_condition(
+      [&]() { return !lease->lease_active(sites.sd_client); },
+      sim::Duration::from_seconds(30)));
+  EXPECT_EQ(lease->detection_latency_ms().count(), 0u);
+}
+
 TEST_F(FailoverFixture, CrashOfEmptyNodeIsHarmless) {
   crash_and_detect(sites.seattle[1]);
   EXPECT_TRUE(fw->runtime().instances_on(sites.seattle[1]).empty());

@@ -3,6 +3,9 @@
 // generic→specific proxy swap, and instance reuse across clients.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <optional>
+
 #include "core/case_study.hpp"
 #include "core/framework.hpp"
 #include "mail/mail_spec.hpp"
@@ -189,6 +192,53 @@ TEST_F(GenericFixture, PlanningCostChargedAtServerHost) {
   EXPECT_GT(proxy->outcome().costs.planning.nanos(), 0);
   EXPECT_GT(proxy->outcome().costs.planning_wall_seconds, 0.0);
   EXPECT_GT(proxy->outcome().costs.lookup.nanos(), 0);
+}
+
+TEST_F(GenericFixture, LookupChargesQueryThenDownloadThenRevalidation) {
+  register_mail();
+  const runtime::ServiceAdvertisement* ad = fw->lookup().find("SecureMail");
+  ASSERT_NE(ad, nullptr);
+  const net::NodeId registry = fw->lookup().host();
+  // Store-and-forward over an idle network: each hop costs exactly its
+  // link's propagation + serialization.
+  const auto path_ns = [this](net::NodeId from, net::NodeId to,
+                              std::uint64_t bytes) -> std::int64_t {
+    const std::optional<net::Route> route = fw->network().route(from, to);
+    if (!route) {
+      ADD_FAILURE() << "no route";
+      return 0;
+    }
+    std::int64_t ns = 0;
+    for (net::LinkId l : route->links) {
+      ns += fw->network().link(l).transfer_time(bytes).nanos();
+    }
+    return ns;
+  };
+  const std::int64_t query_ns = path_ns(sites.sd_client, registry, 512);
+
+  // First bind: the 512-byte query to the registry, then the full proxy
+  // code back to the client.
+  auto first = fw->make_proxy(sites.sd_client, "SecureMail", defaults());
+  util::Status st = util::internal_error("");
+  first->bind([&st](util::Status s) { st = s; });
+  fw->run();
+  ASSERT_TRUE(st.is_ok()) << st.to_string();
+  EXPECT_EQ(first->outcome().costs.lookup.nanos(),
+            query_ns +
+                path_ns(registry, sites.sd_client, ad->proxy_code_bytes));
+
+  // A repeat bind from the same node: the same query, then only the
+  // freshness check, because the node keeps the proxy code.
+  auto second = fw->make_proxy(sites.sd_client, "SecureMail", defaults());
+  st = util::internal_error("");
+  second->bind([&st](util::Status s) { st = s; });
+  fw->run();
+  ASSERT_TRUE(st.is_ok()) << st.to_string();
+  EXPECT_EQ(second->outcome().costs.lookup.nanos(),
+            query_ns + path_ns(registry, sites.sd_client,
+                               runtime::kProxyRevalidateBytes));
+  EXPECT_EQ(fw->lookup().proxy_cache_stats().downloads, 1u);
+  EXPECT_EQ(fw->lookup().proxy_cache_stats().cache_hits, 1u);
 }
 
 TEST_F(GenericFixture, RefreshEnvironmentPicksUpNetworkChanges) {

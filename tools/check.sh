@@ -4,10 +4,11 @@
 #
 #   tools/check.sh            # standard build + tier-1 ctest
 #   tools/check.sh --asan     # also: AddressSanitizer build running the
-#                             # plan-cache / generic-server / adaptation
-#                             # controller suites and hierarchy_test (the
-#                             # anytime improver) — every caller of the
-#                             # server's plan -> deploy pipeline
+#                             # suites of CI's sanitize-chaos matrix: chaos,
+#                             # failover, plan-cache, adaptation controller,
+#                             # hierarchy (the anytime improver) and generic
+#                             # server — the fault paths and every caller of
+#                             # the server's plan -> deploy pipeline
 #   tools/check.sh --stress   # also: long-running suites (ctest -L stress)
 #   tools/check.sh --coherence # only: the coherence smoke suite
 #                             # (build + ctest -L coherence, via the
@@ -159,16 +160,17 @@ if [[ "${RUN_UBSAN}" == 1 ]]; then
 fi
 
 if [[ "${RUN_ASAN}" == 1 ]]; then
-  echo "== AddressSanitizer build (plan cache + generic server + adaptation + improver) =="
+  echo "== AddressSanitizer build (chaos + adaptation + cold paths) =="
   cmake -B build-asan -S . -DPSF_SANITIZE=address >/dev/null
   cmake --build build-asan -j "${JOBS}" \
-    --target plan_cache_test generic_test telemetry_test \
-    adaptation_controller_test hierarchy_test
+    --target chaos_test failover_test plan_cache_test \
+    adaptation_controller_test hierarchy_test generic_test
+  ./build-asan/tests/chaos_test
+  ./build-asan/tests/failover_test
   ./build-asan/tests/plan_cache_test
-  ./build-asan/tests/generic_test
-  ./build-asan/tests/telemetry_test
   ./build-asan/tests/adaptation_controller_test
   ./build-asan/tests/hierarchy_test
+  ./build-asan/tests/generic_test
 fi
 
 echo "== all checks passed =="
