@@ -30,13 +30,19 @@ SymmetricKey derive_key(std::uint64_t master_secret, const std::string& label);
 
 // Keystream XOR; encryption and decryption are the same operation.
 // `nonce` must differ per message (the mail runtime uses the message id).
+// Works one 8-byte little-endian word at a time: word k is XORed with the
+// k-th output of a SplitMix64 seeded from (key, nonce), and a tail shorter
+// than 8 bytes takes the low bytes of one more output.
 std::vector<std::uint8_t> apply_keystream(const SymmetricKey& key,
                                           std::uint64_t nonce,
                                           std::span<const std::uint8_t> data);
 
-// Keyed 64-bit tag over the ciphertext (toy integrity check).
-std::uint64_t compute_mac(const SymmetricKey& key,
-                          std::span<const std::uint8_t> data);
+// Keyed 64-bit tag (toy integrity check) over the nonce, the length and the
+// ciphertext, absorbed 8 bytes per step (a short tail zero-padded), so a
+// changed nonce, a changed byte, an appended byte or a dropped byte all
+// change it.
+std::uint64_t compute_mac(const SymmetricKey& key, std::uint64_t nonce,
+                          std::span<const std::uint8_t> ciphertext);
 
 // A sealed payload: ciphertext + nonce + tag.
 struct SealedBlob {
@@ -51,7 +57,8 @@ struct SealedBlob {
 SealedBlob seal(const SymmetricKey& key, std::uint64_t nonce,
                 std::span<const std::uint8_t> plaintext);
 
-// Returns false (and leaves `out` empty) on MAC mismatch.
+// Verifies the tag before decrypting; returns false (and leaves `out`
+// empty) on MAC mismatch.
 bool unseal(const SymmetricKey& key, const SealedBlob& blob,
             std::vector<std::uint8_t>& out);
 

@@ -52,8 +52,8 @@ void MailClientComponent::handle_send(const runtime::Request& request,
       return;
     }
     crypto_units = crypto::crypto_cpu_cost(outgoing->message.plaintext.size());
-    outgoing->message.sealed = crypto::seal(
-        *key, outgoing->message.id, outgoing->message.plaintext);
+    outgoing->message.sealed = std::make_shared<crypto::SealedBlob>(
+        crypto::seal(*key, outgoing->message.id, outgoing->message.plaintext));
     outgoing->message.key_owner = outgoing->message.from;
     outgoing->message.plaintext.clear();
   }

@@ -203,8 +203,8 @@ double MailServerComponent::reencrypt_for(MailMessage& message,
     return 0.0;
   }
   const double cost = 2.0 * crypto::crypto_cpu_cost(plain.size());
-  message.sealed = crypto::seal(*recipient_key, message.id ^ 0x5EA1ED,
-                                plain);
+  message.sealed = std::make_shared<crypto::SealedBlob>(
+      crypto::seal(*recipient_key, message.id ^ 0x5EA1ED, plain));
   message.key_owner = recipient;
   ++stats_.reencryptions;
   return cost;

@@ -5,7 +5,7 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -43,8 +43,13 @@ struct MailMessage {
   // sensitivity); the service re-seals from sender key to recipient key on
   // delivery (paper §2: "transforms these messages to those encrypted to the
   // recipient's sensitivity upon a receive").
+  //
+  // A sealed body is immutable and shared: every copy of the message (view
+  // cache, coherence payloads, home folders, receive results) points at the
+  // one ciphertext. Re-sealing makes a new blob and repoints only the copy
+  // being re-sealed.
   std::vector<std::uint8_t> plaintext;
-  std::optional<crypto::SealedBlob> sealed;
+  std::shared_ptr<const crypto::SealedBlob> sealed;
   std::string key_owner;  // whose key sealed it (sender until re-encryption)
 
   std::uint64_t body_bytes() const {

@@ -51,6 +51,15 @@ TEST(CipherTest, TamperedCiphertextFailsMac) {
   EXPECT_FALSE(unseal(key, blob, out));
 }
 
+TEST(CipherTest, TamperedNonceFailsMac) {
+  const SymmetricKey key = derive_key(9, "bob#1");
+  SealedBlob blob = seal(key, 3, bytes("integrity"));
+  blob.nonce ^= 1;
+  std::vector<std::uint8_t> out{1};
+  EXPECT_FALSE(unseal(key, blob, out));
+  EXPECT_TRUE(out.empty());
+}
+
 TEST(CipherTest, TamperedMacFails) {
   const SymmetricKey key = derive_key(9, "bob#1");
   SealedBlob blob = seal(key, 3, bytes("integrity"));
@@ -85,9 +94,11 @@ TEST(CipherTest, WireSizeIncludesOverhead) {
 }
 
 // Known-answer vectors: seal() at a fixed (master, label, nonce) over
-// plaintexts whose lengths cross the keystream's 8-byte word boundary. Any
-// rewrite of the keystream or the MAC must keep these bytes identical — the
-// simulated wire bytes and every sealed payload depend on them.
+// plaintexts whose lengths cross the keystream's 8-byte word boundary. The
+// ciphertext bytes define the cipher; any rewrite of the keystream must keep
+// them identical. Simulated time depends only on lengths (wire_size,
+// crypto_cpu_cost), never on these bytes. The MAC constants pin the tag
+// algorithm, and the tag is checked against reference_mac below.
 std::vector<std::uint8_t> kat_plaintext(std::size_t n) {
   std::vector<std::uint8_t> p(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -104,6 +115,33 @@ std::string hex(const std::vector<std::uint8_t>& data) {
     out += buf;
   }
   return out;
+}
+
+std::uint64_t reference_mix(std::uint64_t x) {
+  x ^= x >> 33;
+  x *= 0xFF51AFD7ED558CCDULL;
+  x ^= x >> 33;
+  x *= 0xC4CEB9FE1A85EC53ULL;
+  x ^= x >> 33;
+  return x;
+}
+
+// The tag spelled out from its definition: each word is assembled from its
+// bytes with shifts (byte j is bits 8j..8j+7; a short tail is zero-padded),
+// so it holds on any host byte order.
+std::uint64_t reference_mac(const SymmetricKey& key, std::uint64_t nonce,
+                            const std::vector<std::uint8_t>& ciphertext) {
+  const std::size_t n = ciphertext.size();
+  std::uint64_t h = reference_mix(key.k1 ^ nonce) ^ n * 0x9E3779B97F4A7C15ULL;
+  for (std::size_t i = 0; i < n; i += 8) {
+    std::uint64_t word = 0;
+    for (std::size_t j = 0; j < 8 && i + j < n; ++j) {
+      word |= std::uint64_t{ciphertext[i + j]} << (8 * j);
+    }
+    h = (h ^ word) * 0x100000001B3ULL;
+    h ^= h >> 29;
+  }
+  return reference_mix(h ^ key.k0);
 }
 
 std::uint64_t fnv1a(const std::vector<std::uint8_t>& data) {
@@ -126,11 +164,11 @@ TEST(CipherTest, KnownAnswerVectors) {
     std::uint64_t mac;
   };
   const Vector vectors[] = {
-      {0, "", 0xcf85a75d3cbc77cfULL},
-      {1, "f4", 0xc9978e3839597d63ULL},
-      {7, "f4d35d88fc5f1e", 0xd5037bc0c18995e7ULL},
-      {8, "f4d35d88fc5f1e8e", 0xf465b7a307b1b21fULL},
-      {9, "f4d35d88fc5f1e8e02", 0x5acd473edcbdffbdULL},
+      {0, "", 0xb23cdaa5c9b727c2ULL},
+      {1, "f4", 0xc9b3584039bf66d1ULL},
+      {7, "f4d35d88fc5f1e", 0x977af7cde31f4321ULL},
+      {8, "f4d35d88fc5f1e8e", 0x54a235381ae72d17ULL},
+      {9, "f4d35d88fc5f1e8e02", 0x3a9e360362c5d49dULL},
   };
   for (const Vector& v : vectors) {
     const SealedBlob blob = seal(key, /*nonce=*/42, kat_plaintext(v.length));
@@ -143,7 +181,63 @@ TEST(CipherTest, KnownAnswerVectors) {
   const SealedBlob large = seal(key, 42, kat_plaintext(2048));
   ASSERT_EQ(large.ciphertext.size(), 2048u);
   EXPECT_EQ(fnv1a(large.ciphertext), 0xfe52859ce7b34fd4ULL);
-  EXPECT_EQ(large.mac, 0x03ca4044db75fdbfULL);
+  EXPECT_EQ(large.mac, 0xb2ab483e158834c4ULL);
+
+  // The tag agrees with its byte-by-byte definition on every tail length
+  // and on a full-size body.
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 64; ++n) lengths.push_back(n);
+  lengths.push_back(2048);
+  for (std::size_t n : lengths) {
+    const SealedBlob blob = seal(key, 42, kat_plaintext(n));
+    EXPECT_EQ(blob.mac, reference_mac(key, 42, blob.ciphertext))
+        << "length " << n;
+  }
+}
+
+// Every single-bit change to a sealed blob's ciphertext or nonce, and every
+// one-byte change to its length, must fail verification and leave the
+// output empty.
+TEST(CipherTest, TamperSweepRejectsEveryCase) {
+  const SymmetricKey key = derive_key(2002, "alice#3");
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 17; ++n) lengths.push_back(n);
+  lengths.push_back(2048);
+  std::size_t cases = 0;
+  const auto expect_rejected = [&](const SealedBlob& blob, const char* what,
+                                   std::size_t n, std::size_t where) {
+    std::vector<std::uint8_t> out{1};
+    EXPECT_FALSE(unseal(key, blob, out))
+        << what << " at " << where << ", length " << n;
+    EXPECT_TRUE(out.empty());
+    ++cases;
+  };
+  for (std::size_t n : lengths) {
+    SealedBlob blob = seal(key, 42, kat_plaintext(n));
+    for (std::size_t bit = 0; bit < 8 * n; ++bit) {
+      const auto mask = static_cast<std::uint8_t>(1u << (bit % 8));
+      blob.ciphertext[bit / 8] ^= mask;
+      expect_rejected(blob, "ciphertext bit", n, bit);
+      blob.ciphertext[bit / 8] ^= mask;
+    }
+    for (unsigned bit = 0; bit < 64; ++bit) {
+      blob.nonce ^= std::uint64_t{1} << bit;
+      expect_rejected(blob, "nonce bit", n, bit);
+      blob.nonce ^= std::uint64_t{1} << bit;
+    }
+    blob.ciphertext.push_back(0);
+    expect_rejected(blob, "appended zero byte", n, n);
+    blob.ciphertext.pop_back();
+    if (n > 0) {
+      const std::uint8_t last = blob.ciphertext.back();
+      blob.ciphertext.pop_back();
+      expect_rejected(blob, "dropped last byte", n, n - 1);
+      blob.ciphertext.push_back(last);
+    }
+    std::vector<std::uint8_t> out;
+    ASSERT_TRUE(unseal(key, blob, out)) << "restored blob, length " << n;
+  }
+  EXPECT_EQ(cases, 18861u);
 }
 
 TEST(CipherTest, CostScalesWithSize) {

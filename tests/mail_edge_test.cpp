@@ -202,8 +202,8 @@ TEST_F(MailEdgeFixture, WireSizeHelpers) {
   MailMessage sealed_msg;
   sealed_msg.sensitivity = 3;
   const auto key = crypto::derive_key(1, "k");
-  sealed_msg.sealed =
-      crypto::seal(key, 1, std::vector<std::uint8_t>(1000, 'x'));
+  sealed_msg.sealed = std::make_shared<crypto::SealedBlob>(
+      crypto::seal(key, 1, std::vector<std::uint8_t>(1000, 'x')));
   EXPECT_EQ(sealed_msg.body_bytes(), 1016u);  // +nonce/MAC overhead
 
   std::vector<MailMessage> batch{plain, sealed_msg};

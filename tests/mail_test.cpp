@@ -153,7 +153,7 @@ TEST_F(MailFixture, FullClientServerEncryptionRoundTrip) {
   ASSERT_EQ(server_comp->inbox_size("bob"), 1u);
   // Stored sealed, not in plaintext.
   const Account* bob = server_comp->find_account("bob");
-  ASSERT_TRUE(bob->inbox.messages[0].sealed.has_value());
+  ASSERT_TRUE(bob->inbox.messages[0].sealed != nullptr);
   EXPECT_TRUE(bob->inbox.messages[0].plaintext.empty());
 
   auto recv = invoke(edge, client, receive_request("bob"));
@@ -325,8 +325,8 @@ TEST_F(MailFixture, ServerReencryptsForRecipient) {
   body->message.sensitivity = 4;
   const std::string text = "for bob only";
   const auto key = config->keys->key({"alice", 4}).value();
-  body->message.sealed = crypto::seal(
-      key, 9, std::vector<std::uint8_t>(text.begin(), text.end()));
+  body->message.sealed = std::make_shared<crypto::SealedBlob>(crypto::seal(
+      key, 9, std::vector<std::uint8_t>(text.begin(), text.end())));
   body->message.key_owner = "alice";
   runtime::Request request;
   request.op = ops::kSend;
@@ -334,20 +334,33 @@ TEST_F(MailFixture, ServerReencryptsForRecipient) {
   request.wire_bytes = send_wire_bytes(body->message);
   ASSERT_TRUE(invoke(home, server, std::move(request)).ok);
 
+  auto* comp = dynamic_cast<MailServerComponent*>(
+      runtime.instance(server).component.get());
+  const MailMessage& stored = comp->find_account("bob")->inbox.messages[0];
+  const std::shared_ptr<const crypto::SealedBlob> stored_blob = stored.sealed;
+  ASSERT_NE(stored_blob, nullptr);
+
   auto recv = invoke(home, server, receive_request("bob"));
   ASSERT_TRUE(recv.ok);
   const auto* result = runtime::body_as<ReceiveResultBody>(recv);
   ASSERT_EQ(result->messages.size(), 1u);
   const MailMessage& m = result->messages[0];
   EXPECT_EQ(m.key_owner, "bob");  // re-sealed under the recipient's key
-  ASSERT_TRUE(m.sealed.has_value());
+  ASSERT_TRUE(m.sealed != nullptr);
   std::vector<std::uint8_t> plain;
   ASSERT_TRUE(crypto::unseal(config->keys->key({"bob", 4}).value(), *m.sealed,
                              plain));
   EXPECT_EQ(std::string(plain.begin(), plain.end()), text);
 
-  auto* comp = dynamic_cast<MailServerComponent*>(
-      runtime.instance(server).component.get());
+  // Copy-on-write: re-sealing made a new blob for the returned copy; the
+  // stored message still holds the sender's blob, untouched.
+  EXPECT_NE(m.sealed, stored_blob);
+  EXPECT_EQ(stored.sealed, stored_blob);
+  EXPECT_EQ(stored.key_owner, "alice");
+  plain.clear();
+  ASSERT_TRUE(crypto::unseal(key, *stored.sealed, plain));
+  EXPECT_EQ(std::string(plain.begin(), plain.end()), text);
+
   EXPECT_EQ(comp->mail_stats().reencryptions, 1u);
 }
 

@@ -6,9 +6,11 @@
 #   tools/check.sh --asan     # also: AddressSanitizer build running the
 #                             # suites of CI's sanitize-chaos matrix: chaos,
 #                             # failover, plan-cache, adaptation controller,
-#                             # hierarchy (the anytime improver) and generic
-#                             # server — the fault paths and every caller of
-#                             # the server's plan -> deploy pipeline
+#                             # hierarchy (the anytime improver), generic
+#                             # server, crypto, mail and mail edge — the
+#                             # fault paths, every caller of the server's
+#                             # plan -> deploy pipeline, the cipher's word
+#                             # tails and the shared sealed mail bodies
 #   tools/check.sh --stress   # also: long-running suites (ctest -L stress)
 #   tools/check.sh --coherence # only: the coherence smoke suite
 #                             # (build + ctest -L coherence, via the
@@ -26,6 +28,10 @@
 #   tools/check.sh --planner  # only: the planner suite (build + ctest -L
 #                             # planner + the planner_scaling bench smoke
 #                             # gates)
+#   tools/check.sh --bench    # only: psfbench smoke (its own Release build
+#                             # in build-bench/, every workload for 1 s at
+#                             # seed 1; fails when any psfbench output check
+#                             # fails — no timing is gated)
 #   tools/check.sh --tidy     # also: clang-tidy (see .clang-tidy) over the
 #                             # analysis layer and tools; skipped with a
 #                             # notice when clang-tidy is not installed
@@ -35,7 +41,7 @@
 # psflint gate over in-tree PSDL specs.
 #
 # Run from the repo root. Build trees: build/ (standard), build-asan/,
-# build-ubsan/.
+# build-ubsan/, build-bench/ (psfbench).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -56,6 +62,7 @@ LINT_ONLY=0
 CHAOS_ONLY=0
 ADAPT_ONLY=0
 PLANNER_ONLY=0
+BENCH_ONLY=0
 for arg in "$@"; do
   case "${arg}" in
     --asan) RUN_ASAN=1 ;;
@@ -67,6 +74,7 @@ for arg in "$@"; do
     --chaos) CHAOS_ONLY=1 ;;
     --adapt) ADAPT_ONLY=1 ;;
     --planner) PLANNER_ONLY=1 ;;
+    --bench) BENCH_ONLY=1 ;;
     *) echo "unknown option: ${arg}" >&2; exit 2 ;;
   esac
 done
@@ -118,6 +126,13 @@ if [[ "${PLANNER_ONLY}" == 1 ]]; then
   exit 0
 fi
 
+if [[ "${BENCH_ONLY}" == 1 ]]; then
+  echo "== psfbench smoke (every workload, 1 s, seed 1) =="
+  bash bench/psfbench/run.sh --seconds 1
+  echo "== psfbench smoke passed =="
+  exit 0
+fi
+
 if [[ "${COHERENCE_ONLY}" == 1 ]]; then
   echo "== coherence smoke =="
   cmake -B build -S . >/dev/null
@@ -160,17 +175,21 @@ if [[ "${RUN_UBSAN}" == 1 ]]; then
 fi
 
 if [[ "${RUN_ASAN}" == 1 ]]; then
-  echo "== AddressSanitizer build (chaos + adaptation + cold paths) =="
+  echo "== AddressSanitizer build (chaos + adaptation + cold paths + crypto/mail) =="
   cmake -B build-asan -S . -DPSF_SANITIZE=address >/dev/null
   cmake --build build-asan -j "${JOBS}" \
     --target chaos_test failover_test plan_cache_test \
-    adaptation_controller_test hierarchy_test generic_test
+    adaptation_controller_test hierarchy_test generic_test \
+    crypto_test mail_test mail_edge_test
   ./build-asan/tests/chaos_test
   ./build-asan/tests/failover_test
   ./build-asan/tests/plan_cache_test
   ./build-asan/tests/adaptation_controller_test
   ./build-asan/tests/hierarchy_test
   ./build-asan/tests/generic_test
+  ./build-asan/tests/crypto_test
+  ./build-asan/tests/mail_test
+  ./build-asan/tests/mail_edge_test
 fi
 
 echo "== all checks passed =="
