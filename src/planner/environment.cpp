@@ -165,12 +165,8 @@ spec::PropertyValue TransformMemo::transform(const EnvironmentView& env,
   if (route.local()) return value;  // identity: nothing to traverse or cache
   std::vector<Entry>& entries = cache_[Key{&route, from.value, property}];
   for (const Entry& e : entries) {
-    if (e.in == value) {
-      ++hits_;
-      return e.out;
-    }
+    if (e.in == value) return e.out;
   }
-  ++misses_;
   spec::PropertyValue out =
       env.transform_along(rules, property, value, route, from);
   entries.push_back(Entry{value, out});

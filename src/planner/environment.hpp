@@ -150,14 +150,14 @@ class EnvironmentView {
   mutable std::map<std::string, spec::Environment> principal_envs_;
 };
 
-// Memoizes EnvironmentView::transform_along within one planner search. The
+// Memoizes EnvironmentView::transform_along within one Planner::plan call. The
 // mapping DFS re-applies the same (property, value, route) transform every
 // time it revisits a candidate edge under a different partial plan, and each
 // application walks every link and intermediate node of the route. Keyed by
 // route identity (pointers into the network's route cache are stable between
 // mutations), traversal origin, property, and input value; distinct input
 // values per key are few, so they live in a small linear-scanned vector.
-// Each Search owns one memo.
+// Every search unit of one plan call shares one memo.
 class TransformMemo {
  public:
   spec::PropertyValue transform(const EnvironmentView& env,
@@ -166,9 +166,6 @@ class TransformMemo {
                                 const spec::PropertyValue& value,
                                 const net::Route& route, net::NodeId from);
 
-  std::uint64_t hits() const { return hits_; }
-  std::uint64_t misses() const { return misses_; }
-
  private:
   struct Entry {
     spec::PropertyValue in;
@@ -176,8 +173,6 @@ class TransformMemo {
   };
   using Key = std::tuple<const net::Route*, std::uint32_t, std::string>;
   std::map<Key, std::vector<Entry>> cache_;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
 };
 
 }  // namespace psf::planner

@@ -2,12 +2,14 @@
 #include "planner/planner.hpp"
 
 #include <algorithm>
-#include <functional>
+#include <cmath>
 #include <limits>
 #include <map>
+#include <memory>
 #include <optional>
 #include <span>
 #include <sstream>
+#include <type_traits>
 
 #include "planner/cluster.hpp"
 #include "planner/dp_chain.hpp"
@@ -85,6 +87,250 @@ bool budget_spent(const PlanRequest& request, const SearchStats& stats,
          incumbent < kInfinity;
 }
 
+// A non-owning reference to a callable: an object pointer and a call thunk,
+// two words, never allocating (a std::function holding one of the search's
+// lambdas would heap-allocate on every edge). Every search callback runs
+// synchronously inside the call it is passed to, so a lambda written in the
+// argument list outlives the reference.
+template <typename Signature>
+class CallbackRef;
+
+template <typename R, typename... Args>
+class CallbackRef<R(Args...)> {
+ public:
+  template <typename F>
+    requires(!std::is_same_v<std::remove_cvref_t<F>, CallbackRef>)
+  CallbackRef(F&& f)  // NOLINT(google-explicit-constructor)
+      : object_(const_cast<void*>(static_cast<const void*>(std::addressof(f)))),
+        call_([](void* object, Args... args) -> R {
+          return (*static_cast<std::remove_reference_t<F>*>(object))(args...);
+        }) {}
+
+  R operator()(Args... args) const { return call_(object_, args...); }
+
+ private:
+  void* object_;
+  R (*call_)(void*, Args...);
+};
+
+using Requirements =
+    std::vector<std::pair<std::string, spec::PropertyValue>>;
+
+// The reuse pool as the requirement edges for one interface see it, built
+// once per plan. The search's pool walk visits every pooled instance and
+// counts each as an examined candidate, implementer or not (the charge
+// docs/COSTMODEL.md describes); this index lets it skip the
+// non-implementers in bulk. Each implementer carries how many
+// non-implementers the walk visits just before it, and how many of those
+// sit on down nodes (a down instance is rejected before its interfaces are
+// looked at), so the search adds those counts exactly where the walk would
+// have: candidates_examined is also the anytime budget, and a callback
+// deeper in the walk may read it.
+struct PoolInterface {
+  struct Implementer {
+    std::size_t index = 0;  // position in the pool
+    std::uint64_t skipped = 0;
+    std::uint64_t skipped_down = 0;
+    bool node_down = false;
+    // The instance's effective values for this interface.
+    const std::map<std::string, spec::PropertyValue>* props = nullptr;
+  };
+
+  const std::string* name = nullptr;
+  // Components that implement the interface, in declaration order (the
+  // spec's ImplementerIndex entry); null when none does.
+  const std::vector<spec::ImplementerRef>* components = nullptr;
+  std::vector<Implementer> pooled;
+  std::uint64_t trailing = 0;  // non-implementers after the last implementer
+  std::uint64_t trailing_down = 0;
+};
+
+// What the checks that depend only on (component, node) conclude, worked
+// out once per plan on the pair's first touch — the node-consistency step a
+// constraint-based deployer runs before its search — so that examining a
+// candidate costs a table lookup instead of a walk over string-keyed maps.
+struct Candidate {
+  // The first static check that fails, in the search's rejection order
+  // (the dynamic cycle guard sits between kStatic and kCondition).
+  enum class Verdict : std::uint8_t {
+    kNodeDown,
+    kStatic,
+    kCondition,
+    kFactor,
+    kOk,
+  };
+
+  // One Requires entry: its interface's pool view and its requirements
+  // bound to literals (factor and node references bind in the requiring
+  // component's context).
+  struct Edge {
+    const PoolInterface* iface = nullptr;
+    Requirements reqs;
+  };
+
+  // A declared value of an implemented interface that binds to a literal
+  // and that no modification rule can change along a route: a requirement
+  // it fails rejects the candidate before the search recurses.
+  struct FixedValue {
+    const std::string* property = nullptr;
+    spec::PropertyValue value;
+  };
+
+  bool filled = false;
+  Verdict verdict = Verdict::kOk;
+  // Set when the verdict is kOk:
+  const spec::Environment* env = nullptr;
+  const net::Node* host = nullptr;
+  FactorBindings factors;
+  std::vector<Edge> edges;                     // per Requires entry
+  std::vector<std::vector<FixedValue>> fixed;  // per Implements entry
+};
+
+// Everything one Planner::plan call works out once and every search unit
+// shares: the candidate table, the pool index and the transform memo.
+class PlanTables {
+ public:
+  PlanTables(const spec::ServiceSpec& spec, const EnvironmentView& env,
+             const spec::ImplementerIndex& index,
+             const std::vector<ExistingInstance>& pool)
+      : spec_(spec),
+        env_(env),
+        network_(env.network()),
+        index_(index),
+        pool_(pool),
+        rows_(network_.node_count()) {}
+
+  // The (component, node) entry, filled on first touch. A node's row is
+  // allocated on the node's first touch and never resized, so references
+  // stay valid for the whole plan.
+  Candidate& candidate(const spec::ComponentDef& comp, net::NodeId node) {
+    std::vector<Candidate>& row = rows_[node.value];
+    if (row.empty()) row.resize(spec_.components.size());
+    Candidate& c = row[component_index(comp)];
+    if (!c.filled) fill(c, comp, node);
+    return c;
+  }
+
+  const PoolInterface& interface(const std::string& name) {
+    auto it = interfaces_.find(name);
+    if (it == interfaces_.end()) {
+      it = interfaces_.emplace(name, PoolInterface{}).first;
+      index_pool(it->first, it->second);
+    }
+    return it->second;
+  }
+
+  // `comp`'s position in the spec; pooled instances are of spec components
+  // too.
+  std::size_t component_index(const spec::ComponentDef& comp) const {
+    const std::size_t i =
+        static_cast<std::size_t>(&comp - spec_.components.data());
+    PSF_CHECK(i < spec_.components.size());
+    return i;
+  }
+
+  TransformMemo& memo() { return memo_; }
+
+ private:
+  void fill(Candidate& c, const spec::ComponentDef& comp, net::NodeId node) {
+    c.filled = true;
+    if (!network_.node_up(node)) {
+      c.verdict = Candidate::Verdict::kNodeDown;
+      return;
+    }
+    if (comp.static_placement) {
+      c.verdict = Candidate::Verdict::kStatic;
+      return;
+    }
+    const spec::Environment& node_env = env_.node_env(node);
+    // §3.3 condition 1: installation conditions.
+    for (const spec::Condition& cond : comp.conditions) {
+      if (!cond.holds(node_env)) {
+        c.verdict = Candidate::Verdict::kCondition;
+        return;
+      }
+    }
+    // Bind factors against the node environment (a factor may refer to an
+    // earlier one).
+    for (const spec::PropertyAssignment& f : comp.factors) {
+      spec::PropertyValue v = resolve_value(f.value, node_env, c.factors);
+      if (!v.is_set()) {
+        c.verdict = Candidate::Verdict::kFactor;
+        return;
+      }
+      c.factors.values[f.property] = std::move(v);
+    }
+    c.verdict = Candidate::Verdict::kOk;
+    c.env = &node_env;
+    c.host = &network_.node(node);
+
+    c.edges.reserve(comp.requires_.size());
+    for (const spec::LinkageDecl& req : comp.requires_) {
+      Candidate::Edge& edge = c.edges.emplace_back();
+      edge.iface = &interface(req.interface_name);
+      for (const spec::PropertyAssignment& pa : req.properties) {
+        spec::PropertyValue v = resolve_value(pa.value, node_env, c.factors);
+        if (v.is_set()) edge.reqs.emplace_back(pa.property, std::move(v));
+      }
+    }
+
+    c.fixed.reserve(comp.implements.size());
+    for (const spec::LinkageDecl& decl : comp.implements) {
+      std::vector<Candidate::FixedValue>& fixed = c.fixed.emplace_back();
+      for (auto it = decl.properties.begin(); it != decl.properties.end();
+           ++it) {
+        // Only a property's first declaration counts (LinkageDecl::value_of).
+        const bool shadowed =
+            std::any_of(decl.properties.begin(), it,
+                        [&it](const spec::PropertyAssignment& earlier) {
+                          return earlier.property == it->property;
+                        });
+        if (shadowed || spec_.rules.find(it->property) != nullptr) continue;
+        spec::PropertyValue v = resolve_value(it->value, node_env, c.factors);
+        if (v.is_set()) fixed.push_back({&it->property, std::move(v)});
+      }
+    }
+  }
+
+  void index_pool(const std::string& name, PoolInterface& out) {
+    out.name = &name;
+    auto it = index_.find(name);
+    if (it != index_.end()) out.components = &it->second;
+    std::uint64_t skipped = 0;
+    std::uint64_t skipped_down = 0;
+    for (std::size_t i = 0; i < pool_.size(); ++i) {
+      const ExistingInstance& inst = pool_[i];
+      const bool down = !network_.node_up(inst.node);
+      auto eff = inst.effective.find(name);
+      if (eff == inst.effective.end()) {
+        ++skipped;
+        if (down) ++skipped_down;
+        continue;
+      }
+      PoolInterface::Implementer& impl = out.pooled.emplace_back();
+      impl.index = i;
+      impl.skipped = skipped;
+      impl.skipped_down = skipped_down;
+      impl.node_down = down;
+      impl.props = &eff->second;
+      skipped = 0;
+      skipped_down = 0;
+    }
+    out.trailing = skipped;
+    out.trailing_down = skipped_down;
+  }
+
+  const spec::ServiceSpec& spec_;
+  const EnvironmentView& env_;
+  const net::Network& network_;
+  const spec::ImplementerIndex& index_;
+  const std::vector<ExistingInstance>& pool_;
+  // By node id: one Candidate per component, in spec order.
+  std::vector<std::vector<Candidate>> rows_;
+  std::map<std::string, PoolInterface> interfaces_;
+  TransformMemo memo_;
+};
+
 class Search {
  public:
   // `candidate_nodes` restricts where NEW components may be placed (existing
@@ -94,13 +340,15 @@ class Search {
   // when none); `stats` carries the counters of those units too, which is
   // what the anytime budget counts against.
   Search(const spec::ServiceSpec& spec, const EnvironmentView& env,
-         const spec::ImplementerIndex& index, const PlanRequest& request,
+         const spec::ImplementerIndex& index, PlanTables& tables,
+         const PlanRequest& request,
          const std::vector<ExistingInstance>& existing, double incumbent,
          SearchStats& stats, const std::vector<net::NodeId>& candidate_nodes)
       : spec_(spec),
         env_(env),
         network_(env.network()),
         index_(index),
+        tables_(tables),
         request_(request),
         existing_(existing),
         incumbent_(incumbent),
@@ -110,6 +358,8 @@ class Search {
     node_load_.assign(network_.node_count(), 0.0);
     link_load_.assign(network_.link_count(), 0.0);
     existing_added_rps_.assign(existing.size(), 0.0);
+    placed_existing_.assign(existing.size(), kNotPlaced);
+    rtt_slot_.assign(network_.node_count(), kNoSlot);
   }
 
   // Explores the entry-level candidates in order: implementing components
@@ -141,21 +391,42 @@ class Search {
   const Score& best_score() const { return best_score_; }
 
  private:
-  using Requirements =
-      std::vector<std::pair<std::string, spec::PropertyValue>>;
   // sink(root, padded, warm): both values are edge_rtt + subtree latency as
   // seen from the caller. `padded` applies the cold-view discount to newly
   // deployed views and drives plan *scoring*; `warm` uses true RRFs and is
   // what gets recorded (and later reused as an existing instance's
   // downstream latency once its cache is warm).
-  using Sink = std::function<void(InstanceId, double, double)>;
+  using Sink = CallbackRef<void(InstanceId, double, double)>;
+  // done(padded, warm): every requirement edge of a placement is solved.
+  using Done = CallbackRef<void(double, double)>;
 
-  // A solved child edge, kept for transparent property inheritance.
-  struct ChildRecord {
-    InstanceId root;
-    std::string iface;
-    const net::Route* route_to_parent;  // from the child's node to `parent`
+  // One placement of the partial plan. It refers to its factor bindings
+  // (in the candidate table or the reuse pool) and its effective properties
+  // (in the reuse pool, or in the try_new frame of a new placement, which
+  // outlives every use of the placement) instead of copying them;
+  // finish_plan copies them into a Placement only for a plan that becomes
+  // the incumbent.
+  struct Working {
+    const spec::ComponentDef* component = nullptr;
+    net::NodeId node;
+    const FactorBindings* factors = nullptr;
+    const EffectiveProps* effective = nullptr;
+    double expected_latency_s = 0.0;
+    double inbound_rate_rps = 0.0;
+    const ExistingInstance* existing = nullptr;  // set when reused
   };
+
+  // A wire of the partial plan; finish_plan materializes it as a Wire.
+  struct WorkingWire {
+    InstanceId client = 0;
+    const std::string* interface_name = nullptr;
+    InstanceId server = 0;
+    const net::Route* route = nullptr;
+    double rate_rps = 0.0;
+  };
+
+  static constexpr InstanceId kNotPlaced = UINT32_MAX;
+  static constexpr std::uint32_t kNoSlot = UINT32_MAX;
 
   // ---- branch-and-bound ---------------------------------------------------
 
@@ -198,6 +469,39 @@ class Search {
     return cost;
   }
 
+  // edge_rtt_seconds over `route` (from `from` to `to`) for `comp`'s
+  // messages, memoized: the same link sums in the same order, so the same
+  // double. The memo lives per search unit: a dense table over the nodes
+  // the unit has touched (a cluster refinement's, or a small world's), a
+  // row per `from`.
+  double edge_rtt(net::NodeId from, net::NodeId to, const net::Route& route,
+                  const spec::ComponentDef& comp) {
+    const std::size_t components = spec_.components.size();
+    const std::uint32_t from_slot = rtt_slot(from);
+    const std::size_t i =
+        rtt_slot(to) * components + tables_.component_index(comp);
+    std::vector<double>& rtt = rtt_rows_[from_slot];
+    if (i >= rtt.size()) {
+      rtt.resize((i / components + 1) * components,
+                 std::numeric_limits<double>::quiet_NaN());
+    }
+    if (std::isnan(rtt[i])) {
+      rtt[i] = edge_rtt_seconds(network_, route,
+                                comp.behaviors.bytes_per_request,
+                                comp.behaviors.bytes_per_response);
+    }
+    return rtt[i];
+  }
+
+  std::uint32_t rtt_slot(net::NodeId node) {
+    std::uint32_t& slot = rtt_slot_[node.value];
+    if (slot == kNoSlot) {
+      slot = static_cast<std::uint32_t>(rtt_rows_.size());
+      rtt_rows_.emplace_back();
+    }
+    return slot;
+  }
+
   // ---- search ---------------------------------------------------------
 
   // Explores every feasible way to provide `iface` (meeting `reqs`) to a
@@ -227,8 +531,8 @@ class Search {
   bool duplicates_parent(InstanceId parent, const spec::ComponentDef* comp,
                          const FactorBindings& factors) const {
     if (parent == kNoParent) return false;
-    const Placement& p = placements_[parent];
-    return p.component == comp && p.factors == factors;
+    const Working& p = placements_[parent];
+    return p.component == comp && *p.factors == factors;
   }
 
   // Views extend the duplicate check to the entire requirement path: a
@@ -239,48 +543,51 @@ class Search {
                                const FactorBindings& factors) const {
     if (!comp->is_view()) return false;
     for (const auto& [path_comp, path_factors] : view_path_) {
-      if (path_comp == comp && path_factors == factors) return true;
+      if (path_comp == comp && *path_factors == factors) return true;
     }
     return false;
   }
 
-  void satisfy(const std::string& iface, const Requirements& reqs,
+  void satisfy(const PoolInterface& iface, const Requirements& reqs,
                net::NodeId from, double rate, std::size_t depth,
                InstanceId parent, double discount, double committed,
-               const Sink& sink) {
+               Sink sink) {
     if (depth > request_.max_depth) return;
     if (expired()) return;
 
-    // (a) Reuse an already-running instance.
-    for (std::size_t e = 0; e < existing_.size(); ++e) {
-      try_existing(e, iface, reqs, from, rate, parent, discount, committed,
+    // (a) Reuse an already-running instance. The walk counts every pooled
+    // instance; the non-implementers are counted in bulk where the walk
+    // reaches them.
+    for (const PoolInterface::Implementer& pooled : iface.pooled) {
+      stats_.candidates_examined += pooled.skipped;
+      stats_.rejected_node_down += pooled.skipped_down;
+      try_existing(pooled, reqs, from, rate, parent, discount, committed,
                    sink);
     }
+    stats_.candidates_examined += iface.trailing;
+    stats_.rejected_node_down += iface.trailing_down;
 
     // (b) Deploy a new component.
-    auto it = index_.find(iface);
-    if (it == index_.end()) return;
-    for (const spec::ImplementerRef& ref : it->second) {
+    if (iface.components == nullptr) return;
+    for (const spec::ImplementerRef& ref : *iface.components) {
       for (net::NodeId node : candidate_nodes_) {
         if (expired()) return;
-        try_new(*ref.component, *ref.linkage, node, iface, reqs, from, rate,
-                depth, parent, discount, committed, sink);
+        try_new(*ref.component, *ref.linkage, node, *iface.name, reqs, from,
+                rate, depth, parent, discount, committed, sink);
       }
     }
   }
 
-  void try_existing(std::size_t index, const std::string& iface,
+  void try_existing(const PoolInterface::Implementer& pooled,
                     const Requirements& reqs, net::NodeId from, double rate,
                     InstanceId parent, double discount, double committed,
-                    const Sink& sink) {
-    const ExistingInstance& inst = existing_[index];
+                    Sink sink) {
+    const ExistingInstance& inst = existing_[pooled.index];
     ++stats_.candidates_examined;
-    if (!network_.node_up(inst.node)) {
+    if (pooled.node_down) {
       ++stats_.rejected_node_down;
       return;
     }
-    auto eff_it = inst.effective.find(iface);
-    if (eff_it == inst.effective.end()) return;
     if (duplicates_parent(parent, inst.component, inst.factors) ||
         view_duplicated_on_path(inst.component, inst.factors)) {
       ++stats_.rejected_duplicate_view;
@@ -289,7 +596,8 @@ class Search {
 
     const double capacity = inst.component->behaviors.capacity_rps;
     if (capacity > 0.0 &&
-        inst.current_load_rps + existing_added_rps_[index] + rate > capacity) {
+        inst.current_load_rps + existing_added_rps_[pooled.index] + rate >
+            capacity) {
       ++stats_.rejected_instance_capacity;
       return;
     }
@@ -311,18 +619,17 @@ class Search {
     // §3.3 condition 2 against the instance's stored effective properties.
     for (const auto& [prop, required] : reqs) {
       spec::PropertyValue v;
-      auto vit = eff_it->second.find(prop);
-      if (vit != eff_it->second.end()) v = vit->second;
-      v = memo_.transform(env_, spec_.rules, prop, v, *route_back, inst.node);
+      auto vit = pooled.props->find(prop);
+      if (vit != pooled.props->end()) v = vit->second;
+      v = tables_.memo().transform(env_, spec_.rules, prop, v, *route_back,
+                                   inst.node);
       if (!v.satisfies(required)) {
         ++stats_.rejected_compatibility;
         return;
       }
     }
 
-    const double rtt = edge_rtt_seconds(
-        network_, *route_in, inst.component->behaviors.bytes_per_request,
-        inst.component->behaviors.bytes_per_response);
+    const double rtt = edge_rtt(from, inst.node, *route_in, *inst.component);
 
     // Bound: reusing an instance commits this edge's RTT plus the instance's
     // (exactly known) downstream latency; it adds no deployment cost, and
@@ -365,38 +672,27 @@ class Search {
       return;
     }
 
-    InstanceId pid;
-    bool created = false;
-    auto placed = placed_existing_.find(inst.runtime_id);
-    if (placed != placed_existing_.end()) {
-      pid = placed->second;
-    } else {
-      pid = static_cast<InstanceId>(placements_.size());
-      Placement p;
-      p.id = pid;
-      p.component = inst.component;
-      p.node = inst.node;
-      p.factors = inst.factors;
-      p.effective = inst.effective;
-      p.expected_latency_s = inst.downstream_latency_s;
-      p.reuse_existing = true;
-      p.existing_runtime_id = inst.runtime_id;
-      placements_.push_back(std::move(p));
-      placed_existing_[inst.runtime_id] = pid;
-      created = true;
+    const bool created = placed_existing_[pooled.index] == kNotPlaced;
+    if (created) {
+      placed_existing_[pooled.index] =
+          static_cast<InstanceId>(placements_.size());
+      placements_.push_back(Working{inst.component, inst.node, &inst.factors,
+                                    &inst.effective,
+                                    inst.downstream_latency_s, 0.0, &inst});
     }
+    const InstanceId pid = placed_existing_[pooled.index];
     placements_[pid].inbound_rate_rps += rate;
-    existing_added_rps_[index] += rate;
+    existing_added_rps_[pooled.index] += rate;
 
     // An existing instance is warm on both tracks.
     sink(pid, rtt + inst.downstream_latency_s,
          rtt + inst.downstream_latency_s);
 
     // Undo.
-    existing_added_rps_[index] -= rate;
+    existing_added_rps_[pooled.index] -= rate;
     placements_[pid].inbound_rate_rps -= rate;
     if (created) {
-      placed_existing_.erase(inst.runtime_id);
+      placed_existing_[pooled.index] = kNotPlaced;
       placements_.pop_back();
     }
     release_route(*route_in, inst.component->behaviors, rate);
@@ -406,17 +702,18 @@ class Search {
                net::NodeId node, const std::string& iface,
                const Requirements& reqs, net::NodeId from, double rate,
                std::size_t depth, InstanceId parent, double discount,
-               double committed, const Sink& sink) {
+               double committed, Sink sink) {
     ++stats_.candidates_examined;
+    Candidate& c = tables_.candidate(comp, node);
 
     // A crashed/down node hosts nothing new.
-    if (!network_.node_up(node)) {
+    if (c.verdict == Candidate::Verdict::kNodeDown) {
       ++stats_.rejected_node_down;
       return;
     }
 
     // Static components only participate through pre-placed instances.
-    if (comp.static_placement) {
+    if (c.verdict == Candidate::Verdict::kStatic) {
       ++stats_.rejected_static;
       return;
     }
@@ -429,28 +726,19 @@ class Search {
       return;
     }
 
-    const spec::Environment& node_env = env_.node_env(node);
-
     // §3.3 condition 1: installation conditions.
-    for (const spec::Condition& cond : comp.conditions) {
-      if (!cond.holds(node_env)) {
-        ++stats_.rejected_condition;
-        return;
-      }
+    if (c.verdict == Candidate::Verdict::kCondition) {
+      ++stats_.rejected_condition;
+      return;
     }
 
-    // Bind factors against the node environment.
-    FactorBindings factors;
-    for (const spec::PropertyAssignment& f : comp.factors) {
-      spec::PropertyValue v = resolve_value(f.value, node_env, factors);
-      if (!v.is_set()) {
-        ++stats_.rejected_factor;
-        return;  // unbindable factor: infeasible here
-      }
-      factors.values[f.property] = std::move(v);
+    // An unbindable factor: infeasible here.
+    if (c.verdict == Candidate::Verdict::kFactor) {
+      ++stats_.rejected_factor;
+      return;
     }
-    if (duplicates_parent(parent, &comp, factors) ||
-        view_duplicated_on_path(&comp, factors)) {
+    if (duplicates_parent(parent, &comp, c.factors) ||
+        view_duplicated_on_path(&comp, c.factors)) {
       ++stats_.rejected_duplicate_view;
       return;
     }
@@ -465,22 +753,22 @@ class Search {
     // Early filter for §3.3 condition 2: a *declared* value that fails its
     // requirement can only be rescued by a modification rule; without a rule
     // for the property, prune before recursing.
+    const std::vector<Candidate::FixedValue>& fixed =
+        c.fixed[static_cast<std::size_t>(&impl - comp.implements.data())];
     for (const auto& [prop, required] : reqs) {
-      if (auto declared = impl.value_of(prop)) {
-        const spec::PropertyValue v =
-            resolve_value(*declared, node_env, factors);
-        if (v.is_set() && spec_.rules.find(prop) == nullptr &&
-            !v.satisfies(required)) {
-          ++stats_.subtrees_pruned;
+      for (const Candidate::FixedValue& declared : fixed) {
+        if (*declared.property != prop) continue;
+        if (!declared.value.satisfies(required)) {
           ++stats_.rejected_compatibility;
           return;
         }
+        break;
       }
     }
 
     // §3.3 condition 3: node CPU, component capacity, inbound link load.
     const double cpu_add = rate * comp.behaviors.cpu_per_request;
-    const net::Node& host = network_.node(node);
+    const net::Node& host = *c.host;
     if (node_load_[node.value] + cpu_add > host.cpu_available()) {
       ++stats_.rejected_node_capacity;
       return;
@@ -493,9 +781,7 @@ class Search {
 
     const double cpu_time_s =
         comp.behaviors.cpu_per_request / host.cpu_capacity;
-    const double rtt = edge_rtt_seconds(
-        network_, *route_in, comp.behaviors.bytes_per_request,
-        comp.behaviors.bytes_per_response);
+    const double rtt = edge_rtt(from, node, *route_in, comp);
     // Cold-cache discount for newly deployed views (see PlanRequest).
     const double warm_rrf = comp.behaviors.rrf;
     double padded_rrf = warm_rrf;
@@ -557,45 +843,37 @@ class Search {
     }
     node_load_[node.value] += cpu_add;
     path_.emplace_back(&comp, node.value);
-    if (comp.is_view()) view_path_.emplace_back(&comp, factors);
+    if (comp.is_view()) view_path_.emplace_back(&comp, &c.factors);
     committed_cost_ += cost_add;
 
+    // The placement's effective properties, recomputed for each set of
+    // children.
+    EffectiveProps effective;
     const InstanceId pid = static_cast<InstanceId>(placements_.size());
-    {
-      Placement p;
-      p.id = pid;
-      p.component = &comp;
-      p.node = node;
-      p.factors = factors;
-      p.inbound_rate_rps = rate;
-      placements_.push_back(std::move(p));
-    }
-
-    std::vector<ChildRecord> children;
+    placements_.push_back(
+        Working{&comp, node, &c.factors, &effective, 0.0, rate, nullptr});
 
     satisfy_children(
-        comp, factors, node_env, pid, node, rate * padded_rrf, depth,
-        0, 0.0, 0.0, discount * padded_rrf, child_committed, children,
+        c, comp, pid, node, rate * padded_rrf, depth, 0, 0.0, 0.0,
+        discount * padded_rrf, child_committed,
         [&](double children_padded_s, double children_warm_s) {
-          Placement& self = placements_[pid];
+          Working& self = placements_[pid];
           self.expected_latency_s = cpu_time_s + warm_rrf * children_warm_s;
           const double padded_latency_s =
               cpu_time_s + padded_rrf * children_padded_s;
-          self.effective =
-              compute_effective(comp, node_env, factors, children);
+          effective = compute_effective(comp, *c.env, c.factors, pid);
 
           // §3.3 condition 2 in full: effective properties, degraded along
           // the route back to the consumer, must satisfy the requirements.
-          auto eff_it = self.effective.find(iface);
-          PSF_CHECK(eff_it != self.effective.end());
+          auto eff_it = effective.find(iface);
+          PSF_CHECK(eff_it != effective.end());
           for (const auto& [prop, required] : reqs) {
             spec::PropertyValue v;
             auto vit = eff_it->second.find(prop);
             if (vit != eff_it->second.end()) v = vit->second;
-            v = memo_.transform(env_, spec_.rules, prop, v, *route_back,
-                                node);
+            v = tables_.memo().transform(env_, spec_.rules, prop, v,
+                                         *route_back, node);
             if (!v.satisfies(required)) {
-              ++stats_.subtrees_pruned;
               ++stats_.rejected_compatibility;
               return;
             }
@@ -619,51 +897,35 @@ class Search {
   // (edge rtt + child subtree latency). `child_discount` / `base_committed`
   // carry the bound (see satisfy); completed sibling edges enter the
   // committed value as they accumulate in `padded_so_far`.
-  void satisfy_children(const spec::ComponentDef& comp,
-                        const FactorBindings& factors,
-                        const spec::Environment& node_env, InstanceId parent,
-                        net::NodeId node, double child_rate, std::size_t depth,
-                        std::size_t index, double padded_so_far,
-                        double warm_so_far, double child_discount,
-                        double base_committed,
-                        std::vector<ChildRecord>& children,
-                        const std::function<void(double, double)>& done) {
+  void satisfy_children(const Candidate& c, const spec::ComponentDef& comp,
+                        InstanceId parent, net::NodeId node, double child_rate,
+                        std::size_t depth, std::size_t index,
+                        double padded_so_far, double warm_so_far,
+                        double child_discount, double base_committed,
+                        Done done) {
     if (index == comp.requires_.size()) {
       done(padded_so_far, warm_so_far);
       return;
     }
-    const spec::LinkageDecl& req = comp.requires_[index];
-
-    // Resolve this edge's requirements to literals (factor/env refs bind in
-    // the *requiring* component's context).
-    Requirements reqs;
-    for (const spec::PropertyAssignment& pa : req.properties) {
-      spec::PropertyValue v = resolve_value(pa.value, node_env, factors);
-      if (v.is_set()) reqs.emplace_back(pa.property, std::move(v));
-    }
+    const Candidate::Edge& edge = c.edges[index];
 
     double committed_here = base_committed;
     if (request_.objective == Objective::kMinLatency) {
       committed_here = base_committed + child_discount * padded_so_far;
     }
 
-    satisfy(req.interface_name, reqs, node, child_rate, depth + 1, parent,
+    satisfy(*edge.iface, edge.reqs, node, child_rate, depth + 1, parent,
             child_discount, committed_here,
             [&](InstanceId child_root, double edge_padded_s,
                 double edge_warm_s) {
               const net::NodeId child_node = placements_[child_root].node;
-              wires_.push_back(Wire{parent, req.interface_name, child_root,
-                                    *network_.cached_route(node, child_node),
-                                    child_rate});
-              children.push_back(
-                  ChildRecord{child_root, req.interface_name,
-                              network_.cached_route(child_node, node)});
-              satisfy_children(comp, factors, node_env, parent, node,
-                               child_rate, depth, index + 1,
-                               padded_so_far + edge_padded_s,
+              wires_.push_back(WorkingWire{
+                  parent, edge.iface->name, child_root,
+                  network_.cached_route(node, child_node), child_rate});
+              satisfy_children(c, comp, parent, node, child_rate, depth,
+                               index + 1, padded_so_far + edge_padded_s,
                                warm_so_far + edge_warm_s, child_discount,
-                               base_committed, children, done);
-              children.pop_back();
+                               base_committed, done);
               wires_.pop_back();
             });
   }
@@ -693,10 +955,16 @@ class Search {
     for (net::LinkId lid : route.links) link_load_[lid.value] -= add_bps;
   }
 
-  EffectiveProps compute_effective(
-      const spec::ComponentDef& comp, const spec::Environment& node_env,
-      const FactorBindings& factors,
-      const std::vector<ChildRecord>& children) {
+  // The effective properties of new placement `self` of `comp`: declared
+  // values, and for a transparent component each undeclared property
+  // inherited from its children (the servers of its wires, in requirement
+  // order) as the minimum of the child's effective value transformed along
+  // the route to `self`.
+  EffectiveProps compute_effective(const spec::ComponentDef& comp,
+                                   const spec::Environment& node_env,
+                                   const FactorBindings& factors,
+                                   InstanceId self) {
+    const net::NodeId node = placements_[self].node;
     EffectiveProps out;
     for (const spec::LinkageDecl& decl : comp.implements) {
       const spec::InterfaceDef* iface =
@@ -708,22 +976,22 @@ class Search {
         if (auto expr = decl.value_of(prop)) {
           value = resolve_value(*expr, node_env, factors);
         } else if (comp.transparent) {
-          // Inherit from downstream: the minimum across children of the
-          // child's effective value transformed along the connecting route.
           spec::PropertyValue inherited;
           bool first = true;
-          for (const ChildRecord& child : children) {
-            const Placement& cp = placements_[child.root];
+          for (const WorkingWire& wire : wires_) {
+            if (wire.client != self) continue;
+            const Working& child = placements_[wire.server];
             spec::PropertyValue cv;
-            for (const auto& [child_iface, child_props] : cp.effective) {
+            for (const auto& [child_iface, child_props] : *child.effective) {
               auto pit = child_props.find(prop);
               if (pit != child_props.end()) {
                 cv = pit->second;
                 break;
               }
             }
-            cv = memo_.transform(env_, spec_.rules, prop, cv,
-                                 *child.route_to_parent, cp.node);
+            cv = tables_.memo().transform(
+                env_, spec_.rules, prop, cv,
+                *network_.cached_route(child.node, node), child.node);
             if (first) {
               inherited = cv;
               first = false;
@@ -749,8 +1017,8 @@ class Search {
     metrics.expected_latency_s = warm_s;
 
     double headroom = 1.0;
-    for (const Placement& p : placements_) {
-      if (p.reuse_existing) {
+    for (const Working& p : placements_) {
+      if (p.existing != nullptr) {
         ++metrics.reused_components;
         continue;
       }
@@ -786,8 +1054,26 @@ class Search {
     if (best_ && !(score < best_score_)) return;
 
     DeploymentPlan plan;
-    plan.placements = placements_;
-    plan.wires = wires_;
+    plan.placements.reserve(placements_.size());
+    for (const Working& w : placements_) {
+      Placement& p = plan.placements.emplace_back();
+      p.id = static_cast<InstanceId>(plan.placements.size() - 1);
+      p.component = w.component;
+      p.node = w.node;
+      p.factors = *w.factors;
+      p.effective = *w.effective;
+      p.expected_latency_s = w.expected_latency_s;
+      p.inbound_rate_rps = w.inbound_rate_rps;
+      if (w.existing != nullptr) {
+        p.reuse_existing = true;
+        p.existing_runtime_id = w.existing->runtime_id;
+      }
+    }
+    plan.wires.reserve(wires_.size());
+    for (const WorkingWire& w : wires_) {
+      plan.wires.push_back(
+          Wire{w.client, *w.interface_name, w.server, *w.route, w.rate_rps});
+    }
     plan.entry = root;
     plan.metrics = metrics;
     best_ = std::move(plan);
@@ -798,29 +1084,36 @@ class Search {
   const EnvironmentView& env_;
   const net::Network& network_;
   const spec::ImplementerIndex& index_;
+  PlanTables& tables_;
   const PlanRequest& request_;
   const std::vector<ExistingInstance>& existing_;
   const double incumbent_;
   SearchStats& stats_;
   const bool bound_pruning_;
   const std::vector<net::NodeId>& candidate_nodes_;
-  TransformMemo memo_;
 
   // Working state (mutated along the DFS, undone on backtrack).
-  std::vector<Placement> placements_;
-  std::vector<Wire> wires_;
+  std::vector<Working> placements_;
+  std::vector<WorkingWire> wires_;
   std::vector<double> node_load_;  // added cpu units/s per node
   std::vector<double> link_load_;  // added bps per link
   std::vector<double> existing_added_rps_;
-  std::map<std::uint64_t, InstanceId> placed_existing_;
+  // By pool position: the placement reusing that instance, or kNotPlaced.
+  std::vector<InstanceId> placed_existing_;
   // (component, node) pairs along the current requirement path, for the
   // cycle guard; at most max_depth long.
   std::vector<std::pair<const spec::ComponentDef*, std::uint32_t>> path_;
-  std::vector<std::pair<const spec::ComponentDef*, FactorBindings>>
+  // Views along the current requirement path, with their factor bindings.
+  std::vector<std::pair<const spec::ComponentDef*, const FactorBindings*>>
       view_path_;
   // Committed (1 + code-transfer cost) of the current partial plan's new
   // placements — the kMinDeploymentCost bound.
   double committed_cost_ = 0.0;
+
+  // The edge-RTT memo: node id → slot, and one row per `from` slot of
+  // (`to` slot × component) cells, NaN until computed.
+  std::vector<std::uint32_t> rtt_slot_;
+  std::vector<std::vector<double>> rtt_rows_;
 
   std::optional<DeploymentPlan> best_;
   Score best_score_;
@@ -856,6 +1149,7 @@ DriveResult drive_search(const spec::ServiceSpec& spec,
                          const std::vector<ExistingInstance>& existing,
                          const std::vector<SearchUnit>& units) {
   DriveResult out;
+  PlanTables tables(spec, env, index, existing);
   Score incumbent;
   for (const SearchUnit& unit : units) {
     if (request.bound_pruning &&
@@ -868,8 +1162,8 @@ DriveResult drive_search(const spec::ServiceSpec& spec,
       continue;
     }
     ++out.units_searched;
-    Search search(spec, env, index, request, existing, incumbent.primary,
-                  out.stats, unit.candidates);
+    Search search(spec, env, index, tables, request, existing,
+                  incumbent.primary, out.stats, unit.candidates);
     search.run();
     std::optional<DeploymentPlan> plan = search.take_best();
     if (plan.has_value() &&
@@ -880,6 +1174,7 @@ DriveResult drive_search(const spec::ServiceSpec& spec,
   }
   return out;
 }
+
 
 util::Status no_plan(const spec::ServiceSpec& spec, const EnvironmentView& env,
                      const PlanRequest& request, const std::string& detail) {
@@ -930,7 +1225,6 @@ std::optional<std::vector<net::NodeId>> path_topology_from(
 
 SearchStats& SearchStats::operator+=(const SearchStats& other) {
   candidates_examined += other.candidates_examined;
-  subtrees_pruned += other.subtrees_pruned;
   plans_scored += other.plans_scored;
   pruned_by_bound += other.pruned_by_bound;
   rejected_static += other.rejected_static;
@@ -1024,8 +1318,11 @@ util::Expected<DeploymentPlan> Planner::plan(
       request.client_node.value >= env_.network().node_count()) {
     return util::invalid_argument("invalid client node");
   }
-  if (request.request_rate_rps < 0.0) {
-    return util::invalid_argument("negative request rate");
+  // `rate < 0` alone lets NaN through, and a NaN rate passes every
+  // capacity check it is compared in.
+  if (!std::isfinite(request.request_rate_rps) ||
+      request.request_rate_rps < 0.0) {
+    return util::invalid_argument("request rate must be finite and >= 0");
   }
 
   // A restricted candidate set (plan repair) bypasses the chain-DP and

@@ -148,7 +148,6 @@ struct PlanRequest {
 
 struct SearchStats {
   std::uint64_t candidates_examined = 0;
-  std::uint64_t subtrees_pruned = 0;
   std::uint64_t plans_scored = 0;
   // Subtrees cut because the admissible lower bound of every completion was
   // already worse than the incumbent plan's score.

@@ -204,6 +204,14 @@ GenericServer::ServiceState* GenericServer::resolve_request(
     done(util::not_found("service '" + service + "' not registered"));
     return nullptr;
   }
+  // Before the fingerprint and the cache: a NaN rate would share the 1 rps
+  // rate bucket's entry, and its load accounting would turn every pooled
+  // load it touches into NaN, which then admits any rate.
+  if (!std::isfinite(request.request_rate_rps) ||
+      request.request_rate_rps < 0.0) {
+    done(util::invalid_argument("request rate must be finite and >= 0"));
+    return nullptr;
+  }
   if (!request.code_origin.valid()) {
     request.code_origin = state->registration.code_origin;
   }

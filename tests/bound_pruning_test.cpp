@@ -6,11 +6,14 @@
 
 #include <memory>
 #include <sstream>
+#include <string>
 #include <utility>
 
+#include "core/case_study.hpp"
 #include "mail/mail_spec.hpp"
 #include "net/topology.hpp"
 #include "planner/planner.hpp"
+#include "spec/builder.hpp"
 
 namespace {
 
@@ -182,6 +185,329 @@ TEST(BoundPruningTest, StatsMergeAddsCountersAndOrsFlags) {
   EXPECT_NE(text.find("pruned 5"), std::string::npos) << text;
   EXPECT_NE(text.find("condition=5"), std::string::npos) << text;
   EXPECT_EQ(text.find("worker"), std::string::npos) << text;
+}
+
+// ---- Pinned search counters -------------------------------------------
+//
+// Every SearchStats field and the plan, as literal constants. The search's
+// host implementation may change how fast a candidate is examined, never
+// which candidates are examined or in what order: candidates_examined is
+// both the simulated planning charge (GenericServer::deploy_plan) and the
+// anytime budget, so a changed count moves simulated time and can change a
+// truncated plan. The worlds are shaped like psfbench's access_storm: the
+// case-study sites with a reuse pool that mixes ServerInterface and
+// DecryptorInterface implementers with instances implementing neither.
+
+std::string counters(const planner::SearchStats& s) {
+  std::ostringstream oss;
+  oss << "examined=" << s.candidates_examined << " scored=" << s.plans_scored
+      << " bound=" << s.pruned_by_bound << " static=" << s.rejected_static
+      << " cycle=" << s.rejected_cycle
+      << " dup-view=" << s.rejected_duplicate_view
+      << " condition=" << s.rejected_condition
+      << " factor=" << s.rejected_factor
+      << " compat=" << s.rejected_compatibility
+      << " node-cap=" << s.rejected_node_capacity
+      << " link-cap=" << s.rejected_link_capacity
+      << " inst-cap=" << s.rejected_instance_capacity
+      << " unroutable=" << s.rejected_unroutable
+      << " down=" << s.rejected_node_down
+      << " clusters=" << s.clusters_total << "/" << s.clusters_pruned << "/"
+      << s.clusters_refined << " hier=" << s.used_hierarchy
+      << " dp=" << s.used_chain_dp << " deadline=" << s.deadline_hit;
+  return oss.str();
+}
+
+struct CaseStudyWorld {
+  core::CaseStudySites sites;
+  net::Network network;
+  spec::ServiceSpec spec;
+  std::shared_ptr<planner::CredentialMapTranslator> translator;
+  std::unique_ptr<planner::EnvironmentView> env;
+  std::unique_ptr<planner::Planner> planner;
+  std::vector<planner::ExistingInstance> pool;
+
+  explicit CaseStudyWorld(std::size_t nodes_per_site,
+                          spec::ServiceSpec service = mail::mail_service_spec())
+      : spec(std::move(service)) {
+    core::CaseStudyOptions options;
+    options.nodes_per_site = nodes_per_site;
+    network = core::case_study_network(&sites, options);
+    translator = mail::mail_translator();
+    env = std::make_unique<planner::EnvironmentView>(network, *translator);
+    planner = std::make_unique<planner::Planner>(spec, *env);
+  }
+
+  // Pools an instance of `component` at `node` offering `iface` with the
+  // given TrustLevel (and Confidentiality = T where the service has it); a
+  // view's TrustLevel factor binds to the same level.
+  void pool_instance(const char* component, net::NodeId node,
+                     const char* iface, std::int64_t trust,
+                     double downstream_s, double load_rps = 0.0) {
+    planner::ExistingInstance inst;
+    inst.runtime_id = pool.size() + 1;
+    inst.component = spec.find_component(component);
+    inst.node = node;
+    if (inst.component->is_view() && !inst.component->factors.empty()) {
+      inst.factors.values["TrustLevel"] = spec::PropertyValue::integer(trust);
+    }
+    if (spec.find_property("Confidentiality") != nullptr) {
+      inst.effective[iface]["Confidentiality"] =
+          spec::PropertyValue::boolean(true);
+    }
+    inst.effective[iface]["TrustLevel"] = spec::PropertyValue::integer(trust);
+    inst.downstream_latency_s = downstream_s;
+    inst.current_load_rps = load_rps;
+    pool.push_back(std::move(inst));
+  }
+
+  // access_storm's pool after a few cold plans: the home MailServer, views,
+  // and tunnel ends, with a pooled client-side view that implements no
+  // interface a requirement edge asks for.
+  void storm_pool() {
+    const auto& ny = sites.new_york;
+    const auto& sd = sites.san_diego;
+    const auto& sea = sites.seattle;
+    pool_instance("MailServer", sites.mail_home, "ServerInterface", 5, 1e-4);
+    pool_instance("Decryptor", ny[2], "DecryptorInterface", 5, 2e-4);
+    pool_instance("ViewMailClient", sea[3], "ClientInterface", 2, 0.0);
+    pool_instance("Encryptor", sd[0], "ServerInterface", 5, 0.2);
+    pool_instance("ViewMailServer", sd[2], "ServerInterface", 4, 0.05, 10.0);
+    pool_instance("Decryptor", ny[0], "DecryptorInterface", 5, 2e-4);
+    pool_instance("ViewMailClient", sd[1], "ClientInterface", 4, 0.0);
+    pool_instance("ViewMailServer", sea[1], "ServerInterface", 2, 0.08);
+    pool_instance("Encryptor", sea[0], "ServerInterface", 5, 0.4);
+    pool_instance("ViewMailServer", sd[4], "ServerInterface", 4, 0.05, 495.0);
+    pool_instance("Decryptor", ny[4], "DecryptorInterface", 5, 2e-4);
+  }
+
+  planner::PlanRequest request(net::NodeId client, std::int64_t trust,
+                               double rate_rps) const {
+    planner::PlanRequest req;
+    req.interface_name = "ClientInterface";
+    req.required_properties.emplace_back(
+        "TrustLevel", spec::PropertyValue::integer(trust));
+    req.client_node = client;
+    req.request_rate_rps = rate_rps;
+    return req;
+  }
+
+  // counters, the route rows the search filled (psfbench counts them as
+  // work) and the plan (or the error), for one EXPECT_EQ per case.
+  std::string run(const planner::PlanRequest& req) const {
+    planner::SearchStats stats;
+    auto plan = planner->plan(req, pool, &stats);
+    return counters(stats) + " route-rows=" +
+           std::to_string(network.route_rows_materialized()) + "\n" +
+           (plan ? plan->to_string(network) : plan.status().to_string());
+  }
+};
+
+TEST(SearchCountersTest, StormPoolFromSanDiego) {
+  CaseStudyWorld world(6);
+  world.storm_pool();
+  EXPECT_EQ(world.run(world.request(world.sites.sd_client, 4, 8.0)),
+            "examined=158455 scored=2 bound=61452 static=24750 cycle=5046 "
+            "dup-view=3066 condition=8250 factor=0 compat=5464 node-cap=0 "
+            "link-cap=0 inst-cap=937 unroutable=0 down=0 clusters=0/0/0 "
+            "hier=0 dp=0 deadline=0 "
+            "route-rows=18\n"
+            "DeploymentPlan (expected latency 50.46 ms, 1 new / 1 reused "
+            "components)\n"
+            "  #0 MailClient @ sd-5 (entry)\n"
+            "  #1 ViewMailServer[TrustLevel=4] @ sd-2 (existing)\n"
+            "  #0 --ServerInterface--> #1 (1 hop(s), 0 ms)\n");
+}
+
+TEST(SearchCountersTest, StormPoolFromSeattle) {
+  CaseStudyWorld world(6);
+  world.storm_pool();
+  EXPECT_EQ(world.run(world.request(world.sites.sea_client, 2, 4.0)),
+            "examined=158455 scored=1 bound=62791 static=24750 cycle=5046 "
+            "dup-view=2628 condition=8251 factor=0 compat=5500 node-cap=0 "
+            "link-cap=0 inst-cap=0 unroutable=0 down=0 clusters=0/0/0 hier=0 "
+            "dp=0 deadline=0 "
+            "route-rows=18\n"
+            "DeploymentPlan (expected latency 80.455 ms, 1 new / 1 reused "
+            "components)\n"
+            "  #0 ViewMailClient @ sea-5 (entry)\n"
+            "  #1 ViewMailServer[TrustLevel=2] @ sea-1 (existing)\n"
+            "  #0 --ServerInterface--> #1 (1 hop(s), 0 ms)\n");
+}
+
+TEST(SearchCountersTest, PooledInstanceOnDownedNode) {
+  CaseStudyWorld world(6);
+  world.storm_pool();
+  // sd-2 hosts a pooled ViewMailServer: the pool walk counts it as a
+  // node-down rejection on every requirement edge that visits it.
+  world.network.set_node_up(world.sites.san_diego[2], false);
+  EXPECT_EQ(world.run(world.request(world.sites.sd_client, 2, 8.0)),
+            "examined=154072 scored=4 bound=58208 static=23154 cycle=4860 "
+            "dup-view=2550 condition=8172 factor=0 compat=5652 node-cap=0 "
+            "link-cap=0 inst-cap=852 unroutable=0 down=9968 clusters=0/0/0 "
+            "hier=0 dp=0 deadline=0 "
+            "route-rows=17\n"
+            "DeploymentPlan (expected latency 40.1645 ms, 2 new / 1 reused "
+            "components)\n"
+            "  #0 ViewMailClient @ sd-5 (entry)\n"
+            "  #1 ViewMailServer[TrustLevel=4] @ sd-5\n"
+            "  #2 Encryptor @ sd-0 (existing)\n"
+            "  #1 --ServerInterface--> #2 (1 hop(s), 0 ms)\n"
+            "  #0 --ServerInterface--> #1 (local)\n");
+}
+
+// A front end with two requirement edges. Once the first edge binds a
+// pooled instance, the second edge's search checks the anytime budget, so
+// how far the first edge's pool walk has counted when the second edge
+// starts decides what the second edge may still try.
+spec::ServiceSpec fanout_spec() {
+  return spec::SpecBuilder("Fanout")
+      .interval_property("TrustLevel", 1, 5)
+      .interface("Entry", {"TrustLevel"})
+      .interface("Store", {"TrustLevel"})
+      .interface("Index", {"TrustLevel"})
+      .interface("Audit", {"TrustLevel"})
+      .component("Front")
+      .implements("Entry", {})
+      .requires_iface("Store", {{"TrustLevel", spec::lit_int(3)}})
+      .requires_iface("Index", {})
+      .done()
+      .component("StoreServer")
+      .implements("Store", {{"TrustLevel", spec::node_ref("TrustLevel")}})
+      .done()
+      .component("IndexServer")
+      .implements("Index", {{"TrustLevel", spec::lit_int(5)}})
+      .done()
+      .component("AuditLog")
+      .implements("Audit", {{"TrustLevel", spec::lit_int(5)}})
+      .done()
+      .build();
+}
+
+TEST(SearchCountersTest, BudgetTruncatesPartwayThroughPoolWalk) {
+  CaseStudyWorld world(6, fanout_spec());
+  const auto& ny = world.sites.new_york;
+  const auto& sd = world.sites.san_diego;
+  // Implementers of each requirement edge's interface, with instances
+  // implementing neither between and after them.
+  world.pool_instance("AuditLog", ny[0], "Audit", 5, 0.0);
+  world.pool_instance("StoreServer", ny[2], "Store", 5, 0.01);
+  world.pool_instance("AuditLog", ny[3], "Audit", 5, 0.0);
+  world.pool_instance("AuditLog", sd[1], "Audit", 5, 0.0);
+  world.pool_instance("IndexServer", sd[2], "Index", 5, 0.02);
+  world.pool_instance("StoreServer", sd[3], "Store", 4, 0.001);
+  world.pool_instance("AuditLog", sd[4], "Audit", 5, 0.0);
+  world.pool_instance("IndexServer", ny[4], "Index", 5, 0.002);
+  world.pool_instance("AuditLog", ny[5], "Audit", 5, 0.0);
+  const auto run = [&world](std::uint64_t budget) {
+    planner::PlanRequest req;
+    req.interface_name = "Entry";
+    req.client_node = world.sites.sd_client;
+    req.candidate_budget = budget;
+    return world.run(req);
+  };
+  EXPECT_EQ(run(16),
+            "examined=23 scored=1 bound=5 static=0 cycle=0 dup-view=0 "
+            "condition=0 factor=0 compat=0 node-cap=0 link-cap=0 inst-cap=0 "
+            "unroutable=0 down=0 clusters=0/0/0 hier=0 dp=0 deadline=1 "
+            "route-rows=8\n"
+            "DeploymentPlan (expected latency 230.919 ms, 1 new / 2 reused "
+            "components)\n"
+            "  #0 Front @ sd-5 (entry)\n"
+            "  #1 StoreServer @ ny-2 (existing)\n"
+            "  #2 IndexServer @ sd-2 (existing)\n"
+            "  #0 --Store--> #1 (3 hop(s), 100 ms)\n"
+            "  #0 --Index--> #2 (1 hop(s), 0 ms)\n");
+  EXPECT_EQ(run(40),
+            "examined=46 scored=8 bound=14 static=0 cycle=0 dup-view=0 "
+            "condition=0 factor=0 compat=0 node-cap=0 link-cap=0 inst-cap=0 "
+            "unroutable=0 down=0 clusters=0/0/0 hier=0 dp=0 deadline=1 "
+            "route-rows=18\n"
+            "DeploymentPlan (expected latency 21.4277 ms, 1 new / 2 reused "
+            "components)\n"
+            "  #0 Front @ sd-5 (entry)\n"
+            "  #1 StoreServer @ sd-3 (existing)\n"
+            "  #2 IndexServer @ sd-2 (existing)\n"
+            "  #0 --Store--> #1 (1 hop(s), 0 ms)\n"
+            "  #0 --Index--> #2 (1 hop(s), 0 ms)\n");
+  EXPECT_EQ(run(0),
+            "examined=244 scored=30 bound=136 static=0 cycle=0 dup-view=0 "
+            "condition=0 factor=0 compat=6 node-cap=0 link-cap=0 inst-cap=0 "
+            "unroutable=0 down=0 clusters=0/0/0 hier=0 dp=0 deadline=0 "
+            "route-rows=18\n"
+            "DeploymentPlan (expected latency 0.3 ms, 3 new / 0 reused "
+            "components)\n"
+            "  #0 Front @ sd-5 (entry)\n"
+            "  #1 StoreServer @ sd-5\n"
+            "  #2 IndexServer @ sd-5\n"
+            "  #0 --Store--> #1 (local)\n"
+            "  #0 --Index--> #2 (local)\n");
+}
+
+TEST(SearchCountersTest, HierarchicalCaseStudy) {
+  CaseStudyWorld world(22);  // 66 nodes: kAuto searches hierarchically
+  const auto& sd = world.sites.san_diego;
+  world.pool_instance("MailServer", world.sites.mail_home, "ServerInterface",
+                      5, 1e-4);
+  world.pool_instance("ViewMailClient", sd[3], "ClientInterface", 4, 0.0);
+  world.pool_instance("ViewMailServer", sd[7], "ServerInterface", 4, 0.05);
+  world.pool_instance("Decryptor", world.sites.new_york[3],
+                      "DecryptorInterface", 5, 2e-4);
+  planner::PlanRequest req = world.request(world.sites.sea_client, 2, 4.0);
+  req.max_depth = 4;  // keeps the exhaustive refinements test-sized
+  EXPECT_EQ(world.run(req),
+            "examined=75812 scored=10 bound=16706 static=16851 cycle=942 "
+            "dup-view=3780 condition=6309 factor=0 compat=1262 node-cap=0 "
+            "link-cap=0 inst-cap=0 unroutable=0 down=0 clusters=8/0/8 hier=1 "
+            "dp=0 deadline=0 "
+            "route-rows=66\n"
+            "DeploymentPlan (expected latency 120.909 ms, 3 new / 1 reused "
+            "components)\n"
+            "  #0 ViewMailClient @ sea-21 (entry)\n"
+            "  #1 ViewMailServer[TrustLevel=2] @ sea-21\n"
+            "  #2 Encryptor @ sea-21\n"
+            "  #3 Decryptor @ ny-3 (existing)\n"
+            "  #2 --DecryptorInterface--> #3 (4 hop(s), 300 ms)\n"
+            "  #1 --ServerInterface--> #2 (local)\n"
+            "  #0 --ServerInterface--> #1 (local)\n");
+}
+
+TEST(SearchCountersTest, RepairAroundDrainedView) {
+  CaseStudyWorld world(6);
+  world.storm_pool();
+  const planner::PlanRequest req =
+      world.request(world.sites.sd_client, 4, 8.0);
+  auto old_plan = world.planner->plan(req, world.pool);
+  ASSERT_TRUE(old_plan.has_value()) << old_plan.status().to_string();
+  // Drain the node of the plan's ViewMailServer: nothing may stay there.
+  net::NodeId drained;
+  for (const planner::Placement& p : old_plan->placements) {
+    if (p.component->name == "ViewMailServer") drained = p.node;
+  }
+  ASSERT_TRUE(drained.valid()) << old_plan->to_string(world.network);
+  planner::RepairViolation violation;
+  violation.kind = planner::RepairViolation::Kind::kNodeDeath;
+  violation.node = drained;
+  planner::RepairOutcome outcome;
+  auto repaired = world.planner->repair(req, *old_plan, {violation},
+                                        world.pool, &outcome);
+  ASSERT_TRUE(repaired.has_value()) << repaired.status().to_string();
+  EXPECT_EQ(counters(outcome.stats) + " route-rows=" +
+                std::to_string(world.network.route_rows_materialized()) +
+                "\n" + repaired->to_string(world.network),
+            "examined=37150 scored=3 bound=6429 static=4086 cycle=2430 "
+            "dup-view=1275 condition=0 factor=0 compat=2175 node-cap=0 "
+            "link-cap=0 inst-cap=426 unroutable=0 down=0 clusters=0/0/0 "
+            "hier=0 dp=0 deadline=0 "
+            "route-rows=18\n"
+            "DeploymentPlan (expected latency 40.1695 ms, 2 new / 1 reused "
+            "components)\n"
+            "  #0 MailClient @ sd-5 (entry)\n"
+            "  #1 ViewMailServer[TrustLevel=4] @ sd-5\n"
+            "  #2 Encryptor @ sd-0 (existing)\n"
+            "  #1 --ServerInterface--> #2 (1 hop(s), 0 ms)\n"
+            "  #0 --ServerInterface--> #1 (local)\n");
+  EXPECT_FALSE(outcome.fell_back_to_full);
 }
 
 }  // namespace

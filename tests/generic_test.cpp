@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <optional>
+#include <vector>
 
 #include "core/case_study.hpp"
 #include "core/framework.hpp"
@@ -180,6 +182,35 @@ TEST_F(GenericFixture, SecondClientReusesSharedComponents) {
     }
   }
   EXPECT_TRUE(found);
+}
+
+TEST_F(GenericFixture, NonFiniteRateAccessFailsAndLeavesLoadsUnchanged) {
+  register_mail();
+  auto first = fw->make_proxy(sites.sd_client, "SecureMail", defaults());
+  util::Status st = util::internal_error("");
+  first->bind([&st](util::Status s) { st = s; });
+  fw->run();
+  ASSERT_TRUE(st.is_ok()) << st.to_string();
+  std::vector<double> before;
+  for (const auto& inst : fw->server().existing_instances("SecureMail")) {
+    before.push_back(inst.current_load_rps);
+  }
+
+  // A NaN rate must not plan: its load accounting would turn every pooled
+  // load it touches into NaN, and a NaN load admits any rate.
+  auto nan = defaults();
+  nan.request_rate_rps = std::numeric_limits<double>::quiet_NaN();
+  auto second = fw->make_proxy(sites.sd_client, "SecureMail", nan);
+  st = util::Status::ok();
+  second->bind([&st](util::Status s) { st = s; });
+  fw->run();
+  EXPECT_EQ(st.code(), util::ErrorCode::kInvalidArgument) << st.to_string();
+
+  std::vector<double> after;
+  for (const auto& inst : fw->server().existing_instances("SecureMail")) {
+    after.push_back(inst.current_load_rps);
+  }
+  EXPECT_EQ(after, before);
 }
 
 TEST_F(GenericFixture, PlanningCostChargedAtServerHost) {

@@ -3,6 +3,8 @@
 // on small synthetic services where the right answer is obvious.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "planner/planner.hpp"
 #include "spec/builder.hpp"
 
@@ -394,6 +396,36 @@ TEST(PlannerTest, CapacityExhaustionFallsBackToNewInstance) {
   ASSERT_TRUE(plan.has_value());
   ASSERT_EQ(plan->placements.size(), 2u);
   EXPECT_FALSE(plan->placements[1].reuse_existing);
+}
+
+TEST(PlannerTest, NonFiniteRateIsInvalid) {
+  // `rate < 0` is false for NaN, and NaN passes every capacity comparison:
+  // a NaN-rate request would reuse an Origin already at 99.5 of its 100 rps.
+  TwoNodeWorld world;
+  auto translator = standard_translator();
+  EnvironmentView env(world.network, translator);
+  spec::ServiceSpec spec = direct_spec();
+  Planner planner(spec, env);
+
+  planner::ExistingInstance existing;
+  existing.runtime_id = 42;
+  existing.component = spec.find_component("Origin");
+  existing.node = world.origin;
+  existing.effective["Api"]["Confidentiality"] = PropertyValue::boolean(true);
+  existing.effective["Api"]["TrustLevel"] = PropertyValue::integer(5);
+  existing.current_load_rps = 99.5;  // capacity is 100
+
+  for (const double rate : {std::numeric_limits<double>::quiet_NaN(),
+                            std::numeric_limits<double>::infinity()}) {
+    PlanRequest request;
+    request.interface_name = "Entry";
+    request.client_node = world.edge;
+    request.request_rate_rps = rate;
+    auto plan = planner.plan(request, {existing});
+    ASSERT_FALSE(plan.has_value()) << "rate " << rate;
+    EXPECT_EQ(plan.status().code(), util::ErrorCode::kInvalidArgument)
+        << "rate " << rate;
+  }
 }
 
 TEST(PlannerTest, StaticComponentRequiresPreplacedInstance) {

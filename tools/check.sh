@@ -7,10 +7,13 @@
 #                             # suites of CI's sanitize-chaos matrix: chaos,
 #                             # failover, plan-cache, adaptation controller,
 #                             # hierarchy (the anytime improver), generic
-#                             # server, crypto, mail and mail edge — the
-#                             # fault paths, every caller of the server's
-#                             # plan -> deploy pipeline, the cipher's word
-#                             # tails and the shared sealed mail bodies
+#                             # server, crypto, mail, mail edge, planner,
+#                             # bound pruning and property — the fault
+#                             # paths, every caller of the server's plan ->
+#                             # deploy pipeline, the cipher's word tails,
+#                             # the shared sealed mail bodies and the
+#                             # search's non-owning callbacks and candidate
+#                             # table
 #   tools/check.sh --stress   # also: long-running suites (ctest -L stress)
 #   tools/check.sh --coherence # only: the coherence smoke suite
 #                             # (build + ctest -L coherence, via the
@@ -175,12 +178,13 @@ if [[ "${RUN_UBSAN}" == 1 ]]; then
 fi
 
 if [[ "${RUN_ASAN}" == 1 ]]; then
-  echo "== AddressSanitizer build (chaos + adaptation + cold paths + crypto/mail) =="
+  echo "== AddressSanitizer build (chaos + adaptation + cold paths + crypto/mail + planner) =="
   cmake -B build-asan -S . -DPSF_SANITIZE=address >/dev/null
   cmake --build build-asan -j "${JOBS}" \
     --target chaos_test failover_test plan_cache_test \
     adaptation_controller_test hierarchy_test generic_test \
-    crypto_test mail_test mail_edge_test
+    crypto_test mail_test mail_edge_test \
+    planner_test bound_pruning_test property_test
   ./build-asan/tests/chaos_test
   ./build-asan/tests/failover_test
   ./build-asan/tests/plan_cache_test
@@ -190,6 +194,9 @@ if [[ "${RUN_ASAN}" == 1 ]]; then
   ./build-asan/tests/crypto_test
   ./build-asan/tests/mail_test
   ./build-asan/tests/mail_edge_test
+  ./build-asan/tests/planner_test
+  ./build-asan/tests/bound_pruning_test
+  ./build-asan/tests/property_test
 fi
 
 echo "== all checks passed =="
