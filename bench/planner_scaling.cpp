@@ -1,13 +1,12 @@
 // E11 — hierarchical anytime planner scaling (EXPERIMENTS.md E11).
 //
-// Four gated sections:
+// Three gated sections, lettered like EXPERIMENTS.md E11's items 1, 2 and 4
+// (item 3 there is history):
 //   A. 1000-node Waxman, mail world: hierarchical search must plan in
 //      < 1 s wall (p50) — the tentpole gate. Also reports how few route
 //      rows the lazy cache materialized out of the full O(V^2) table.
 //   B. Optimality gap vs flat BnB where flat still completes (<= 32
 //      nodes): hierarchical primary score within 5% of the optimum.
-//   C. Chain-DP fast path vs flat search on path topologies: identical
-//      expected latency (1e-9) and the DP's speedup.
 //   D. Anytime contract, end to end through the Framework: a truncated
 //      access returns a valid incumbent with deadline_hit; an epoch bump
 //      discards stale improvement jobs (zero stale-plan binds); background
@@ -22,7 +21,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -36,9 +34,7 @@
 #include "mail/registration.hpp"
 #include "mail/types.hpp"
 #include "net/topology.hpp"
-#include "planner/cluster.hpp"
 #include "planner/planner.hpp"
-#include "spec/builder.hpp"
 
 namespace {
 
@@ -111,50 +107,6 @@ struct MailWorld {
     return req;
   }
 };
-
-// ---- section C's view-free chain world -------------------------------------
-
-spec::ServiceSpec chain_spec() {
-  return spec::SpecBuilder("Chain")
-      .interface("Entry", {})
-      .interface("Mid", {})
-      .interface("Api", {})
-      .component("Client")
-          .implements("Entry", {})
-          .requires_iface("Mid", {})
-          .cpu_per_request(10)
-          .message_bytes(1024, 4096)
-          .code_size(32 * 1024)
-          .done()
-      .component("Filter")
-          .implements("Mid", {})
-          .requires_iface("Api", {})
-          .rrf(0.2)
-          .cpu_per_request(30)
-          .message_bytes(2048, 8192)
-          .code_size(64 * 1024)
-          .done()
-      .component("Origin")
-          .implements("Api", {})
-          .cpu_per_request(50)
-          .message_bytes(512, 16384)
-          .code_size(128 * 1024)
-          .done()
-      .build();
-}
-
-net::Network path_network(std::size_t n) {
-  net::Network network;
-  std::vector<net::NodeId> nodes;
-  for (std::size_t i = 0; i < n; ++i) {
-    nodes.push_back(network.add_node("p" + std::to_string(i), 1e6));
-  }
-  for (std::size_t i = 0; i + 1 < n; ++i) {
-    network.add_link(nodes[i], nodes[i + 1], 10e6,
-                     sim::Duration::from_millis(5 + 7 * (i % 3)));
-  }
-  return network;
-}
 
 int run_bench(bool smoke) {
   psf::bench::JsonResult json(smoke ? "planner_scaling_smoke"
@@ -232,8 +184,6 @@ int run_bench(bool smoke) {
       flat.search_mode = planner::SearchMode::kFlat;
       planner::PlanRequest hier = world.request();
       hier.search_mode = planner::SearchMode::kHierarchical;
-      hier.cluster_count = std::max<std::size_t>(
-          2, planner::ClusterIndex::default_cluster_count(n));
 
       auto optimal = world.planner->plan(flat, world.existing);
       auto heuristic = world.planner->plan(hier, world.existing);
@@ -258,66 +208,6 @@ int run_bench(bool smoke) {
     if (!gate_passed) {
       std::fprintf(stderr, "planner_scaling: worst gap %.2f%% above 5%% gate\n",
                    100.0 * worst_gap);
-    }
-  }
-
-  // ---- C: chain-DP fast path ------------------------------------------------
-  {
-    const std::vector<std::size_t> sizes =
-        smoke ? std::vector<std::size_t>{8, 16}
-              : std::vector<std::size_t>{8, 16, 32, 64};
-    const spec::ServiceSpec spec = chain_spec();
-    auto translator = std::make_shared<planner::CredentialMapTranslator>();
-    double worst_delta = 0.0;
-    double total_dp_s = 0.0, total_search_s = 0.0;
-    bool dp_used = true;
-    for (const std::size_t n : sizes) {
-      const net::Network network = path_network(n);
-      planner::EnvironmentView env(network, *translator);
-      planner::Planner planner(spec, env);
-
-      planner::PlanRequest dp;
-      dp.interface_name = "Entry";
-      dp.client_node = net::NodeId{0};
-      dp.max_depth = 3;
-      planner::PlanRequest search = dp;
-      search.chain_dp = false;
-      search.search_mode = planner::SearchMode::kFlat;
-
-      planner::SearchStats dp_stats;
-      auto t0 = Clock::now();
-      auto a = planner.plan(dp, {}, &dp_stats);
-      total_dp_s += seconds_since(t0);
-      t0 = Clock::now();
-      auto b = planner.plan(search, {});
-      total_search_s += seconds_since(t0);
-
-      if (!a.has_value() || !b.has_value()) {
-        dp_used = false;
-        continue;
-      }
-      dp_used = dp_used && dp_stats.used_chain_dp;
-      worst_delta = std::max(
-          worst_delta, std::abs(a->metrics.expected_latency_s -
-                                b->metrics.expected_latency_s));
-      std::printf("C: n=%zu chain-DP %.6f s == search %.6f s\n", n,
-                  a->metrics.expected_latency_s,
-                  b->metrics.expected_latency_s);
-    }
-    const bool gate_passed = dp_used && worst_delta <= 1e-9;
-    all_gates_passed = all_gates_passed && gate_passed;
-    std::printf("C: DP total %.4f s vs search total %.4f s (%.1fx)\n",
-                total_dp_s, total_search_s,
-                total_dp_s > 0.0 ? total_search_s / total_dp_s : 0.0);
-    json.add("chain_dp_used", dp_used);
-    json.add("chain_dp_worst_delta_s", worst_delta);
-    json.add("chain_dp_total_s", total_dp_s);
-    json.add("chain_search_total_s", total_search_s);
-    json.add("chain_gate_passed", gate_passed);
-    if (!gate_passed) {
-      std::fprintf(stderr,
-                   "planner_scaling: chain-DP mismatch %.3g s vs 1e-9 gate\n",
-                   worst_delta);
     }
   }
 

@@ -6,8 +6,7 @@
 // set of component trees (chains, in the mail service) that could satisfy
 // the request — *before* any placement decision. The planner proper fuses
 // this enumeration with mapping (as the paper's implementation does); this
-// standalone form exists for Fig. 3, for tests, and for the DP chain
-// planner, which needs explicit chains.
+// standalone form exists for Fig. 3, for tools/psdl_check and for tests.
 #pragma once
 
 #include <memory>

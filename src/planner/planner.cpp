@@ -12,9 +12,7 @@
 #include <type_traits>
 
 #include "planner/cluster.hpp"
-#include "planner/dp_chain.hpp"
 #include "planner/hierarchy.hpp"
-#include "planner/linkage.hpp"
 #include "util/logging.hpp"
 
 namespace psf::planner {
@@ -1184,43 +1182,6 @@ util::Status no_plan(const spec::ServiceSpec& spec, const EnvironmentView& env,
       env.network().node(request.client_node).name + "'" + detail);
 }
 
-// Detects a fault-free path topology with `client` at an endpoint and
-// returns its node sequence starting from the client; nullopt on any other
-// shape (branching, cycles, parallel edges, down elements, client mid-path)
-// — the caller falls back to the general search.
-std::optional<std::vector<net::NodeId>> path_topology_from(
-    const net::Network& network, net::NodeId client) {
-  const std::size_t n = network.node_count();
-  for (net::NodeId id : network.all_nodes()) {
-    if (!network.node_up(id)) return std::nullopt;
-    if (network.links_of(id).size() > 2) return std::nullopt;
-  }
-  for (net::LinkId lid : network.all_links()) {
-    if (!network.link_up(lid)) return std::nullopt;
-  }
-  if (network.links_of(client).size() > 1) return std::nullopt;
-
-  std::vector<net::NodeId> path{client};
-  net::NodeId prev;  // invalid
-  net::NodeId cur = client;
-  while (true) {
-    net::NodeId next;  // invalid
-    for (net::LinkId lid : network.links_of(cur)) {
-      const net::NodeId other = network.link(lid).other(cur);
-      if (other == prev) continue;
-      if (next.valid()) return std::nullopt;  // parallel edges
-      next = other;
-    }
-    if (!next.valid()) break;
-    path.push_back(next);
-    prev = cur;
-    cur = next;
-    if (path.size() > n) return std::nullopt;  // cycle
-  }
-  if (path.size() != n) return std::nullopt;  // disconnected / mid-path start
-  return path;
-}
-
 }  // namespace
 
 SearchStats& SearchStats::operator+=(const SearchStats& other) {
@@ -1242,7 +1203,6 @@ SearchStats& SearchStats::operator+=(const SearchStats& other) {
   clusters_pruned += other.clusters_pruned;
   clusters_refined += other.clusters_refined;
   used_hierarchy = used_hierarchy || other.used_hierarchy;
-  used_chain_dp = used_chain_dp || other.used_chain_dp;
   deadline_hit = deadline_hit || other.deadline_hit;
   return *this;
 }
@@ -1276,7 +1236,6 @@ std::string SearchStats::to_string() const {
     oss << "; hierarchy: " << clusters_refined << "/" << clusters_total
         << " cluster(s) refined, " << clusters_pruned << " pruned by bound";
   }
-  if (used_chain_dp) oss << "; chain-DP fast path";
   if (deadline_hit) oss << "; DEADLINE HIT (anytime incumbent)";
   return oss.str();
 }
@@ -1314,9 +1273,20 @@ util::Expected<DeploymentPlan> Planner::plan(
                            "' has no interface named '" +
                            request.interface_name + "'");
   }
+  const std::size_t node_count = env_.network().node_count();
   if (!request.client_node.valid() ||
-      request.client_node.value >= env_.network().node_count()) {
+      request.client_node.value >= node_count) {
     return util::invalid_argument("invalid client node");
+  }
+  // An invalid code origin means "the client node"; a valid one must exist.
+  if (request.code_origin.valid() &&
+      request.code_origin.value >= node_count) {
+    return util::invalid_argument("code origin is not a node");
+  }
+  for (net::NodeId node : request.candidate_nodes) {
+    if (!node.valid() || node.value >= node_count) {
+      return util::invalid_argument("candidate node is not a node");
+    }
   }
   // `rate < 0` alone lets NaN through, and a NaN rate passes every
   // capacity check it is compared in.
@@ -1325,18 +1295,11 @@ util::Expected<DeploymentPlan> Planner::plan(
     return util::invalid_argument("request rate must be finite and >= 0");
   }
 
-  // A restricted candidate set (plan repair) bypasses the chain-DP and
-  // hierarchical strategies: both assume the whole topology is in play, and
-  // a repair's set is already cluster-sized — flat BnB over it is exact and
-  // cheap.
+  // A restricted candidate set (plan repair) bypasses hierarchical search:
+  // it assumes the whole topology is in play, and a repair's set is already
+  // cluster-sized — flat BnB over it is exact and cheap.
   if (!request.candidate_nodes.empty()) {
     return plan_flat(request, existing, stats);
-  }
-
-  // CANS chain-DP fast path (paper §3.3's pointer to [13]): answers the
-  // request outright when the request/spec/topology shape allows it.
-  if (auto dp = try_chain_dp(request, existing, stats)) {
-    return std::move(*dp);
   }
 
   const bool hierarchical =
@@ -1361,227 +1324,12 @@ util::Expected<DeploymentPlan> Planner::plan_flat(
   return std::move(*result.plan);
 }
 
-std::optional<util::Expected<DeploymentPlan>> Planner::try_chain_dp(
-    const PlanRequest& request, const std::vector<ExistingInstance>& existing,
-    SearchStats* stats) const {
-  // Eligibility: the DP models exactly "new components along a chain, in
-  // path order, entry at the client endpoint, scored by expected latency".
-  // Anything outside that — reuse, client-side property requirements, an
-  // unpinned entry, other objectives — silently falls through to the search.
-  if (!request.chain_dp) return std::nullopt;
-  if (request.objective != Objective::kMinLatency) return std::nullopt;
-  if (!existing.empty()) return std::nullopt;
-  if (!request.required_properties.empty()) return std::nullopt;
-  if (!request.pin_entry_to_client) return std::nullopt;
-  if (request.max_depth < 1) return std::nullopt;
-
-  const net::Network& network = env_.network();
-  const auto path = path_topology_from(network, request.client_node);
-  if (!path) return std::nullopt;
-
-  LinkageOptions lopts;
-  lopts.max_depth = request.max_depth;
-  lopts.max_trees = 64;
-  const std::vector<LinkageTree> trees =
-      enumerate_linkages(spec_, request.interface_name, lopts);
-  if (trees.empty()) return std::nullopt;  // let the search report why
-
-  std::vector<std::vector<const spec::ComponentDef*>> chains;
-  chains.reserve(trees.size());
-  for (const LinkageTree& tree : trees) {
-    if (!tree.is_chain()) return std::nullopt;
-    std::vector<const spec::ComponentDef*> chain = tree.as_chain();
-    for (const spec::ComponentDef* comp : chain) {
-      // Views bring cold-RRF padding and duplicate-on-path rules the DP
-      // does not model; transparent components inherit properties from
-      // downstream; factors bind per-node; rrf > 1 breaks the
-      // order-preserving optimality argument. All → general search.
-      if (comp->is_view() || comp->transparent || comp->static_placement ||
-          !comp->factors.empty() || comp->behaviors.rrf > 1.0) {
-        return std::nullopt;
-      }
-    }
-    for (std::size_t i = 0; i < chain.size(); ++i) {
-      for (std::size_t j = i + 1; j < chain.size(); ++j) {
-        if (chain[i] == chain[j]) return std::nullopt;  // cycle-guard parity
-      }
-    }
-    chains.push_back(std::move(chain));
-  }
-
-  ChainPlanOptions copts;
-  copts.request_rate_rps = request.request_rate_rps;
-  copts.pin_first = true;  // == pin_entry_to_client
-  copts.pin_last = false;  // the search does not pin the tail either
-
-  const std::vector<const spec::ComponentDef*>* best_chain = nullptr;
-  ChainPlanResult best_result;
-  std::uint64_t examined = 0;
-  std::uint64_t scored = 0;
-  std::uint64_t rejected_condition = 0;
-  std::uint64_t rejected_node_capacity = 0;
-  std::uint64_t rejected_instance_capacity = 0;
-  for (const auto& chain : chains) {
-    examined += chain.size() * path->size();
-    auto result = plan_chain_dp(spec_, env_, chain, *path, copts);
-    if (!result) continue;
-    rejected_condition += result->rejected_condition;
-    rejected_node_capacity += result->rejected_node_capacity;
-    rejected_instance_capacity += result->rejected_instance_capacity;
-    ++scored;
-    if (best_chain == nullptr ||
-        result->expected_latency_s < best_result.expected_latency_s) {
-      best_chain = &chain;
-      best_result = std::move(*result);
-    }
-  }
-  // No feasible chain: fall through so the search can double-check (it
-  // models co-location load accumulation the DP's feasibility test lacks).
-  if (best_chain == nullptr) return std::nullopt;
-
-  // Materialize the DeploymentPlan the BnB search would have produced for
-  // this assignment.
-  const std::vector<const spec::ComponentDef*>& chain = *best_chain;
-  const std::size_t k = chain.size();
-  DeploymentPlan plan;
-  plan.entry = 0;
-
-  std::vector<double> rate(k, request.request_rate_rps);
-  for (std::size_t i = 1; i < k; ++i) {
-    rate[i] = rate[i - 1] * chain[i - 1]->behaviors.rrf;
-  }
-
-  for (std::size_t i = 0; i < k; ++i) {
-    const net::NodeId node = (*path)[best_result.assignment[i]];
-    Placement p;
-    p.id = static_cast<InstanceId>(i);
-    p.component = chain[i];
-    p.node = node;
-    p.inbound_rate_rps = rate[i];
-    p.effective =
-        declared_effective(spec_, *chain[i], env_.node_env(node), {});
-    plan.placements.push_back(std::move(p));
-  }
-
-  for (std::size_t i = 1; i < k; ++i) {
-    PSF_CHECK(!chain[i - 1]->requires_.empty());
-    plan.wires.push_back(
-        Wire{static_cast<InstanceId>(i - 1),
-             chain[i - 1]->requires_.front().interface_name,
-             static_cast<InstanceId>(i),
-             *network.cached_route(plan.placements[i - 1].node,
-                                   plan.placements[i].node),
-             rate[i]});
-  }
-
-  // Post-validation the DP's per-component feasibility test cannot do:
-  // co-located placements accumulate on node CPU and shared hops accumulate
-  // on links. A violation falls back to the exact search.
-  std::vector<double> node_cpu(network.node_count(), 0.0);
-  std::vector<double> link_bps(network.link_count(), 0.0);
-  for (const Placement& p : plan.placements) {
-    node_cpu[p.node.value] +=
-        p.inbound_rate_rps * p.component->behaviors.cpu_per_request;
-  }
-  for (const Wire& w : plan.wires) {
-    const spec::Behaviors& b = plan.placements[w.server].component->behaviors;
-    const double add_bps =
-        w.rate_rps *
-        static_cast<double>(b.bytes_per_request + b.bytes_per_response) * 8.0;
-    for (net::LinkId lid : w.route.links) link_bps[lid.value] += add_bps;
-  }
-  for (std::uint32_t v = 0; v < network.node_count(); ++v) {
-    if (node_cpu[v] > network.node(net::NodeId{v}).cpu_available()) {
-      return std::nullopt;
-    }
-  }
-  for (std::uint32_t l = 0; l < network.link_count(); ++l) {
-    if (link_bps[l] >
-        network.link(net::LinkId{l}).bandwidth_available_bps()) {
-      return std::nullopt;
-    }
-  }
-
-  // Per-placement expected latency, leaf to root — the same recurrence the
-  // search's sinks evaluate (warm == padded here: no views in the chain).
-  for (std::size_t i = k; i-- > 0;) {
-    Placement& p = plan.placements[i];
-    const double cpu_time_s = p.component->behaviors.cpu_per_request /
-                              network.node(p.node).cpu_capacity;
-    double downstream = 0.0;
-    if (i + 1 < k) {
-      const Wire& w = plan.wires[i];
-      const spec::Behaviors& b =
-          plan.placements[i + 1].component->behaviors;
-      downstream =
-          p.component->behaviors.rrf *
-          (edge_rtt_seconds(network, w.route, b.bytes_per_request,
-                            b.bytes_per_response) +
-           plan.placements[i + 1].expected_latency_s);
-    }
-    p.expected_latency_s = cpu_time_s + downstream;
-  }
-
-  PlanMetrics metrics;
-  metrics.expected_latency_s = plan.placements[0].expected_latency_s;
-  metrics.new_components = k;
-  const net::NodeId origin = request.code_origin.valid()
-                                 ? request.code_origin
-                                 : request.client_node;
-  double headroom = 1.0;
-  for (const Placement& p : plan.placements) {
-    const net::Route* route = network.cached_route(origin, p.node);
-    for (net::LinkId lid : route->links) {
-      const net::Link& link = network.link(lid);
-      metrics.deployment_cost_s +=
-          link.latency.seconds() +
-          static_cast<double>(p.component->behaviors.code_size_bytes) * 8.0 /
-              link.bandwidth_bps;
-    }
-    if (p.component->behaviors.capacity_rps > 0.0) {
-      headroom = std::min(
-          headroom,
-          1.0 - p.inbound_rate_rps / p.component->behaviors.capacity_rps);
-    }
-  }
-  for (std::uint32_t v = 0; v < network.node_count(); ++v) {
-    if (node_cpu[v] <= 0.0) continue;
-    const double u =
-        node_cpu[v] / network.node(net::NodeId{v}).cpu_available();
-    metrics.max_node_utilization = std::max(metrics.max_node_utilization, u);
-    headroom = std::min(headroom, 1.0 - u);
-  }
-  for (std::uint32_t l = 0; l < network.link_count(); ++l) {
-    if (link_bps[l] <= 0.0) continue;
-    const double u =
-        link_bps[l] /
-        network.link(net::LinkId{l}).bandwidth_available_bps();
-    metrics.max_link_utilization = std::max(metrics.max_link_utilization, u);
-    headroom = std::min(headroom, 1.0 - u);
-  }
-  metrics.min_headroom = headroom;
-  plan.metrics = metrics;
-
-  if (stats != nullptr) {
-    *stats = SearchStats{};
-    stats->used_chain_dp = true;
-    stats->candidates_examined = examined;
-    stats->plans_scored = scored;
-    stats->rejected_condition = rejected_condition;
-    stats->rejected_node_capacity = rejected_node_capacity;
-    stats->rejected_instance_capacity = rejected_instance_capacity;
-  }
-  return util::Expected<DeploymentPlan>(std::move(plan));
-}
-
 util::Expected<DeploymentPlan> Planner::plan_hierarchical(
     const PlanRequest& request, const std::vector<ExistingInstance>& existing,
     SearchStats* stats) const {
-  const std::size_t n = env_.network().node_count();
-  const std::size_t k = request.cluster_count == 0
-                            ? ClusterIndex::default_cluster_count(n)
-                            : request.cluster_count;
-  const ClusterIndex index(env_.network(), k);
+  const ClusterIndex index(
+      env_.network(),
+      ClusterIndex::default_cluster_count(env_.network().node_count()));
   if (index.num_clusters() < 2) return plan_flat(request, existing, stats);
 
   // One unit per refinement, in rank order (client cluster first).

@@ -23,7 +23,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -92,7 +91,8 @@ struct PlanRequest {
   // identically.
   std::string principal;
   // Where component code is downloaded from when computing deployment cost;
-  // defaults to the client node when invalid.
+  // defaults to the client node when invalid. A valid id outside the
+  // network is invalid_argument, like every node id in a request.
   net::NodeId code_origin;
   Objective objective = Objective::kMinLatency;
   // The entry component is normally instantiated at the client's own node
@@ -116,15 +116,6 @@ struct PlanRequest {
   bool bound_pruning = true;
   // Topology traversal strategy; see SearchMode.
   SearchMode search_mode = SearchMode::kAuto;
-  // Cluster count for hierarchical search; 0 = ~sqrt(node_count).
-  std::size_t cluster_count = 0;
-  // Auto-detected CANS dynamic-programming fast path: when the linkage
-  // graph is a pure chain, the topology is a path with the client at an
-  // endpoint, and no reuse/property/view machinery is in play, the O(k*m^2)
-  // DP (dp_chain.hpp) replaces the exponential mapping search and returns
-  // the same optimal chain. Opt-out toggle for benchmarks and equivalence
-  // tests; ineligible requests silently fall through to the search.
-  bool chain_dp = true;
   // Restricts where NEW components may be placed. Empty = every node (the
   // normal case). Plan repair populates this with the surviving placement
   // nodes plus the affected cluster's members so the search touches only the
@@ -174,8 +165,6 @@ struct SearchStats {
   std::uint64_t clusters_pruned = 0;   // skipped: quotient bound > incumbent
   std::uint64_t clusters_refined = 0;  // actually searched
   bool used_hierarchy = false;
-  // The chain-DP fast path answered this request (no tree search ran).
-  bool used_chain_dp = false;
   // The anytime candidate budget truncated the search; the returned plan is
   // the best incumbent, not necessarily the optimum.
   bool deadline_hit = false;
@@ -224,8 +213,10 @@ class Planner {
   Planner(const spec::ServiceSpec& spec, const EnvironmentView& env);
 
   // Finds the best deployment; kUnsatisfiable when no mapping meets all
-  // constraints. A plain serial function of (spec, environment, request,
-  // reuse pool): the same inputs always return the same plan and stats.
+  // constraints. Every request, whatever the shape of the linkage graph or
+  // the topology, runs the one search driver with flat or hierarchical
+  // units. A plain serial function of (spec, environment, request, reuse
+  // pool): the same inputs always return the same plan and stats.
   // Not safe to call concurrently: the search fills the network's route
   // cache without a lock.
   util::Expected<DeploymentPlan> plan(
@@ -262,10 +253,6 @@ class Planner {
       const PlanRequest& request,
       const std::vector<ExistingInstance>& existing, SearchStats* stats) const;
   util::Expected<DeploymentPlan> plan_hierarchical(
-      const PlanRequest& request,
-      const std::vector<ExistingInstance>& existing, SearchStats* stats) const;
-  // nullopt = request not chain-DP eligible (fall through to the search).
-  std::optional<util::Expected<DeploymentPlan>> try_chain_dp(
       const PlanRequest& request,
       const std::vector<ExistingInstance>& existing, SearchStats* stats) const;
 

@@ -123,9 +123,7 @@ util::Expected<DeploymentPlan> Planner::repair(
   }
 
   const std::size_t cluster_count =
-      request.cluster_count != 0
-          ? request.cluster_count
-          : ClusterIndex::default_cluster_count(node_count);
+      ClusterIndex::default_cluster_count(node_count);
   if (cluster_count >= 2 && node_count > cluster_count) {
     ClusterIndex index(network, cluster_count);
     const ClusterIndex::ClusterId home =
@@ -184,8 +182,7 @@ util::Expected<DeploymentPlan> Planner::repair(
 
   // Restricted search came up empty — fall back to a full replan, still
   // excluding violation nodes. With nothing excluded the candidate list is
-  // cleared entirely so the hierarchical / chain-DP strategies stay
-  // available at scale.
+  // cleared entirely so hierarchical search stays available at scale.
   PlanRequest full = request;
   full.candidate_nodes.clear();
   for (std::uint32_t v = 0; v < node_count; ++v) {

@@ -214,7 +214,7 @@ std::string counters(const planner::SearchStats& s) {
       << " down=" << s.rejected_node_down
       << " clusters=" << s.clusters_total << "/" << s.clusters_pruned << "/"
       << s.clusters_refined << " hier=" << s.used_hierarchy
-      << " dp=" << s.used_chain_dp << " deadline=" << s.deadline_hit;
+      << " deadline=" << s.deadline_hit;
   return oss.str();
 }
 
@@ -310,7 +310,7 @@ TEST(SearchCountersTest, StormPoolFromSanDiego) {
             "examined=158455 scored=2 bound=61452 static=24750 cycle=5046 "
             "dup-view=3066 condition=8250 factor=0 compat=5464 node-cap=0 "
             "link-cap=0 inst-cap=937 unroutable=0 down=0 clusters=0/0/0 "
-            "hier=0 dp=0 deadline=0 "
+            "hier=0 deadline=0 "
             "route-rows=18\n"
             "DeploymentPlan (expected latency 50.46 ms, 1 new / 1 reused "
             "components)\n"
@@ -326,8 +326,7 @@ TEST(SearchCountersTest, StormPoolFromSeattle) {
             "examined=158455 scored=1 bound=62791 static=24750 cycle=5046 "
             "dup-view=2628 condition=8251 factor=0 compat=5500 node-cap=0 "
             "link-cap=0 inst-cap=0 unroutable=0 down=0 clusters=0/0/0 hier=0 "
-            "dp=0 deadline=0 "
-            "route-rows=18\n"
+            "deadline=0 route-rows=18\n"
             "DeploymentPlan (expected latency 80.455 ms, 1 new / 1 reused "
             "components)\n"
             "  #0 ViewMailClient @ sea-5 (entry)\n"
@@ -345,7 +344,7 @@ TEST(SearchCountersTest, PooledInstanceOnDownedNode) {
             "examined=154072 scored=4 bound=58208 static=23154 cycle=4860 "
             "dup-view=2550 condition=8172 factor=0 compat=5652 node-cap=0 "
             "link-cap=0 inst-cap=852 unroutable=0 down=9968 clusters=0/0/0 "
-            "hier=0 dp=0 deadline=0 "
+            "hier=0 deadline=0 "
             "route-rows=17\n"
             "DeploymentPlan (expected latency 40.1645 ms, 2 new / 1 reused "
             "components)\n"
@@ -409,7 +408,7 @@ TEST(SearchCountersTest, BudgetTruncatesPartwayThroughPoolWalk) {
   EXPECT_EQ(run(16),
             "examined=23 scored=1 bound=5 static=0 cycle=0 dup-view=0 "
             "condition=0 factor=0 compat=0 node-cap=0 link-cap=0 inst-cap=0 "
-            "unroutable=0 down=0 clusters=0/0/0 hier=0 dp=0 deadline=1 "
+            "unroutable=0 down=0 clusters=0/0/0 hier=0 deadline=1 "
             "route-rows=8\n"
             "DeploymentPlan (expected latency 230.919 ms, 1 new / 2 reused "
             "components)\n"
@@ -421,7 +420,7 @@ TEST(SearchCountersTest, BudgetTruncatesPartwayThroughPoolWalk) {
   EXPECT_EQ(run(40),
             "examined=46 scored=8 bound=14 static=0 cycle=0 dup-view=0 "
             "condition=0 factor=0 compat=0 node-cap=0 link-cap=0 inst-cap=0 "
-            "unroutable=0 down=0 clusters=0/0/0 hier=0 dp=0 deadline=1 "
+            "unroutable=0 down=0 clusters=0/0/0 hier=0 deadline=1 "
             "route-rows=18\n"
             "DeploymentPlan (expected latency 21.4277 ms, 1 new / 2 reused "
             "components)\n"
@@ -433,7 +432,7 @@ TEST(SearchCountersTest, BudgetTruncatesPartwayThroughPoolWalk) {
   EXPECT_EQ(run(0),
             "examined=244 scored=30 bound=136 static=0 cycle=0 dup-view=0 "
             "condition=0 factor=0 compat=6 node-cap=0 link-cap=0 inst-cap=0 "
-            "unroutable=0 down=0 clusters=0/0/0 hier=0 dp=0 deadline=0 "
+            "unroutable=0 down=0 clusters=0/0/0 hier=0 deadline=0 "
             "route-rows=18\n"
             "DeploymentPlan (expected latency 0.3 ms, 3 new / 0 reused "
             "components)\n"
@@ -459,8 +458,7 @@ TEST(SearchCountersTest, HierarchicalCaseStudy) {
             "examined=75812 scored=10 bound=16706 static=16851 cycle=942 "
             "dup-view=3780 condition=6309 factor=0 compat=1262 node-cap=0 "
             "link-cap=0 inst-cap=0 unroutable=0 down=0 clusters=8/0/8 hier=1 "
-            "dp=0 deadline=0 "
-            "route-rows=66\n"
+            "deadline=0 route-rows=66\n"
             "DeploymentPlan (expected latency 120.909 ms, 3 new / 1 reused "
             "components)\n"
             "  #0 ViewMailClient @ sea-21 (entry)\n"
@@ -498,7 +496,7 @@ TEST(SearchCountersTest, RepairAroundDrainedView) {
             "examined=37150 scored=3 bound=6429 static=4086 cycle=2430 "
             "dup-view=1275 condition=0 factor=0 compat=2175 node-cap=0 "
             "link-cap=0 inst-cap=426 unroutable=0 down=0 clusters=0/0/0 "
-            "hier=0 dp=0 deadline=0 "
+            "hier=0 deadline=0 "
             "route-rows=18\n"
             "DeploymentPlan (expected latency 40.1695 ms, 2 new / 1 reused "
             "components)\n"

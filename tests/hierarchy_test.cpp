@@ -1,7 +1,7 @@
 // Hierarchical anytime planner: shared graph partitioning, the quotient
 // cluster index and its admissible bounds, hierarchical-vs-flat optimality
-// on small topologies, the anytime candidate budget, the chain-DP fast path,
-// lazy route-row materialization, and the runtime's background improver.
+// on small topologies, the anytime candidate budget, lazy route-row
+// materialization, and the runtime's background improver.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -288,7 +288,6 @@ TEST(HierarchicalSearchTest, MatchesFlatOptimalityOnSmallTopologies) {
 
         planner::PlanRequest hier = world.request(objective);
         hier.search_mode = planner::SearchMode::kHierarchical;
-        hier.cluster_count = 4;
         // bound_pruning promises never to change the returned plan, and
         // skipping a cluster is part of that pruning: a refinement without
         // an admissible bound must never be skipped (kMaxCapacity's primary
@@ -428,115 +427,6 @@ TEST(AnytimeTest, CandidateBudgetIsDeterministicAndMonotone) {
       }
     }
   }
-}
-
-// ---- Chain-DP fast path ----------------------------------------------------
-
-// A view-free two-component chain the DP models exactly.
-spec::ServiceSpec chain_spec() {
-  return spec::SpecBuilder("ChainSvc")
-      .interface("Api", {})
-      .interface("Store", {})
-      .component("Front")
-          .implements("Api")
-          .requires_iface("Store")
-          .rrf(0.6)
-          .cpu_per_request(200.0)
-          .message_bytes(2048, 8192)
-          .code_size(64 * 1024)
-          .done()
-      .component("Back")
-          .implements("Store")
-          .cpu_per_request(500.0)
-          .message_bytes(1024, 4096)
-          .code_size(128 * 1024)
-          .done()
-      .build();
-}
-
-net::Network path_network(std::size_t n) {
-  net::Network network;
-  for (std::size_t i = 0; i < n; ++i) {
-    network.add_node("n" + std::to_string(i), 1e6);
-  }
-  for (std::size_t i = 0; i + 1 < n; ++i) {
-    // Varied latencies/bandwidths so placement actually matters.
-    network.add_link(net::NodeId{static_cast<std::uint32_t>(i)},
-                     net::NodeId{static_cast<std::uint32_t>(i + 1)}, 50e6,
-                     sim::Duration::from_micros(100 + 150 * (i % 3)));
-  }
-  return network;
-}
-
-TEST(ChainDpTest, FastPathMatchesFlatSearchOnPaths) {
-  const spec::ServiceSpec spec = chain_spec();
-  auto translator = std::make_shared<planner::CredentialMapTranslator>();
-  for (std::size_t n : {4u, 6u, 8u}) {
-    const net::Network network = path_network(n);
-    planner::EnvironmentView env(network, *translator);
-    planner::Planner planner(spec, env);
-
-    planner::PlanRequest dp;
-    dp.interface_name = "Api";
-    dp.client_node = net::NodeId{0};
-    dp.request_rate_rps = 10.0;
-    dp.max_depth = 3;
-
-    planner::PlanRequest search = dp;
-    search.chain_dp = false;
-    search.search_mode = planner::SearchMode::kFlat;
-
-    planner::SearchStats dp_stats, search_stats;
-    auto a = planner.plan(dp, {}, &dp_stats);
-    auto b = planner.plan(search, {}, &search_stats);
-    ASSERT_TRUE(a.has_value()) << a.status().to_string();
-    ASSERT_TRUE(b.has_value()) << b.status().to_string();
-    EXPECT_TRUE(dp_stats.used_chain_dp) << "n=" << n;
-    EXPECT_FALSE(search_stats.used_chain_dp) << "n=" << n;
-    EXPECT_NEAR(a->metrics.expected_latency_s, b->metrics.expected_latency_s,
-                1e-9)
-        << "n=" << n;
-    ASSERT_EQ(a->placements.size(), b->placements.size()) << "n=" << n;
-    EXPECT_EQ(a->placements[0].node, net::NodeId{0});
-  }
-}
-
-TEST(ChainDpTest, IneligibleRequestsFallThroughToSearch) {
-  const spec::ServiceSpec spec = chain_spec();
-  auto translator = std::make_shared<planner::CredentialMapTranslator>();
-  const net::Network network = path_network(6);
-  planner::EnvironmentView env(network, *translator);
-  planner::Planner planner(spec, env);
-
-  planner::PlanRequest base;
-  base.interface_name = "Api";
-  base.client_node = net::NodeId{0};
-  base.request_rate_rps = 10.0;
-  base.max_depth = 3;
-
-  // Client in the middle of the path: not an endpoint — not a chain walk.
-  planner::PlanRequest middle = base;
-  middle.client_node = net::NodeId{3};
-  planner::SearchStats stats;
-  auto plan = planner.plan(middle, {}, &stats);
-  ASSERT_TRUE(plan.has_value());
-  EXPECT_FALSE(stats.used_chain_dp);
-
-  // Wrong objective.
-  planner::PlanRequest cost = base;
-  cost.objective = planner::Objective::kMinDeploymentCost;
-  plan = planner.plan(cost, {}, &stats);
-  ASSERT_TRUE(plan.has_value());
-  EXPECT_FALSE(stats.used_chain_dp);
-
-  // The mail spec (views + factors) on a path never takes the DP.
-  WaxmanWorld world(10, 2026);
-  planner::SearchStats mail_stats;
-  auto mail_plan = world.planner->plan(
-      world.request(planner::Objective::kMinLatency), world.existing,
-      &mail_stats);
-  ASSERT_TRUE(mail_plan.has_value());
-  EXPECT_FALSE(mail_stats.used_chain_dp);
 }
 
 // ---- Lazy route rows -------------------------------------------------------

@@ -1,9 +1,11 @@
 // Planner tests: the three §3.3 constraint classes, factor binding,
-// transparent pass-through, objectives, and reuse of existing instances —
-// on small synthetic services where the right answer is obvious.
+// transparent pass-through, objectives, reuse of existing instances, request
+// validation and chains on path topologies — on small synthetic services
+// where the right answer is obvious.
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
 
 #include "planner/planner.hpp"
 #include "spec/builder.hpp"
@@ -425,6 +427,178 @@ TEST(PlannerTest, NonFiniteRateIsInvalid) {
     ASSERT_FALSE(plan.has_value()) << "rate " << rate;
     EXPECT_EQ(plan.status().code(), util::ErrorCode::kInvalidArgument)
         << "rate " << rate;
+  }
+}
+
+TEST(PlannerTest, OutOfRangeNodesAreInvalid) {
+  // Every node id in a request is range-checked: an out-of-range candidate
+  // node would index past the per-plan tables, and an out-of-range code
+  // origin would reach the network's route lookup.
+  TwoNodeWorld world;
+  auto translator = standard_translator();
+  EnvironmentView env(world.network, translator);
+  spec::ServiceSpec spec = direct_spec();
+  Planner planner(spec, env);
+
+  PlanRequest base;
+  base.interface_name = "Entry";
+  base.client_node = world.edge;
+  const net::NodeId beyond{2};  // the world has nodes 0 and 1
+
+  PlanRequest origin = base;
+  origin.code_origin = beyond;
+  PlanRequest candidate = base;
+  candidate.candidate_nodes = {world.edge, beyond};
+  PlanRequest unset_candidate = base;
+  unset_candidate.candidate_nodes = {world.edge, net::NodeId{}};
+  for (const PlanRequest* request : {&origin, &candidate, &unset_candidate}) {
+    auto plan = planner.plan(*request);
+    ASSERT_FALSE(plan.has_value());
+    EXPECT_EQ(plan.status().code(), util::ErrorCode::kInvalidArgument)
+        << plan.status().to_string();
+  }
+
+  // In range, both still plan.
+  PlanRequest valid = base;
+  valid.code_origin = world.origin;
+  valid.candidate_nodes = {world.edge, world.origin};
+  EXPECT_TRUE(planner.plan(valid).has_value());
+}
+
+// Front -> Back, no views, factors or transparency: a chain.
+spec::ServiceSpec front_back_spec(double front_rrf) {
+  return spec::SpecBuilder("ChainSvc")
+      .interface("Api", {})
+      .interface("Store", {})
+      .component("Front")
+      .implements("Api")
+      .requires_iface("Store")
+      .rrf(front_rrf)
+      .cpu_per_request(200.0)
+      .message_bytes(2048, 8192)
+      .code_size(64 * 1024)
+      .done()
+      .component("Back")
+      .implements("Store")
+      .cpu_per_request(500.0)
+      .message_bytes(1024, 4096)
+      .code_size(128 * 1024)
+      .done()
+      .build();
+}
+
+// n0 - n1 - ... - n(n-1), with latencies varied so placement matters.
+net::Network path_network(std::size_t n) {
+  net::Network network;
+  for (std::size_t i = 0; i < n; ++i) {
+    network.add_node("n" + std::to_string(i), 1e6);
+  }
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    network.add_link(net::NodeId{static_cast<std::uint32_t>(i)},
+                     net::NodeId{static_cast<std::uint32_t>(i + 1)}, 50e6,
+                     sim::Duration::from_micros(100 + 150 * (i % 3)));
+  }
+  return network;
+}
+
+// Every field of both plans, compared with ==.
+void expect_identical(const planner::DeploymentPlan& a,
+                      const planner::DeploymentPlan& b,
+                      const std::string& label) {
+  EXPECT_EQ(a.entry, b.entry) << label;
+  ASSERT_EQ(a.placements.size(), b.placements.size()) << label;
+  for (std::size_t i = 0; i < a.placements.size(); ++i) {
+    const planner::Placement& x = a.placements[i];
+    const planner::Placement& y = b.placements[i];
+    EXPECT_EQ(x.id, y.id) << label;
+    EXPECT_EQ(x.component, y.component) << label;
+    EXPECT_EQ(x.node, y.node) << label;
+    EXPECT_EQ(x.factors, y.factors) << label;
+    EXPECT_EQ(x.effective, y.effective) << label;
+    EXPECT_EQ(x.expected_latency_s, y.expected_latency_s) << label;
+    EXPECT_EQ(x.inbound_rate_rps, y.inbound_rate_rps) << label;
+    EXPECT_EQ(x.reuse_existing, y.reuse_existing) << label;
+    EXPECT_EQ(x.existing_runtime_id, y.existing_runtime_id) << label;
+  }
+  ASSERT_EQ(a.wires.size(), b.wires.size()) << label;
+  for (std::size_t i = 0; i < a.wires.size(); ++i) {
+    const planner::Wire& x = a.wires[i];
+    const planner::Wire& y = b.wires[i];
+    EXPECT_EQ(x.client, y.client) << label;
+    EXPECT_EQ(x.interface_name, y.interface_name) << label;
+    EXPECT_EQ(x.server, y.server) << label;
+    EXPECT_EQ(x.route.links, y.route.links) << label;
+    EXPECT_EQ(x.route.total_latency, y.route.total_latency) << label;
+    EXPECT_EQ(x.route.bottleneck_bandwidth_bps,
+              y.route.bottleneck_bandwidth_bps)
+        << label;
+    EXPECT_EQ(x.rate_rps, y.rate_rps) << label;
+  }
+  EXPECT_EQ(a.metrics.expected_latency_s, b.metrics.expected_latency_s)
+      << label;
+  EXPECT_EQ(a.metrics.deployment_cost_s, b.metrics.deployment_cost_s)
+      << label;
+  EXPECT_EQ(a.metrics.new_components, b.metrics.new_components) << label;
+  EXPECT_EQ(a.metrics.reused_components, b.metrics.reused_components)
+      << label;
+  EXPECT_EQ(a.metrics.max_node_utilization, b.metrics.max_node_utilization)
+      << label;
+  EXPECT_EQ(a.metrics.max_link_utilization, b.metrics.max_link_utilization)
+      << label;
+  EXPECT_EQ(a.metrics.min_headroom, b.metrics.min_headroom) << label;
+}
+
+TEST(PlannerTest, PathLatencyTieKeepsCheapestDeployment) {
+  CredentialMapTranslator translator;
+
+  // Front at rrf 0 sends Back no traffic, so every placement of Back ties
+  // on latency and deployment cost decides: Back's code is already at the
+  // far end of the path.
+  {
+    const spec::ServiceSpec spec = front_back_spec(0.0);
+    const net::Network network = path_network(4);
+    EnvironmentView env(network, translator);
+    Planner planner(spec, env);
+    PlanRequest request;
+    request.interface_name = "Api";
+    request.client_node = net::NodeId{0};
+    request.code_origin = net::NodeId{3};
+    auto plan = planner.plan(request);
+    ASSERT_TRUE(plan.has_value()) << plan.status().to_string();
+    ASSERT_EQ(plan->placements.size(), 2u);
+    EXPECT_EQ(plan->placements[0].component->name, "Front");
+    EXPECT_EQ(plan->placements[0].node, net::NodeId{0});
+    EXPECT_EQ(plan->placements[1].component->name, "Back");
+    EXPECT_EQ(plan->placements[1].node, net::NodeId{3})
+        << plan->to_string(network);
+  }
+
+  // Every path shape plans exactly as the unpruned reference search.
+  for (const double rrf : {0.0, 0.2, 0.6, 1.0}) {
+    const spec::ServiceSpec spec = front_back_spec(rrf);
+    for (std::uint32_t n = 2; n <= 32; ++n) {
+      const net::Network network = path_network(n);
+      EnvironmentView env(network, translator);
+      Planner planner(spec, env);
+      for (const net::NodeId origin : {net::NodeId{0}, net::NodeId{n - 1}}) {
+        PlanRequest request;
+        request.interface_name = "Api";
+        request.client_node = net::NodeId{0};
+        request.code_origin = origin;
+        request.request_rate_rps = 10.0;
+        PlanRequest reference = request;
+        reference.bound_pruning = false;
+
+        const std::string label = "rrf=" + std::to_string(rrf) +
+                                  " n=" + std::to_string(n) +
+                                  " origin=" + std::to_string(origin.value);
+        auto plan = planner.plan(request);
+        auto expected = planner.plan(reference);
+        ASSERT_TRUE(plan.has_value()) << label;
+        ASSERT_TRUE(expected.has_value()) << label;
+        expect_identical(*plan, *expected, label);
+      }
+    }
   }
 }
 

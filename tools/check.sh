@@ -29,8 +29,9 @@
 #   tools/check.sh --adapt    # only: the adaptation suite (build + ctest
 #                             # -L adapt + the adaptation_sweep bench gates)
 #   tools/check.sh --planner  # only: the planner suite (build + ctest -L
-#                             # planner + the planner_scaling bench smoke
-#                             # gates)
+#                             # planner: the search's unit suites, its
+#                             # output against the independent validator,
+#                             # and the planner_scaling bench smoke gates)
 #   tools/check.sh --bench    # only: psfbench smoke (its own Release build
 #                             # in build-bench/, every workload for 1 s at
 #                             # seed 1; fails when any psfbench output check
@@ -119,11 +120,11 @@ if [[ "${ADAPT_ONLY}" == 1 ]]; then
 fi
 
 if [[ "${PLANNER_ONLY}" == 1 ]]; then
-  echo "== planner suite (hierarchical search + chain DP + anytime) =="
+  echo "== planner suite (search + validator + hierarchical + anytime) =="
   cmake -B build -S . >/dev/null
   cmake --build build -j "${JOBS}" --target \
-    planner_test bound_pruning_test dp_chain_test hierarchy_test \
-    planner_scaling
+    planner_test bound_pruning_test hierarchy_test validate_test \
+    property_test planner_scaling
   (cd build && ctest --output-on-failure -L planner)
   echo "== planner suite passed =="
   exit 0
