@@ -1,16 +1,12 @@
-// E11 — hierarchical anytime planner scaling (EXPERIMENTS.md E11).
+// E11 — hierarchical planner scaling (EXPERIMENTS.md E11).
 //
-// Three gated sections, lettered like EXPERIMENTS.md E11's items 1, 2 and 4
-// (item 3 there is history):
+// Two gated sections, lettered like EXPERIMENTS.md E11's items 1 and 2
+// (items 3 and 4 there are history):
 //   A. 1000-node Waxman, mail world: hierarchical search must plan in
 //      < 1 s wall (p50) — the tentpole gate. Also reports how few route
 //      rows the lazy cache materialized out of the full O(V^2) table.
 //   B. Optimality gap vs flat BnB where flat still completes (<= 32
 //      nodes): hierarchical primary score within 5% of the optimum.
-//   D. Anytime contract, end to end through the Framework: a truncated
-//      access returns a valid incumbent with deadline_hit; an epoch bump
-//      discards stale improvement jobs (zero stale-plan binds); background
-//      swaps drive the cached score monotonically down.
 //
 // Modes:
 //   planner_scaling            full run, writes BENCH_planner_scaling.json
@@ -29,10 +25,7 @@
 #include <vector>
 
 #include "bench_json.hpp"
-#include "core/framework.hpp"
 #include "mail/mail_spec.hpp"
-#include "mail/registration.hpp"
-#include "mail/types.hpp"
 #include "net/topology.hpp"
 #include "planner/planner.hpp"
 
@@ -50,7 +43,7 @@ double median(std::vector<double> v) {
   return v.empty() ? 0.0 : v[v.size() / 2];
 }
 
-// ---- the mail-on-Waxman world shared by sections A, B and D ----------------
+// ---- the mail-on-Waxman world shared by sections A and B -------------------
 
 net::Network mail_waxman(std::size_t n, std::uint64_t seed) {
   net::WaxmanParams params;
@@ -208,120 +201,6 @@ int run_bench(bool smoke) {
     if (!gate_passed) {
       std::fprintf(stderr, "planner_scaling: worst gap %.2f%% above 5%% gate\n",
                    100.0 * worst_gap);
-    }
-  }
-
-  // ---- D: anytime contract through the runtime ------------------------------
-  {
-    const std::size_t n = smoke ? 48 : 200;
-    net::Network network = mail_waxman(n, 41);
-    core::Framework fw(std::move(network));
-    auto config = std::make_shared<mail::MailServiceConfig>();
-    if (auto st = mail::register_mail_factories(fw.runtime().factories(),
-                                                config);
-        !st.is_ok()) {
-      std::fprintf(stderr, "planner_scaling: %s\n", st.to_string().c_str());
-      return 1;
-    }
-    auto registration = mail::mail_registration(net::NodeId{0});
-    registration.anytime_deadline_s = 1e-9;  // truncate at first incumbent
-    if (auto st =
-            fw.register_service(std::move(registration), mail::mail_translator());
-        !st.is_ok()) {
-      std::fprintf(stderr, "planner_scaling: %s\n", st.to_string().c_str());
-      return 1;
-    }
-
-    planner::PlanRequest defaults;
-    defaults.interface_name = "ClientInterface";
-    defaults.required_properties.emplace_back(
-        "TrustLevel", spec::PropertyValue::integer(2));
-    defaults.request_rate_rps = 20.0;
-    defaults.client_node = net::NodeId{static_cast<std::uint32_t>(n - 1)};
-
-    bool ok = true;
-    const auto access = [&](runtime::AccessOutcome& out) {
-      bool done = false;
-      fw.server().request_access(
-          "SecureMail", defaults,
-          [&](util::Expected<runtime::AccessOutcome> result) {
-            if (result.has_value()) {
-              out = std::move(result).value();
-            } else {
-              std::fprintf(stderr, "planner_scaling: access failed: %s\n",
-                           result.status().to_string().c_str());
-              ok = false;
-            }
-            done = true;
-          });
-      fw.run();
-      ok = ok && done;
-    };
-    const auto drain = [&] {
-      bool drained = false;
-      fw.server().drain_improvements([&] { drained = true; });
-      fw.run();
-      ok = ok && drained;
-    };
-
-    // Truncated access #1, then an epoch bump invalidates its entry and its
-    // queued improvement before the improver runs.
-    runtime::AccessOutcome first;
-    access(first);
-    const bool incumbent_valid = ok && first.search.deadline_hit;
-    fw.server().invalidate_cached_plans();
-    drain();
-
-    // Access #2 must plan cold (zero stale binds), enqueue its own job, and
-    // this time the improver runs to completion and may hot-swap.
-    runtime::AccessOutcome second;
-    access(second);
-    const bool no_stale_bind = ok && !second.cache_hit;
-    drain();
-
-    // Access #3 rides the (possibly swapped) cache entry.
-    runtime::AccessOutcome third;
-    access(third);
-
-    const runtime::AnytimeTelemetry& t = fw.server().anytime_telemetry();
-    const double second_score = planner::plan_primary_score(
-        planner::Objective::kMinLatency, second.plan.metrics);
-    const double third_score = planner::plan_primary_score(
-        planner::Objective::kMinLatency, third.plan.metrics);
-    bool monotonic = third_score <= second_score + 1e-12;
-    for (std::size_t i = 1; i < t.swap_primary_scores.size(); ++i) {
-      monotonic = monotonic &&
-                  t.swap_primary_scores[i] <= t.swap_primary_scores[i - 1];
-    }
-
-    const bool gate_passed = ok && incumbent_valid && no_stale_bind &&
-                             t.discarded_stale >= 1 &&
-                             t.nonmonotonic_refused == 0 && monotonic &&
-                             third.cache_hit;
-    all_gates_passed = all_gates_passed && gate_passed;
-
-    std::printf(
-        "D: anytime on %zu nodes: truncated %.6f s -> served %.6f s, "
-        "%llu jobs, %llu swaps, %llu stale-discarded, %llu no-better\n",
-        n, second_score, third_score,
-        static_cast<unsigned long long>(t.jobs_enqueued),
-        static_cast<unsigned long long>(t.improved_swaps),
-        static_cast<unsigned long long>(t.discarded_stale),
-        static_cast<unsigned long long>(t.no_better));
-
-    json.add("anytime_nodes", static_cast<std::uint64_t>(n));
-    json.add("anytime_deadline_hit", incumbent_valid);
-    json.add("anytime_jobs_enqueued", t.jobs_enqueued);
-    json.add("anytime_improved_swaps", t.improved_swaps);
-    json.add("anytime_discarded_stale", t.discarded_stale);
-    json.add("anytime_no_better", t.no_better);
-    json.add("anytime_nonmonotonic_refused", t.nonmonotonic_refused);
-    json.add("anytime_truncated_score_s", second_score);
-    json.add("anytime_served_score_s", third_score);
-    json.add("anytime_zero_stale_binds", no_stale_bind);
-    json.add("anytime_gate_passed", gate_passed);
-    if (!gate_passed) {
-      std::fprintf(stderr, "planner_scaling: anytime contract gate failed\n");
     }
   }
 

@@ -74,17 +74,6 @@ bool beyond_incumbent(double bound, double inc) {
   return bound > inc + 1e-9 * std::max(1.0, std::abs(inc));
 }
 
-// The anytime budget test shared by the in-search check and the driver's
-// unit skip: a budget is set, `stats` (counted across every unit) has
-// examined at least that many candidates, and an incumbent exists — the
-// search never comes back empty-handed because the budget was tiny.
-bool budget_spent(const PlanRequest& request, const SearchStats& stats,
-                  double incumbent) {
-  return request.candidate_budget != 0 &&
-         stats.candidates_examined >= request.candidate_budget &&
-         incumbent < kInfinity;
-}
-
 // A non-owning reference to a callable: an object pointer and a call thunk,
 // two words, never allocating (a std::function holding one of the search's
 // lambdas would heap-allocate on every edge). Every search callback runs
@@ -117,18 +106,13 @@ using Requirements =
 // The reuse pool as the requirement edges for one interface see it, built
 // once per plan. The search's pool walk visits every pooled instance and
 // counts each as an examined candidate, implementer or not (the charge
-// docs/COSTMODEL.md describes); this index lets it skip the
-// non-implementers in bulk. Each implementer carries how many
-// non-implementers the walk visits just before it, and how many of those
-// sit on down nodes (a down instance is rejected before its interfaces are
-// looked at), so the search adds those counts exactly where the walk would
-// have: candidates_examined is also the anytime budget, and a callback
-// deeper in the walk may read it.
+// docs/COSTMODEL.md describes); this index lets it count the
+// non-implementers in one step, and those on down nodes as node-down
+// rejections (a down instance is rejected before its interfaces are looked
+// at).
 struct PoolInterface {
   struct Implementer {
     std::size_t index = 0;  // position in the pool
-    std::uint64_t skipped = 0;
-    std::uint64_t skipped_down = 0;
     bool node_down = false;
     // The instance's effective values for this interface.
     const std::map<std::string, spec::PropertyValue>* props = nullptr;
@@ -139,8 +123,8 @@ struct PoolInterface {
   // spec's ImplementerIndex entry); null when none does.
   const std::vector<spec::ImplementerRef>* components = nullptr;
   std::vector<Implementer> pooled;
-  std::uint64_t trailing = 0;  // non-implementers after the last implementer
-  std::uint64_t trailing_down = 0;
+  std::uint64_t non_implementers = 0;
+  std::uint64_t non_implementers_down = 0;  // of those, on down nodes
 };
 
 // What the checks that depend only on (component, node) conclude, worked
@@ -294,28 +278,20 @@ class PlanTables {
     out.name = &name;
     auto it = index_.find(name);
     if (it != index_.end()) out.components = &it->second;
-    std::uint64_t skipped = 0;
-    std::uint64_t skipped_down = 0;
     for (std::size_t i = 0; i < pool_.size(); ++i) {
       const ExistingInstance& inst = pool_[i];
       const bool down = !network_.node_up(inst.node);
       auto eff = inst.effective.find(name);
       if (eff == inst.effective.end()) {
-        ++skipped;
-        if (down) ++skipped_down;
+        ++out.non_implementers;
+        if (down) ++out.non_implementers_down;
         continue;
       }
       PoolInterface::Implementer& impl = out.pooled.emplace_back();
       impl.index = i;
-      impl.skipped = skipped;
-      impl.skipped_down = skipped_down;
       impl.node_down = down;
       impl.props = &eff->second;
-      skipped = 0;
-      skipped_down = 0;
     }
-    out.trailing = skipped;
-    out.trailing_down = skipped_down;
   }
 
   const spec::ServiceSpec& spec_;
@@ -335,8 +311,7 @@ class Search {
   // instances are reachable regardless). The flat search passes every node;
   // a hierarchical refinement passes its cluster's candidate set.
   // `incumbent` is the best primary score earlier units found (kInfinity
-  // when none); `stats` carries the counters of those units too, which is
-  // what the anytime budget counts against.
+  // when none); `stats` carries the counters of those units too.
   Search(const spec::ServiceSpec& spec, const EnvironmentView& env,
          const spec::ImplementerIndex& index, PlanTables& tables,
          const PlanRequest& request,
@@ -373,7 +348,6 @@ class Search {
             : std::span<const net::NodeId>(candidate_nodes_);
     for (const spec::ImplementerRef& ref : it->second) {
       for (net::NodeId node : nodes) {
-        if (expired()) return;
         try_new(*ref.component, *ref.linkage, node, request_.interface_name,
                 request_.required_properties, request_.client_node,
                 request_.request_rate_rps, /*depth=*/1, kNoParent,
@@ -439,14 +413,6 @@ class Search {
 
   bool should_prune(double bound) const {
     return beyond_incumbent(bound, incumbent_primary());
-  }
-
-  // Anytime budget (see budget_spent): unwinds the DFS and keeps the best
-  // plan found so far.
-  bool expired() {
-    if (!budget_spent(request_, stats_, incumbent_primary())) return false;
-    stats_.deadline_hit = true;
-    return true;
   }
 
   // Code-transfer time for deploying `comp` at `node` (the deployment-cost
@@ -551,25 +517,20 @@ class Search {
                InstanceId parent, double discount, double committed,
                Sink sink) {
     if (depth > request_.max_depth) return;
-    if (expired()) return;
 
     // (a) Reuse an already-running instance. The walk counts every pooled
-    // instance; the non-implementers are counted in bulk where the walk
-    // reaches them.
+    // instance; the non-implementers in one step.
+    stats_.candidates_examined += iface.non_implementers;
+    stats_.rejected_node_down += iface.non_implementers_down;
     for (const PoolInterface::Implementer& pooled : iface.pooled) {
-      stats_.candidates_examined += pooled.skipped;
-      stats_.rejected_node_down += pooled.skipped_down;
       try_existing(pooled, reqs, from, rate, parent, discount, committed,
                    sink);
     }
-    stats_.candidates_examined += iface.trailing;
-    stats_.rejected_node_down += iface.trailing_down;
 
     // (b) Deploy a new component.
     if (iface.components == nullptr) return;
     for (const spec::ImplementerRef& ref : *iface.components) {
       for (net::NodeId node : candidate_nodes_) {
-        if (expired()) return;
         try_new(*ref.component, *ref.linkage, node, *iface.name, reqs, from,
                 rate, depth, parent, discount, committed, sink);
       }
@@ -1136,10 +1097,10 @@ struct DriveResult {
 // The one search driver: runs `units` in order, carrying one incumbent and
 // one SearchStats across them. A unit whose lower bound exceeds the
 // incumbent (the in-search margin) is skipped — it can only hold plans
-// strictly worse than one already found — and so is every unit after the
-// anytime budget is spent. A unit's plan replaces the incumbent only when
-// its score is strictly lower, so ties keep the earliest (unit, entry
-// candidate), the first-best-kept rule each Search applies within a unit.
+// strictly worse than one already found. A unit's plan replaces the
+// incumbent only when its score is strictly lower, so ties keep the earliest
+// (unit, entry candidate), the first-best-kept rule each Search applies
+// within a unit.
 DriveResult drive_search(const spec::ServiceSpec& spec,
                          const EnvironmentView& env,
                          const spec::ImplementerIndex& index,
@@ -1153,10 +1114,6 @@ DriveResult drive_search(const spec::ServiceSpec& spec,
     if (request.bound_pruning &&
         beyond_incumbent(unit.lower_bound, incumbent.primary)) {
       ++out.units_skipped;
-      continue;
-    }
-    if (budget_spent(request, out.stats, incumbent.primary)) {
-      out.stats.deadline_hit = true;
       continue;
     }
     ++out.units_searched;
@@ -1203,7 +1160,6 @@ SearchStats& SearchStats::operator+=(const SearchStats& other) {
   clusters_pruned += other.clusters_pruned;
   clusters_refined += other.clusters_refined;
   used_hierarchy = used_hierarchy || other.used_hierarchy;
-  deadline_hit = deadline_hit || other.deadline_hit;
   return *this;
 }
 
@@ -1236,7 +1192,6 @@ std::string SearchStats::to_string() const {
     oss << "; hierarchy: " << clusters_refined << "/" << clusters_total
         << " cluster(s) refined, " << clusters_pruned << " pruned by bound";
   }
-  if (deadline_hit) oss << "; DEADLINE HIT (anytime incumbent)";
   return oss.str();
 }
 

@@ -121,20 +121,9 @@ struct PlanRequest {
   // nodes plus the affected cluster's members so the search touches only the
   // broken suffix of the deployment; existing instances offered for reuse
   // are still considered wherever they live. Excluded from the plan-cache
-  // fingerprint (like candidate_budget): a restricted repair answers the same
-  // logical request, just with a smaller search space.
+  // fingerprint: a restricted repair answers the same logical request, just
+  // with a smaller search space.
   std::vector<net::NodeId> candidate_nodes;
-  // Anytime mode: > 0 caps the search at this many candidates examined
-  // (SearchStats::candidates_examined, the quantity the runtime charges as
-  // planning CPU), 0 = no budget. Once the budget is spent and a first
-  // incumbent exists, the search stops and returns the best plan found so
-  // far (SearchStats::deadline_hit tells the caller the result may be
-  // improvable — the runtime's background improver re-plans without a
-  // budget and hot-swaps through the plan-cache epoch mechanism, see
-  // GenericServer::drain_improvements). The search never returns
-  // empty-handed because of the budget: until an incumbent exists it keeps
-  // going. A count, not a clock, so a truncated plan replays bit-identically.
-  std::uint64_t candidate_budget = 0;
 };
 
 struct SearchStats {
@@ -165,9 +154,6 @@ struct SearchStats {
   std::uint64_t clusters_pruned = 0;   // skipped: quotient bound > incumbent
   std::uint64_t clusters_refined = 0;  // actually searched
   bool used_hierarchy = false;
-  // The anytime candidate budget truncated the search; the returned plan is
-  // the best incumbent, not necessarily the optimum.
-  bool deadline_hit = false;
 
   // Merges another search's stats into this one: counters add, flags OR.
   SearchStats& operator+=(const SearchStats& other);
@@ -266,8 +252,7 @@ class Planner {
 // The primary (lexicographically first) objective value score_plan assigns
 // to a finished plan's metrics: expected latency for kMinLatency, deployment
 // cost + new components for kMinDeploymentCost, negated min headroom for
-// kMaxCapacity. This is the quantity the anytime improver must drive
-// monotonically down across hot-swaps.
+// kMaxCapacity. Tests compare plans with it.
 double plan_primary_score(Objective objective, const PlanMetrics& metrics);
 
 }  // namespace psf::planner

@@ -3,35 +3,12 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <limits>
 #include <utility>
 
 #include "runtime/monitor.hpp"
 #include "util/logging.hpp"
 
 namespace psf::runtime {
-
-namespace {
-
-// The anytime deadline as a planner candidate budget: the number of
-// candidates whose planning CPU, charged at the host by deploy_plan, fills
-// anytime_deadline_s simulated seconds. 0 = no budget; a positive deadline
-// always buys at least one candidate, and a huge one saturates.
-std::uint64_t anytime_candidate_budget(const ServiceRegistration& registration,
-                                       double host_cpu_capacity) {
-  if (registration.anytime_deadline_s <= 0.0 ||
-      registration.planning_cpu_per_candidate <= 0.0) {
-    return 0;
-  }
-  const double candidates =
-      std::floor(registration.anytime_deadline_s * host_cpu_capacity /
-                 registration.planning_cpu_per_candidate);
-  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
-  if (!(candidates < static_cast<double>(kMax))) return kMax;
-  return std::max<std::uint64_t>(1, static_cast<std::uint64_t>(candidates));
-}
-
-}  // namespace
 
 void GenericServer::register_service(
     ServiceRegistration registration,
@@ -40,6 +17,21 @@ void GenericServer::register_service(
   if (auto st = registration.spec.validate(); !st) {
     ready(st);
     return;
+  }
+  // Every initial placement is checked before anything is advertised or
+  // installed, so a bad one leaves no trace and a corrected registration
+  // may follow.
+  for (const InitialPlacement& ip : registration.initial_placements) {
+    if (registration.spec.find_component(ip.component) == nullptr) {
+      ready(util::not_found("initial placement references unknown component '" +
+                            ip.component + "'"));
+      return;
+    }
+    if (!ip.node.valid() || ip.node.value >= runtime_.network().node_count()) {
+      ready(util::invalid_argument("initial placement of '" + ip.component +
+                                   "' names a node outside the network"));
+      return;
+    }
   }
   const std::string name = registration.spec.name;
   if (services_.count(name) != 0) {
@@ -81,11 +73,6 @@ void GenericServer::register_service(
   for (const InitialPlacement& ip : raw->registration.initial_placements) {
     const spec::ComponentDef* comp =
         raw->registration.spec.find_component(ip.component);
-    if (comp == nullptr) {
-      ready(util::not_found("initial placement references unknown component '" +
-                            ip.component + "'"));
-      return;
-    }
     runtime_.install(
         *comp, ip.node, ip.factors, ip.node,
         [this, raw, comp, ip, pending, first_error,
@@ -124,14 +111,6 @@ void GenericServer::request_access(
     std::function<void(util::Expected<AccessOutcome>)> done) {
   ServiceState* state = resolve_request(service, request, done);
   if (state == nullptr) return;
-  // The service's anytime deadline caps cold-access planning unless the
-  // client set its own budget. Excluded from the fingerprint on purpose: a
-  // truncated and a complete search answer the same logical request, and the
-  // background improver converges the cached entry to the full-search plan.
-  if (request.candidate_budget == 0) {
-    request.candidate_budget = anytime_candidate_budget(
-        state->registration, runtime_.network().node(host_).cpu_capacity);
-  }
   const std::string fingerprint = plan_fingerprint(request);
 
   // Warm path: an identical client already holds a validated access path.
@@ -145,21 +124,12 @@ void GenericServer::request_access(
   TimedPlan planned = timed_search([&](planner::SearchStats& stats) {
     return state->planner->plan(request, state->existing, &stats);
   });
-  deploy_plan(
-      *state, std::move(planned),
-      [this, state, fingerprint, flight, request = std::move(request),
-       done = std::move(done)](util::Expected<AccessOutcome> result) mutable {
-        if (result && result->search.deadline_hit) {
-          // The deadline truncated this search; queue a full replan so
-          // drain_improvements can hot-swap a better plan in later.
-          improvements_.push_back({state->registration.spec.name,
-                                   fingerprint, std::move(request),
-                                   state->epoch});
-          ++anytime_telemetry_.jobs_enqueued;
-        }
-        finish_access(*state, fingerprint, flight, std::move(done),
-                      std::move(result));
-      });
+  deploy_plan(*state, std::move(planned),
+              [this, state, fingerprint, flight, done = std::move(done)](
+                  util::Expected<AccessOutcome> result) mutable {
+                finish_access(*state, fingerprint, flight, std::move(done),
+                              std::move(result));
+              });
 }
 
 void GenericServer::request_repair(
@@ -485,84 +455,6 @@ bool GenericServer::justified(const ServiceState& state,
     }
   }
   return true;
-}
-
-PlanCache::Entry* GenericServer::improvable_entry(ServiceState* state,
-                                                  const ImprovementJob& job) {
-  // An epoch that moved since the truncated access makes its entry
-  // unreplayable, and an "improvement" planned against the old world must
-  // never be installed. An entry that is gone (the epoch raced the deploy,
-  // or it was evicted since) can be bound by nobody, so there is nothing
-  // to improve.
-  PlanCache::Entry* entry =
-      state == nullptr || state->epoch != job.epoch_at_enqueue
-          ? nullptr
-          : state->cache.find(job.fingerprint, state->epoch,
-                              cache_telemetry_);
-  if (entry == nullptr) ++anytime_telemetry_.discarded_stale;
-  return entry;
-}
-
-void GenericServer::drain_improvements(std::function<void()> done) {
-  while (!improvements_.empty()) {
-    ImprovementJob job = std::move(improvements_.front());
-    improvements_.pop_front();
-    ServiceState* state = state_of(job.service);
-    const PlanCache::Entry* entry = improvable_entry(state, job);
-    if (entry == nullptr) continue;
-    const double incumbent_score = planner::plan_primary_score(
-        job.request.objective, entry->access.plan.metrics);
-
-    planner::PlanRequest request = job.request;
-    request.candidate_budget = 0;  // background: plan to completion
-    TimedPlan planned = timed_search([&](planner::SearchStats& stats) {
-      return state->planner->plan(request, state->existing, &stats);
-    });
-    const double improved_score =
-        planned.plan ? planner::plan_primary_score(request.objective,
-                                                   planned.plan->metrics)
-                     : std::numeric_limits<double>::infinity();
-    if (!(improved_score < incumbent_score - 1e-12)) {
-      ++anytime_telemetry_.no_better;
-      continue;
-    }
-    deploy_plan(
-        *state, std::move(planned),
-        [this, state, job = std::move(job), improved_score,
-         done = std::move(done)](util::Expected<AccessOutcome> result) mutable {
-          if (!result) {
-            // The improvement failed to deploy (e.g. a node died
-            // mid-transfer); the truncated plan keeps serving.
-            ++anytime_telemetry_.discarded_stale;
-          } else if (PlanCache::Entry* fresh = improvable_entry(state, job)) {
-            // Deployment took simulated time: the epoch and the entry were
-            // re-checked above, and the score is re-checked here — an entry
-            // that improved past us while we deployed is never replaced, so
-            // per-fingerprint swap scores are monotonically non-increasing.
-            const double current = planner::plan_primary_score(
-                job.request.objective, fresh->access.plan.metrics);
-            if (!(improved_score < current - 1e-12)) {
-              ++anytime_telemetry_.nonmonotonic_refused;
-            } else {
-              CachedAccess cached;
-              cached.plan = result->plan;
-              cached.instances = result->instances;
-              cached.entry = result->entry;
-              state->cache.insert(job.fingerprint, state->epoch,
-                                  std::move(cached), cache_telemetry_);
-              ++anytime_telemetry_.improved_swaps;
-              anytime_telemetry_.swap_primary_scores.push_back(
-                  improved_score);
-              PSF_INFO() << "anytime improver swapped access path for '"
-                         << job.service << "' (primary " << current
-                         << " -> " << improved_score << ")";
-            }
-          }
-          drain_improvements(std::move(done));
-        });
-    return;
-  }
-  done();
 }
 
 util::Status GenericServer::refresh_environment(const std::string& service) {

@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -49,27 +48,10 @@ struct ServiceRegistration {
   // Abstract CPU units the generic server spends per planner candidate
   // examined; models planning as real work at the server host.
   double planning_cpu_per_candidate = 0.5;
-  // Anytime planning: > 0 caps each cold access's planning at this many
-  // simulated seconds of CPU at the server host. Applied as
-  // PlanRequest::candidate_budget = max(1, floor(deadline × host
-  // cpu_capacity / planning_cpu_per_candidate)), the inverse of the planning
-  // charge, unless the request sets its own budget; ignored when
-  // planning_cpu_per_candidate <= 0. A truncated access returns the best
-  // incumbent immediately and enqueues a background improvement job; see
-  // GenericServer::drain_improvements. 0 = plan to completion (default).
+  // Ignored: every access plans to completion. Kept only because
+  // bench/psfbench/workloads.cpp assigns it; delete it together with that
+  // line.
   double anytime_deadline_s = 0.0;
-};
-
-// Background-improver counters (GenericServer::anytime_telemetry).
-struct AnytimeTelemetry {
-  std::uint64_t jobs_enqueued = 0;      // deadline-truncated cold accesses
-  std::uint64_t improved_swaps = 0;     // better plan deployed + cache-swapped
-  std::uint64_t discarded_stale = 0;    // epoch moved / entry gone: dropped
-  std::uint64_t no_better = 0;          // full replan did not beat incumbent
-  std::uint64_t nonmonotonic_refused = 0;  // swap would raise the score
-  // Primary score after each swap, in swap order. Monotonically
-  // non-increasing per fingerprint — the anytime contract the bench gates.
-  std::vector<double> swap_primary_scores;
 };
 
 // Closed-loop repair counters (GenericServer::repair_telemetry). The
@@ -196,30 +178,6 @@ class GenericServer {
   const spec::ServiceSpec* service_spec(const std::string& service) const;
   const planner::EnvironmentView* environment(const std::string& service) const;
 
-  // Processes the background-improvement queue: for each job (a cold access
-  // whose anytime deadline truncated the search), re-plans WITHOUT a
-  // deadline and, when the full search finds a strictly better plan, charges
-  // the planning CPU and deploys it like any cold plan (its new instances
-  // join the pool idle), then hot-swaps the cached access path so later
-  // identical clients bind the improved plan. Safety is epoch-based, the
-  // same mechanism that keeps cached plans honest: a job whose service epoch
-  // moved since enqueue — or whose cache entry is gone — is discarded, never
-  // deployed over a changed world; the epoch is re-checked after the
-  // (simulated-time) deployment too, so a monitor event racing the deploy
-  // also voids the swap. A swap that would *raise* the primary score is
-  // refused outright — incumbent scores are monotonically non-increasing
-  // per fingerprint. Jobs run sequentially; `done` fires when the queue is
-  // empty. Clients already bound to the pre-swap plan keep their working
-  // (just slower) path.
-  void drain_improvements(std::function<void()> done);
-
-  // Improvement jobs queued and not yet drained (diagnostics/tests).
-  std::size_t pending_improvements() const { return improvements_.size(); }
-
-  const AnytimeTelemetry& anytime_telemetry() const {
-    return anytime_telemetry_;
-  }
-
  private:
   using AccessCallback = std::function<void(util::Expected<AccessOutcome>)>;
 
@@ -240,16 +198,6 @@ class GenericServer {
   };
   using PlanSearch = std::function<util::Expected<planner::DeploymentPlan>(
       planner::SearchStats&)>;
-
-  // A deadline-truncated access to re-plan in the background. Carries the
-  // fully merged request (principal properties + code origin resolved) so
-  // the replan explores exactly the plan space the truncated search did.
-  struct ImprovementJob {
-    std::string service;
-    std::string fingerprint;
-    planner::PlanRequest request;
-    std::uint64_t epoch_at_enqueue = 0;
-  };
 
   struct ServiceState {
     ServiceRegistration registration;
@@ -285,7 +233,7 @@ class GenericServer {
   static TimedPlan timed_search(const PlanSearch& search);
 
   // The second half of the one cold path (Fig. 1 steps 3-5), shared by
-  // access, repair and the improver: charges the search's candidates as
+  // access and repair: charges the search's candidates as
   // planning CPU at this host, deploys, pools the plan's new shared
   // instances (absorb_deployment), and hands `publish` the outcome. A
   // failed search or deploy reaches `publish` as its status.
@@ -332,19 +280,12 @@ class GenericServer {
                      AccessCallback primary,
                      util::Expected<AccessOutcome> result);
 
-  // The cache entry an improvement job would replace, or nullptr (counted
-  // as a stale discard) when the job can no longer apply.
-  PlanCache::Entry* improvable_entry(ServiceState* state,
-                                     const ImprovementJob& job);
-
   SmockRuntime& runtime_;
   net::NodeId host_;
   LookupService& lookup_;
   DeploymentEngine engine_;
   std::map<std::string, std::unique_ptr<ServiceState>> services_;
   PlanCacheTelemetry cache_telemetry_;
-  std::deque<ImprovementJob> improvements_;
-  AnytimeTelemetry anytime_telemetry_;
   RepairTelemetry repair_telemetry_;
 };
 

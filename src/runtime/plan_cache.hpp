@@ -53,15 +53,11 @@ std::uint64_t plan_rate_bucket(double rps);
 // requirements are sorted, so declaration order does not split the cache.
 // search_threads (ignored) and bound_pruning are deliberately excluded: the
 // planner's result is bit-identical regardless of either (see DESIGN.md
-// "Planner search strategy"). search_mode and candidate_budget are
-// excluded too: they change how hard the planner works, not what the
-// request asks for — a budget-truncated entry is later
-// hot-swapped toward the full-search plan by the background improver
-// (GenericServer::drain_improvements), under the same epoch discipline that
-// keeps every other entry honest. The principal is represented by its translated
-// properties, which the generic server merges into required_properties
-// before fingerprinting — two principals with the same derived requirements
-// share an entry.
+// "Planner search strategy"). search_mode is excluded too: it changes how
+// hard the planner works, not what the request asks for. The principal is
+// represented by its translated properties, which the generic server merges
+// into required_properties before fingerprinting — two principals with the
+// same derived requirements share an entry.
 std::string plan_fingerprint(const planner::PlanRequest& request);
 
 // What a hit replays: the plan and the runtime instances backing each

@@ -170,7 +170,7 @@ TEST(BoundPruningTest, StatsMergeAddsCountersAndOrsFlags) {
   b.pruned_by_bound = 2;
   b.rejected_condition = 1;
   b.rejected_link_capacity = 7;
-  b.deadline_hit = true;
+  b.used_hierarchy = true;
 
   a += b;
   EXPECT_EQ(a.candidates_examined, 15u);
@@ -179,7 +179,7 @@ TEST(BoundPruningTest, StatsMergeAddsCountersAndOrsFlags) {
   EXPECT_EQ(a.rejected_condition, 5u);
   EXPECT_EQ(a.rejected_unroutable, 1u);
   EXPECT_EQ(a.rejected_link_capacity, 7u);
-  EXPECT_TRUE(a.deadline_hit);
+  EXPECT_TRUE(a.used_hierarchy);
 
   const std::string text = a.to_string();
   EXPECT_NE(text.find("pruned 5"), std::string::npos) << text;
@@ -192,11 +192,11 @@ TEST(BoundPruningTest, StatsMergeAddsCountersAndOrsFlags) {
 // Every SearchStats field and the plan, as literal constants. The search's
 // host implementation may change how fast a candidate is examined, never
 // which candidates are examined or in what order: candidates_examined is
-// both the simulated planning charge (GenericServer::deploy_plan) and the
-// anytime budget, so a changed count moves simulated time and can change a
-// truncated plan. The worlds are shaped like psfbench's access_storm: the
-// case-study sites with a reuse pool that mixes ServerInterface and
-// DecryptorInterface implementers with instances implementing neither.
+// the simulated planning charge (GenericServer::deploy_plan), so a changed
+// count moves simulated time. The worlds are shaped like psfbench's
+// access_storm: the case-study sites with a reuse pool that mixes
+// ServerInterface and DecryptorInterface implementers with instances
+// implementing neither.
 
 std::string counters(const planner::SearchStats& s) {
   std::ostringstream oss;
@@ -213,8 +213,7 @@ std::string counters(const planner::SearchStats& s) {
       << " unroutable=" << s.rejected_unroutable
       << " down=" << s.rejected_node_down
       << " clusters=" << s.clusters_total << "/" << s.clusters_pruned << "/"
-      << s.clusters_refined << " hier=" << s.used_hierarchy
-      << " deadline=" << s.deadline_hit;
+      << s.clusters_refined << " hier=" << s.used_hierarchy;
   return oss.str();
 }
 
@@ -310,8 +309,7 @@ TEST(SearchCountersTest, StormPoolFromSanDiego) {
             "examined=158455 scored=2 bound=61452 static=24750 cycle=5046 "
             "dup-view=3066 condition=8250 factor=0 compat=5464 node-cap=0 "
             "link-cap=0 inst-cap=937 unroutable=0 down=0 clusters=0/0/0 "
-            "hier=0 deadline=0 "
-            "route-rows=18\n"
+            "hier=0 route-rows=18\n"
             "DeploymentPlan (expected latency 50.46 ms, 1 new / 1 reused "
             "components)\n"
             "  #0 MailClient @ sd-5 (entry)\n"
@@ -326,7 +324,7 @@ TEST(SearchCountersTest, StormPoolFromSeattle) {
             "examined=158455 scored=1 bound=62791 static=24750 cycle=5046 "
             "dup-view=2628 condition=8251 factor=0 compat=5500 node-cap=0 "
             "link-cap=0 inst-cap=0 unroutable=0 down=0 clusters=0/0/0 hier=0 "
-            "deadline=0 route-rows=18\n"
+            "route-rows=18\n"
             "DeploymentPlan (expected latency 80.455 ms, 1 new / 1 reused "
             "components)\n"
             "  #0 ViewMailClient @ sea-5 (entry)\n"
@@ -344,8 +342,7 @@ TEST(SearchCountersTest, PooledInstanceOnDownedNode) {
             "examined=154072 scored=4 bound=58208 static=23154 cycle=4860 "
             "dup-view=2550 condition=8172 factor=0 compat=5652 node-cap=0 "
             "link-cap=0 inst-cap=852 unroutable=0 down=9968 clusters=0/0/0 "
-            "hier=0 deadline=0 "
-            "route-rows=17\n"
+            "hier=0 route-rows=17\n"
             "DeploymentPlan (expected latency 40.1645 ms, 2 new / 1 reused "
             "components)\n"
             "  #0 ViewMailClient @ sd-5 (entry)\n"
@@ -355,10 +352,8 @@ TEST(SearchCountersTest, PooledInstanceOnDownedNode) {
             "  #0 --ServerInterface--> #1 (local)\n");
 }
 
-// A front end with two requirement edges. Once the first edge binds a
-// pooled instance, the second edge's search checks the anytime budget, so
-// how far the first edge's pool walk has counted when the second edge
-// starts decides what the second edge may still try.
+// A front end with two requirement edges, each walking a pool that mixes
+// its interface's implementers with instances implementing neither.
 spec::ServiceSpec fanout_spec() {
   return spec::SpecBuilder("Fanout")
       .interval_property("TrustLevel", 1, 5)
@@ -383,7 +378,7 @@ spec::ServiceSpec fanout_spec() {
       .build();
 }
 
-TEST(SearchCountersTest, BudgetTruncatesPartwayThroughPoolWalk) {
+TEST(SearchCountersTest, TwoEdgePoolWalkOverNonImplementers) {
   CaseStudyWorld world(6, fanout_spec());
   const auto& ny = world.sites.new_york;
   const auto& sd = world.sites.san_diego;
@@ -398,42 +393,13 @@ TEST(SearchCountersTest, BudgetTruncatesPartwayThroughPoolWalk) {
   world.pool_instance("AuditLog", sd[4], "Audit", 5, 0.0);
   world.pool_instance("IndexServer", ny[4], "Index", 5, 0.002);
   world.pool_instance("AuditLog", ny[5], "Audit", 5, 0.0);
-  const auto run = [&world](std::uint64_t budget) {
-    planner::PlanRequest req;
-    req.interface_name = "Entry";
-    req.client_node = world.sites.sd_client;
-    req.candidate_budget = budget;
-    return world.run(req);
-  };
-  EXPECT_EQ(run(16),
-            "examined=23 scored=1 bound=5 static=0 cycle=0 dup-view=0 "
-            "condition=0 factor=0 compat=0 node-cap=0 link-cap=0 inst-cap=0 "
-            "unroutable=0 down=0 clusters=0/0/0 hier=0 deadline=1 "
-            "route-rows=8\n"
-            "DeploymentPlan (expected latency 230.919 ms, 1 new / 2 reused "
-            "components)\n"
-            "  #0 Front @ sd-5 (entry)\n"
-            "  #1 StoreServer @ ny-2 (existing)\n"
-            "  #2 IndexServer @ sd-2 (existing)\n"
-            "  #0 --Store--> #1 (3 hop(s), 100 ms)\n"
-            "  #0 --Index--> #2 (1 hop(s), 0 ms)\n");
-  EXPECT_EQ(run(40),
-            "examined=46 scored=8 bound=14 static=0 cycle=0 dup-view=0 "
-            "condition=0 factor=0 compat=0 node-cap=0 link-cap=0 inst-cap=0 "
-            "unroutable=0 down=0 clusters=0/0/0 hier=0 deadline=1 "
-            "route-rows=18\n"
-            "DeploymentPlan (expected latency 21.4277 ms, 1 new / 2 reused "
-            "components)\n"
-            "  #0 Front @ sd-5 (entry)\n"
-            "  #1 StoreServer @ sd-3 (existing)\n"
-            "  #2 IndexServer @ sd-2 (existing)\n"
-            "  #0 --Store--> #1 (1 hop(s), 0 ms)\n"
-            "  #0 --Index--> #2 (1 hop(s), 0 ms)\n");
-  EXPECT_EQ(run(0),
+  planner::PlanRequest req;
+  req.interface_name = "Entry";
+  req.client_node = world.sites.sd_client;
+  EXPECT_EQ(world.run(req),
             "examined=244 scored=30 bound=136 static=0 cycle=0 dup-view=0 "
             "condition=0 factor=0 compat=6 node-cap=0 link-cap=0 inst-cap=0 "
-            "unroutable=0 down=0 clusters=0/0/0 hier=0 deadline=0 "
-            "route-rows=18\n"
+            "unroutable=0 down=0 clusters=0/0/0 hier=0 route-rows=18\n"
             "DeploymentPlan (expected latency 0.3 ms, 3 new / 0 reused "
             "components)\n"
             "  #0 Front @ sd-5 (entry)\n"
@@ -458,7 +424,7 @@ TEST(SearchCountersTest, HierarchicalCaseStudy) {
             "examined=75812 scored=10 bound=16706 static=16851 cycle=942 "
             "dup-view=3780 condition=6309 factor=0 compat=1262 node-cap=0 "
             "link-cap=0 inst-cap=0 unroutable=0 down=0 clusters=8/0/8 hier=1 "
-            "deadline=0 route-rows=66\n"
+            "route-rows=66\n"
             "DeploymentPlan (expected latency 120.909 ms, 3 new / 1 reused "
             "components)\n"
             "  #0 ViewMailClient @ sea-21 (entry)\n"
@@ -496,8 +462,7 @@ TEST(SearchCountersTest, RepairAroundDrainedView) {
             "examined=37150 scored=3 bound=6429 static=4086 cycle=2430 "
             "dup-view=1275 condition=0 factor=0 compat=2175 node-cap=0 "
             "link-cap=0 inst-cap=426 unroutable=0 down=0 clusters=0/0/0 "
-            "hier=0 deadline=0 "
-            "route-rows=18\n"
+            "hier=0 route-rows=18\n"
             "DeploymentPlan (expected latency 40.1695 ms, 2 new / 1 reused "
             "components)\n"
             "  #0 MailClient @ sd-5 (entry)\n"

@@ -84,6 +84,37 @@ TEST_F(GenericFixture, RegistrationValidatesSpec) {
   EXPECT_FALSE(st.is_ok());
 }
 
+TEST_F(GenericFixture, UnknownInitialPlacementRegistersNothing) {
+  // A bad initial placement fails the registration before anything is
+  // advertised or installed, so the corrected registration then succeeds.
+  auto registration = mail::mail_registration(sites.mail_home);
+  registration.initial_placements[0].component = "NoSuchComponent";
+  util::Status st = util::Status::ok();
+  fw->server().register_service(std::move(registration),
+                                mail::mail_translator(),
+                                [&st](util::Status s) { st = s; });
+  fw->run();
+  EXPECT_EQ(st.code(), util::ErrorCode::kNotFound);
+  EXPECT_EQ(fw->lookup().find("SecureMail"), nullptr);
+  EXPECT_EQ(fw->server().service_spec("SecureMail"), nullptr);
+  EXPECT_TRUE(fw->runtime().instances_on(sites.mail_home).empty());
+  register_mail();
+}
+
+TEST_F(GenericFixture, OutOfRangeInitialPlacementNodeIsInvalid) {
+  auto registration = mail::mail_registration(sites.mail_home);
+  registration.initial_placements[0].node =
+      net::NodeId{static_cast<std::uint32_t>(fw->network().node_count())};
+  util::Status st = util::Status::ok();
+  fw->server().register_service(std::move(registration),
+                                mail::mail_translator(),
+                                [&st](util::Status s) { st = s; });
+  fw->run();
+  EXPECT_EQ(st.code(), util::ErrorCode::kInvalidArgument);
+  EXPECT_EQ(fw->lookup().find("SecureMail"), nullptr);
+  register_mail();
+}
+
 TEST_F(GenericFixture, UnknownServiceAccessFails) {
   register_mail();
   auto proxy = fw->make_proxy(sites.ny_client, "NoSuchService", defaults());

@@ -199,6 +199,11 @@ TEST_F(PlanCacheFixture, HitIsBitIdenticalToColdPlanUnderUnchangedEnvironment) {
   auto warm = bind_ok(sites.sd_client, request);
   ASSERT_TRUE(warm.cache_hit);
 
+  // The cold access replays in a fresh universe: the same search and the
+  // same simulated planning charge.
+  EXPECT_EQ(cold.search.to_string(), ref_cold.search.to_string());
+  EXPECT_EQ(cold.costs.planning.nanos(), ref_cold.costs.planning.nanos());
+
   // Placements + linkages of the hit are bit-identical to the cold plan of
   // the untouched universe (same placements, nodes, factors, wires, routes).
   EXPECT_EQ(warm.plan.to_string(fw->network()), ref_rendering);

@@ -6,12 +6,12 @@
 #   tools/check.sh --asan     # also: AddressSanitizer build running the
 #                             # suites of CI's sanitize-chaos matrix: chaos,
 #                             # failover, plan-cache, adaptation controller,
-#                             # hierarchy (the anytime improver), generic
-#                             # server, crypto, mail, mail edge, planner,
-#                             # bound pruning and property — the fault
-#                             # paths, every caller of the server's plan ->
-#                             # deploy pipeline, the cipher's word tails,
-#                             # the shared sealed mail bodies and the
+#                             # hierarchy (a cold access racing a refresh),
+#                             # generic server, crypto, mail, mail edge,
+#                             # planner, bound pruning and property — the
+#                             # fault paths, every caller of the server's
+#                             # plan -> deploy pipeline, the cipher's word
+#                             # tails, the shared sealed mail bodies and the
 #                             # search's non-owning callbacks and candidate
 #                             # table
 #   tools/check.sh --stress   # also: long-running suites (ctest -L stress)
@@ -120,7 +120,7 @@ if [[ "${ADAPT_ONLY}" == 1 ]]; then
 fi
 
 if [[ "${PLANNER_ONLY}" == 1 ]]; then
-  echo "== planner suite (search + validator + hierarchical + anytime) =="
+  echo "== planner suite (search + validator + hierarchical) =="
   cmake -B build -S . >/dev/null
   cmake --build build -j "${JOBS}" --target \
     planner_test bound_pruning_test hierarchy_test validate_test \
