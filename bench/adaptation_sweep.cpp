@@ -77,10 +77,12 @@ struct ScenarioResult {
   std::uint64_t state_transfers = 0;
   std::uint64_t instances_retired = 0;
   std::uint64_t state_transfer_bytes = 0;
-  // Planner candidates examined by the seed bind's cold plan and by each
-  // repair, in repair order.
+  // Planner candidates examined, and subtrees completed, by the seed bind's
+  // cold plan and by each repair, in repair order.
   std::uint64_t cold_plan_candidates = 0;
+  std::uint64_t cold_plan_completions = 0;
   std::vector<double> repair_candidates;
+  std::vector<double> repair_completions;
   bool all_finished = false;
   // Host wall-clock (NOT part of the determinism comparison).
   double cold_plan_wall_ms = 0.0;
@@ -106,7 +108,9 @@ struct ScenarioResult {
            instances_retired == o.instances_retired &&
            state_transfer_bytes == o.state_transfer_bytes &&
            cold_plan_candidates == o.cold_plan_candidates &&
-           repair_candidates == o.repair_candidates;
+           cold_plan_completions == o.cold_plan_completions &&
+           repair_candidates == o.repair_candidates &&
+           repair_completions == o.repair_completions;
   }
 };
 
@@ -172,6 +176,7 @@ ScenarioResult run_scenario(Scenario which, std::uint64_t seed) {
       seed_proxy->outcome().costs.planning_wall_seconds * 1e3;
   result.cold_plan_candidates =
       seed_proxy->outcome().search.candidates_examined;
+  result.cold_plan_completions = seed_proxy->outcome().search.completions;
   seed_request.client_node = sites.sd_client;
   ctl.track(seed_proxy->outcome(), seed_request);
 
@@ -329,6 +334,7 @@ ScenarioResult run_scenario(Scenario which, std::uint64_t seed) {
   const runtime::RepairTelemetry& repairs = fw.server().repair_telemetry();
   result.repair_wall_ms = repairs.repair_wall_ms.samples();
   result.repair_candidates = repairs.repair_candidates.samples();
+  result.repair_completions = repairs.repair_completions.samples();
   result.all_finished = all_finished;
   return result;
 }
@@ -351,9 +357,23 @@ int main() {
   ScenarioResult replay[3];
   util::SampleSet repair_walls;
   util::SampleSet cold_walls;
+  // Host cost per examined candidate: what the wall ratio gate compares,
+  // with the searches' sizes divided out.
+  util::SampleSet repair_ns_per_candidate;
+  util::SampleSet cold_ns_per_candidate;
   const auto collect = [&](const ScenarioResult& r) {
     for (double w : r.repair_wall_ms) repair_walls.add(w);
     cold_walls.add(r.cold_plan_wall_ms);
+    for (std::size_t k = 0; k < r.repair_wall_ms.size(); ++k) {
+      if (r.repair_candidates[k] > 0.0) {
+        repair_ns_per_candidate.add(r.repair_wall_ms[k] * 1e6 /
+                                    r.repair_candidates[k]);
+      }
+    }
+    if (r.cold_plan_candidates > 0) {
+      cold_ns_per_candidate.add(r.cold_plan_wall_ms * 1e6 /
+                                static_cast<double>(r.cold_plan_candidates));
+    }
   };
   for (int i = 0; i < 3; ++i) {
     first[i] = run_scenario(scenarios[i], kPlanSeed);
@@ -379,10 +399,27 @@ int main() {
   // holds them all (its replay is checked identical below).
   util::SampleSet repair_candidates;
   util::SampleSet cold_candidates;
+  // Completed subtrees per candidate: a completion costs more host time
+  // than a rejection, and repairs complete far more often than cold plans.
+  util::SampleSet repair_completion_rate;
+  util::SampleSet cold_completion_rate;
   for (const ScenarioResult& r : first) {
     for (double c : r.repair_candidates) repair_candidates.add(c);
     cold_candidates.add(static_cast<double>(r.cold_plan_candidates));
+    for (std::size_t k = 0; k < r.repair_candidates.size(); ++k) {
+      if (r.repair_candidates[k] > 0.0) {
+        repair_completion_rate.add(r.repair_completions[k] /
+                                   r.repair_candidates[k]);
+      }
+    }
+    if (r.cold_plan_candidates > 0) {
+      cold_completion_rate.add(static_cast<double>(r.cold_plan_completions) /
+                               static_cast<double>(r.cold_plan_candidates));
+    }
   }
+  const auto p50 = [](util::SampleSet& s) {
+    return s.count() > 0 ? s.percentile(50.0) : 0.0;
+  };
   const double repair_candidates_p50 =
       repair_candidates.count() > 0 ? repair_candidates.percentile(50.0)
                                     : 0.0;
@@ -418,6 +455,11 @@ int main() {
   }
   std::printf("\nrepair p50 %.3fms cold p50 %.3fms ratio %.3f\n",
               repair_p50_ms, cold_p50_ms, repair_to_cold);
+  std::printf(
+      "ns per candidate: repair p50 %.1f cold p50 %.1f | completions per "
+      "candidate: repair p50 %.4f cold p50 %.4f\n",
+      p50(repair_ns_per_candidate), p50(cold_ns_per_candidate),
+      p50(repair_completion_rate), p50(cold_completion_rate));
   std::printf("repair candidates:");
   for (double c : repair_candidates.samples()) std::printf(" %.0f", c);
   std::printf("\nrepair candidates p50 %.1f cold %.0f ratio %.3f\n",
@@ -472,6 +514,12 @@ int main() {
   json.add("repair_p50_ms", repair_p50_ms);
   json.add("cold_plan_p50_ms", cold_p50_ms);
   json.add("repair_to_cold_ratio", repair_to_cold);
+  json.add("repair_ns_per_candidate_p50", p50(repair_ns_per_candidate));
+  json.add("cold_plan_ns_per_candidate_p50", p50(cold_ns_per_candidate));
+  json.add("repair_completions_per_candidate_p50",
+           p50(repair_completion_rate));
+  json.add("cold_plan_completions_per_candidate_p50",
+           p50(cold_completion_rate));
   json.add("repair_samples", static_cast<std::uint64_t>(repair_walls.count()));
   json.add("cold_plan_candidates", cold_candidates_p50);
   json.add("repair_candidates_p50", repair_candidates_p50);

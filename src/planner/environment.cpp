@@ -156,21 +156,4 @@ spec::PropertyValue EnvironmentView::transform_along(
   return value;
 }
 
-spec::PropertyValue TransformMemo::transform(const EnvironmentView& env,
-                                             const spec::RuleSet& rules,
-                                             const std::string& property,
-                                             const spec::PropertyValue& value,
-                                             const net::Route& route,
-                                             net::NodeId from) {
-  if (route.local()) return value;  // identity: nothing to traverse or cache
-  std::vector<Entry>& entries = cache_[Key{&route, from.value, property}];
-  for (const Entry& e : entries) {
-    if (e.in == value) return e.out;
-  }
-  spec::PropertyValue out =
-      env.transform_along(rules, property, value, route, from);
-  entries.push_back(Entry{value, out});
-  return out;
-}
-
 }  // namespace psf::planner

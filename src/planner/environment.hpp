@@ -20,7 +20,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "net/network.hpp"
@@ -148,31 +147,6 @@ class EnvironmentView {
   std::vector<spec::Environment> node_envs_;
   std::vector<spec::Environment> link_envs_;
   mutable std::map<std::string, spec::Environment> principal_envs_;
-};
-
-// Memoizes EnvironmentView::transform_along within one Planner::plan call. The
-// mapping DFS re-applies the same (property, value, route) transform every
-// time it revisits a candidate edge under a different partial plan, and each
-// application walks every link and intermediate node of the route. Keyed by
-// route identity (pointers into the network's route cache are stable between
-// mutations), traversal origin, property, and input value; distinct input
-// values per key are few, so they live in a small linear-scanned vector.
-// Every search unit of one plan call shares one memo.
-class TransformMemo {
- public:
-  spec::PropertyValue transform(const EnvironmentView& env,
-                                const spec::RuleSet& rules,
-                                const std::string& property,
-                                const spec::PropertyValue& value,
-                                const net::Route& route, net::NodeId from);
-
- private:
-  struct Entry {
-    spec::PropertyValue in;
-    spec::PropertyValue out;
-  };
-  using Key = std::tuple<const net::Route*, std::uint32_t, std::string>;
-  std::map<Key, std::vector<Entry>> cache_;
 };
 
 }  // namespace psf::planner

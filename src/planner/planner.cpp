@@ -10,6 +10,7 @@
 #include <span>
 #include <sstream>
 #include <type_traits>
+#include <unordered_map>
 
 #include "planner/cluster.hpp"
 #include "planner/hierarchy.hpp"
@@ -100,8 +101,164 @@ class CallbackRef<R(Args...)> {
   R (*call_)(void*, Args...);
 };
 
-using Requirements =
-    std::vector<std::pair<std::string, spec::PropertyValue>>;
+// Property names as the search sees them: dense ids (CompiledSpec).
+using PropId = std::uint32_t;
+
+// What a slot array holds past its end: nothing.
+const spec::PropertyValue kUnset{};
+
+const spec::PropertyValue& slot(const std::vector<spec::PropertyValue>& slots,
+                                PropId id) {
+  return id < slots.size() ? slots[id] : kUnset;
+}
+
+using Requirements = std::vector<std::pair<PropId, spec::PropertyValue>>;
+
+}  // namespace
+
+// The spec as the search reads it, compiled once per Planner — what a
+// constraint-based deployer compiles into its solver domains before it
+// searches. Property names become dense ids: the declared properties first,
+// in declaration order, then any other name the search reads, as met. A
+// plan gives further ids to names only its request or reuse pool uses
+// (PlanTables::intern). Values stay spec::PropertyValue; strings are only
+// ever compared for equality, so comparing them as they are is exact.
+struct CompiledSpec {
+  // One property assignment of a declaration, its property interned.
+  struct Assignment {
+    PropId prop = 0;
+    const spec::ValueExpr* value = nullptr;  // null: nothing declared
+  };
+
+  // One interface a component implements. A component's rows are its
+  // distinct implemented interfaces in name order: the order EffectiveProps
+  // (a std::map keyed by interface name) iterates in, which the transparent
+  // inheritance rule follows.
+  struct Row {
+    const std::string* interface_name = nullptr;
+    const spec::InterfaceDef* def = nullptr;  // null: no such interface
+    std::vector<PropId> props;                // def's properties
+  };
+
+  struct Component {
+    std::vector<Row> rows;
+    // Per Implements entry: its row; each property of its interface with
+    // the entry's first declaration of it (the value is null when there is
+    // none, and a transparent component then inherits it); and its fixed
+    // values — first declarations of properties no modification rule can
+    // change, which a requirement is checked against before the search
+    // recurses.
+    std::vector<std::uint32_t> row_of;
+    std::vector<std::vector<Assignment>> effective;
+    std::vector<std::vector<Assignment>> fixed;
+    // Per Requires entry: its interface (an index into edge_interfaces) and
+    // its assignments, in declaration order.
+    std::vector<std::uint32_t> edge_interface;
+    std::vector<std::vector<Assignment>> requirements;
+  };
+
+  std::map<std::string, PropId> ids;
+  std::vector<const std::string*> names;                     // by id
+  std::vector<const spec::PropertyModificationRule*> rules;  // by id
+  std::vector<std::string> edge_interfaces;  // named by a Requires entry
+  std::vector<Component> components;         // in spec order
+};
+
+namespace {
+
+std::shared_ptr<const CompiledSpec> compile_spec(const spec::ServiceSpec& spec) {
+  auto out = std::make_shared<CompiledSpec>();
+  CompiledSpec& cs = *out;
+  const auto intern = [&cs](const std::string& name) {
+    auto [it, inserted] =
+        cs.ids.try_emplace(name, static_cast<PropId>(cs.names.size()));
+    if (inserted) cs.names.push_back(&it->first);
+    return it->second;
+  };
+  for (const spec::PropertyDef& p : spec.properties) intern(p.name);
+
+  std::map<std::string, std::uint32_t> edge_ids;
+  for (const spec::ComponentDef& comp : spec.components) {
+    CompiledSpec::Component& cc = cs.components.emplace_back();
+
+    std::vector<const std::string*> row_names;
+    for (const spec::LinkageDecl& decl : comp.implements) {
+      row_names.push_back(&decl.interface_name);
+    }
+    std::stable_sort(
+        row_names.begin(), row_names.end(),
+        [](const std::string* a, const std::string* b) { return *a < *b; });
+    row_names.erase(
+        std::unique(row_names.begin(), row_names.end(),
+                    [](const std::string* a, const std::string* b) {
+                      return *a == *b;
+                    }),
+        row_names.end());
+    for (const std::string* name : row_names) {
+      CompiledSpec::Row& row = cc.rows.emplace_back();
+      row.interface_name = name;
+      row.def = spec.find_interface(*name);
+      if (row.def == nullptr) continue;
+      for (const std::string& p : row.def->properties) {
+        row.props.push_back(intern(p));
+      }
+    }
+
+    for (const spec::LinkageDecl& decl : comp.implements) {
+      std::uint32_t r = 0;
+      while (*cc.rows[r].interface_name != decl.interface_name) ++r;
+      cc.row_of.push_back(r);
+
+      std::vector<CompiledSpec::Assignment>& effective =
+          cc.effective.emplace_back();
+      const CompiledSpec::Row& row = cc.rows[r];
+      for (std::size_t i = 0; i < row.props.size(); ++i) {
+        CompiledSpec::Assignment& a = effective.emplace_back();
+        a.prop = row.props[i];
+        for (const spec::PropertyAssignment& pa : decl.properties) {
+          if (pa.property != row.def->properties[i]) continue;
+          a.value = &pa.value;  // the first declaration (value_of)
+          break;
+        }
+      }
+
+      std::vector<CompiledSpec::Assignment>& fixed = cc.fixed.emplace_back();
+      for (auto it = decl.properties.begin(); it != decl.properties.end();
+           ++it) {
+        // Only a property's first declaration counts (LinkageDecl::value_of).
+        const bool shadowed =
+            std::any_of(decl.properties.begin(), it,
+                        [&it](const spec::PropertyAssignment& earlier) {
+                          return earlier.property == it->property;
+                        });
+        if (shadowed || spec.rules.find(it->property) != nullptr) continue;
+        fixed.push_back({intern(it->property), &it->value});
+      }
+    }
+
+    for (const spec::LinkageDecl& decl : comp.requires_) {
+      auto [it, inserted] = edge_ids.try_emplace(
+          decl.interface_name,
+          static_cast<std::uint32_t>(cs.edge_interfaces.size()));
+      if (inserted) cs.edge_interfaces.push_back(decl.interface_name);
+      cc.edge_interface.push_back(it->second);
+      std::vector<CompiledSpec::Assignment>& reqs =
+          cc.requirements.emplace_back();
+      for (const spec::PropertyAssignment& pa : decl.properties) {
+        reqs.push_back({intern(pa.property), &pa.value});
+      }
+    }
+  }
+  // A rule's property gets an id here even when nothing above reads it, so
+  // a name only a request or pool uses never has a rule.
+  for (const spec::PropertyModificationRule& r : spec.rules.all()) {
+    intern(r.property);
+  }
+  for (const std::string* name : cs.names) {
+    cs.rules.push_back(spec.rules.find(*name));
+  }
+  return out;
+}
 
 // The reuse pool as the requirement edges for one interface see it, built
 // once per plan. The search's pool walk visits every pooled instance and
@@ -114,10 +271,12 @@ struct PoolInterface {
   struct Implementer {
     std::size_t index = 0;  // position in the pool
     bool node_down = false;
-    // The instance's effective values for this interface.
-    const std::map<std::string, spec::PropertyValue>* props = nullptr;
+    std::uint32_t factors_id = 0;  // PlanTables::factors_id
+    // The instance's effective values for this interface, by property id.
+    std::vector<spec::PropertyValue> props;
   };
 
+  bool indexed = false;
   const std::string* name = nullptr;
   // Components that implement the interface, in declaration order (the
   // spec's ImplementerIndex entry); null when none does.
@@ -154,33 +313,46 @@ struct Candidate {
   // and that no modification rule can change along a route: a requirement
   // it fails rejects the candidate before the search recurses.
   struct FixedValue {
-    const std::string* property = nullptr;
+    PropId property = 0;
     spec::PropertyValue value;
   };
 
   bool filled = false;
   Verdict verdict = Verdict::kOk;
+  // Set while the pair is placed on the search's current requirement path:
+  // the cycle guard.
+  bool on_path = false;
   // Set when the verdict is kOk:
   const spec::Environment* env = nullptr;
-  const net::Node* host = nullptr;
+  double cpu_capacity = 0.0;   // the node's
+  double cpu_available = 0.0;  // the node's, after reservations
   FactorBindings factors;
+  std::uint32_t factors_id = 0;                // PlanTables::factors_id
   std::vector<Edge> edges;                     // per Requires entry
   std::vector<std::vector<FixedValue>> fixed;  // per Implements entry
+  // A non-transparent placement's effective values depend on nothing else,
+  // so they are worked out on the pair's first completion: one row of slots
+  // per CompiledSpec row.
+  bool effective_built = false;
+  std::vector<spec::PropertyValue> effective;
 };
 
 // Everything one Planner::plan call works out once and every search unit
-// shares: the candidate table, the pool index and the transform memo.
+// shares: the candidate table, the pool index, the plan's further property
+// ids, the interned factor bindings and the transform memo.
 class PlanTables {
  public:
-  PlanTables(const spec::ServiceSpec& spec, const EnvironmentView& env,
-             const spec::ImplementerIndex& index,
+  PlanTables(const CompiledSpec& compiled, const spec::ServiceSpec& spec,
+             const EnvironmentView& env, const spec::ImplementerIndex& index,
              const std::vector<ExistingInstance>& pool)
-      : spec_(spec),
+      : compiled_(compiled),
+        spec_(spec),
         env_(env),
         network_(env.network()),
         index_(index),
         pool_(pool),
-        rows_(network_.node_count()) {}
+        rows_(network_.node_count()),
+        interfaces_(compiled.edge_interfaces.size()) {}
 
   // The (component, node) entry, filled on first touch. A node's row is
   // allocated on the node's first touch and never resized, so references
@@ -188,18 +360,10 @@ class PlanTables {
   Candidate& candidate(const spec::ComponentDef& comp, net::NodeId node) {
     std::vector<Candidate>& row = rows_[node.value];
     if (row.empty()) row.resize(spec_.components.size());
-    Candidate& c = row[component_index(comp)];
-    if (!c.filled) fill(c, comp, node);
+    const std::size_t ci = component_index(comp);
+    Candidate& c = row[ci];
+    if (!c.filled) fill(c, comp, ci, node);
     return c;
-  }
-
-  const PoolInterface& interface(const std::string& name) {
-    auto it = interfaces_.find(name);
-    if (it == interfaces_.end()) {
-      it = interfaces_.emplace(name, PoolInterface{}).first;
-      index_pool(it->first, it->second);
-    }
-    return it->second;
   }
 
   // `comp`'s position in the spec; pooled instances are of spec components
@@ -211,10 +375,87 @@ class PlanTables {
     return i;
   }
 
-  TransformMemo& memo() { return memo_; }
+  // The id of a property name: the spec's, else one this plan assigns.
+  PropId intern(const std::string& name) {
+    if (auto it = compiled_.ids.find(name); it != compiled_.ids.end()) {
+      return it->second;
+    }
+    auto [it, inserted] = extra_ids_.try_emplace(
+        name,
+        static_cast<PropId>(compiled_.names.size() + extra_names_.size()));
+    if (inserted) extra_names_.push_back(&it->first);
+    return it->second;
+  }
+
+  Requirements requirements(
+      const std::vector<std::pair<std::string, spec::PropertyValue>>& reqs) {
+    Requirements out;
+    out.reserve(reqs.size());
+    for (const auto& [name, value] : reqs) out.emplace_back(intern(name), value);
+    return out;
+  }
+
+  // EnvironmentView::transform_along, memoized for the plan by (route
+  // origin, route end, property id, input value): the search re-applies the
+  // same transform every time it revisits an edge under a different partial
+  // plan. `route` is the cached route from `from` to `to`, fixed for the
+  // plan. A property no rule modifies crosses every environment unchanged.
+  // The result is `value` itself or a memo entry: valid until the next call.
+  const spec::PropertyValue& transform(PropId prop,
+                                       const spec::PropertyValue& value,
+                                       const net::Route& route,
+                                       net::NodeId from, net::NodeId to) {
+    if (route.local() || prop >= compiled_.rules.size() ||
+        compiled_.rules[prop] == nullptr) {
+      return value;
+    }
+    // Distinct (property, input) pairs per route are few: a linear scan.
+    std::vector<TransformEntry>& entries =
+        transforms_
+            .try_emplace((std::uint64_t{from.value} << 32) | to.value)
+            .first->second;
+    for (const TransformEntry& e : entries) {
+      if (e.prop == prop && e.in == value) return e.out;
+    }
+    spec::PropertyValue out = env_.transform_along(
+        spec_.rules, *compiled_.names[prop], value, route, from);
+    return entries.emplace_back(TransformEntry{prop, value, std::move(out)})
+        .out;
+  }
+
+  // A pooled instance's value of each property from its first interface, in
+  // interface-name order, that holds it — what a transparent parent
+  // inherits. Built on first use.
+  const std::vector<spec::PropertyValue>& pool_inherited(std::size_t index) {
+    if (pool_inherited_.empty()) {
+      pool_inherited_.resize(pool_.size());
+      pool_inherited_built_.assign(pool_.size(), false);
+    }
+    std::vector<spec::PropertyValue>& out = pool_inherited_[index];
+    if (!pool_inherited_built_[index]) {
+      pool_inherited_built_[index] = true;
+      // Last interface first, so the first holder's value is written last.
+      const EffectiveProps& effective = pool_[index].effective;
+      for (auto it = effective.rbegin(); it != effective.rend(); ++it) {
+        for (const auto& [name, value] : it->second) {
+          const PropId id = intern(name);
+          if (id >= out.size()) out.resize(id + 1);
+          out[id] = value;
+        }
+      }
+    }
+    return out;
+  }
 
  private:
-  void fill(Candidate& c, const spec::ComponentDef& comp, net::NodeId node) {
+  struct TransformEntry {
+    PropId prop = 0;
+    spec::PropertyValue in;
+    spec::PropertyValue out;
+  };
+
+  void fill(Candidate& c, const spec::ComponentDef& comp, std::size_t ci,
+            net::NodeId node) {
     c.filled = true;
     if (!network_.node_up(node)) {
       c.verdict = Candidate::Verdict::kNodeDown;
@@ -244,37 +485,49 @@ class PlanTables {
     }
     c.verdict = Candidate::Verdict::kOk;
     c.env = &node_env;
-    c.host = &network_.node(node);
+    c.cpu_capacity = network_.node(node).cpu_capacity;
+    c.cpu_available = network_.node(node).cpu_available();
+    c.factors_id = factors_id(c.factors);
 
-    c.edges.reserve(comp.requires_.size());
-    for (const spec::LinkageDecl& req : comp.requires_) {
+    const CompiledSpec::Component& cc = compiled_.components[ci];
+    c.edges.reserve(cc.requirements.size());
+    for (std::size_t e = 0; e < cc.requirements.size(); ++e) {
       Candidate::Edge& edge = c.edges.emplace_back();
-      edge.iface = &interface(req.interface_name);
-      for (const spec::PropertyAssignment& pa : req.properties) {
-        spec::PropertyValue v = resolve_value(pa.value, node_env, c.factors);
-        if (v.is_set()) edge.reqs.emplace_back(pa.property, std::move(v));
+      edge.iface = &interface(cc.edge_interface[e]);
+      for (const CompiledSpec::Assignment& a : cc.requirements[e]) {
+        spec::PropertyValue v = resolve_value(*a.value, node_env, c.factors);
+        if (v.is_set()) edge.reqs.emplace_back(a.prop, std::move(v));
       }
     }
 
-    c.fixed.reserve(comp.implements.size());
-    for (const spec::LinkageDecl& decl : comp.implements) {
+    c.fixed.reserve(cc.fixed.size());
+    for (const std::vector<CompiledSpec::Assignment>& decl : cc.fixed) {
       std::vector<Candidate::FixedValue>& fixed = c.fixed.emplace_back();
-      for (auto it = decl.properties.begin(); it != decl.properties.end();
-           ++it) {
-        // Only a property's first declaration counts (LinkageDecl::value_of).
-        const bool shadowed =
-            std::any_of(decl.properties.begin(), it,
-                        [&it](const spec::PropertyAssignment& earlier) {
-                          return earlier.property == it->property;
-                        });
-        if (shadowed || spec_.rules.find(it->property) != nullptr) continue;
-        spec::PropertyValue v = resolve_value(it->value, node_env, c.factors);
-        if (v.is_set()) fixed.push_back({&it->property, std::move(v)});
+      for (const CompiledSpec::Assignment& a : decl) {
+        spec::PropertyValue v = resolve_value(*a.value, node_env, c.factors);
+        if (v.is_set()) fixed.push_back({a.prop, std::move(v)});
       }
     }
   }
 
+  // Equal bindings get equal ids, so the duplicate-view checks compare
+  // integers. A plan binds few distinct sets: a linear scan.
+  std::uint32_t factors_id(const FactorBindings& factors) {
+    for (std::size_t i = 0; i < factor_sets_.size(); ++i) {
+      if (*factor_sets_[i] == factors) return static_cast<std::uint32_t>(i);
+    }
+    factor_sets_.push_back(&factors);
+    return static_cast<std::uint32_t>(factor_sets_.size() - 1);
+  }
+
+  const PoolInterface& interface(std::uint32_t edge_interface) {
+    PoolInterface& out = interfaces_[edge_interface];
+    if (!out.indexed) index_pool(compiled_.edge_interfaces[edge_interface], out);
+    return out;
+  }
+
   void index_pool(const std::string& name, PoolInterface& out) {
+    out.indexed = true;
     out.name = &name;
     auto it = index_.find(name);
     if (it != index_.end()) out.components = &it->second;
@@ -290,10 +543,16 @@ class PlanTables {
       PoolInterface::Implementer& impl = out.pooled.emplace_back();
       impl.index = i;
       impl.node_down = down;
-      impl.props = &eff->second;
+      impl.factors_id = factors_id(inst.factors);
+      for (const auto& [prop, value] : eff->second) {
+        const PropId id = intern(prop);
+        if (id >= impl.props.size()) impl.props.resize(id + 1);
+        impl.props[id] = value;
+      }
     }
   }
 
+  const CompiledSpec& compiled_;
   const spec::ServiceSpec& spec_;
   const EnvironmentView& env_;
   const net::Network& network_;
@@ -301,8 +560,17 @@ class PlanTables {
   const std::vector<ExistingInstance>& pool_;
   // By node id: one Candidate per component, in spec order.
   std::vector<std::vector<Candidate>> rows_;
-  std::map<std::string, PoolInterface> interfaces_;
-  TransformMemo memo_;
+  // By CompiledSpec edge interface, indexed on first use.
+  std::vector<PoolInterface> interfaces_;
+  // Names neither the spec nor an earlier id of this plan holds.
+  std::map<std::string, PropId> extra_ids_;
+  std::vector<const std::string*> extra_names_;
+  std::vector<const FactorBindings*> factor_sets_;  // by factors id
+  // By (route origin << 32 | route end); sized by the routes a plan
+  // transforms over, not by node pairs.
+  std::unordered_map<std::uint64_t, std::vector<TransformEntry>> transforms_;
+  std::vector<std::vector<spec::PropertyValue>> pool_inherited_;
+  std::vector<bool> pool_inherited_built_;
 };
 
 class Search {
@@ -312,17 +580,20 @@ class Search {
   // a hierarchical refinement passes its cluster's candidate set.
   // `incumbent` is the best primary score earlier units found (kInfinity
   // when none); `stats` carries the counters of those units too.
-  Search(const spec::ServiceSpec& spec, const EnvironmentView& env,
-         const spec::ImplementerIndex& index, PlanTables& tables,
-         const PlanRequest& request,
+  Search(const CompiledSpec& compiled, const spec::ServiceSpec& spec,
+         const EnvironmentView& env, const spec::ImplementerIndex& index,
+         PlanTables& tables, const PlanRequest& request,
+         const Requirements& entry_reqs,
          const std::vector<ExistingInstance>& existing, double incumbent,
          SearchStats& stats, const std::vector<net::NodeId>& candidate_nodes)
-      : spec_(spec),
-        env_(env),
+      : compiled_(compiled),
+        width_(compiled.names.size()),
+        spec_(spec),
         network_(env.network()),
         index_(index),
         tables_(tables),
         request_(request),
+        entry_reqs_(entry_reqs),
         existing_(existing),
         incumbent_(incumbent),
         stats_(stats),
@@ -333,6 +604,7 @@ class Search {
     existing_added_rps_.assign(existing.size(), 0.0);
     placed_existing_.assign(existing.size(), kNotPlaced);
     rtt_slot_.assign(network_.node_count(), kNoSlot);
+    summaries_.resize(spec.components.size());
   }
 
   // Explores the entry-level candidates in order: implementing components
@@ -348,10 +620,11 @@ class Search {
             : std::span<const net::NodeId>(candidate_nodes_);
     for (const spec::ImplementerRef& ref : it->second) {
       for (net::NodeId node : nodes) {
-        try_new(*ref.component, *ref.linkage, node, request_.interface_name,
-                request_.required_properties, request_.client_node,
-                request_.request_rate_rps, /*depth=*/1, kNoParent,
-                /*discount=*/1.0, /*committed=*/0.0,
+        Candidate& c = tables_.candidate(*ref.component, node);
+        if (rejected_by_verdict(c)) continue;
+        try_new(*ref.component, *ref.linkage, node, c, entry_reqs_,
+                request_.client_node, request_.request_rate_rps,
+                /*depth=*/1, kNoParent, /*discount=*/1.0, /*committed=*/0.0,
                 [this](InstanceId root, double padded_s, double warm_s) {
                   finish_plan(root, padded_s, warm_s);
                 });
@@ -373,16 +646,19 @@ class Search {
   using Done = CallbackRef<void(double, double)>;
 
   // One placement of the partial plan. It refers to its factor bindings
-  // (in the candidate table or the reuse pool) and its effective properties
-  // (in the reuse pool, or in the try_new frame of a new placement, which
-  // outlives every use of the placement) instead of copying them;
-  // finish_plan copies them into a Placement only for a plan that becomes
-  // the incumbent.
+  // (in the candidate table or the reuse pool) and, once it completes, to
+  // its effective values (in the candidate table, or in the try_new frame
+  // of a transparent placement, which outlives every use of the placement)
+  // instead of copying them; finish_plan copies them into a Placement only
+  // for a plan that becomes the incumbent.
   struct Working {
     const spec::ComponentDef* component = nullptr;
     net::NodeId node;
+    std::uint32_t factors_id = 0;
     const FactorBindings* factors = nullptr;
-    const EffectiveProps* effective = nullptr;
+    // A new placement's effective values, one row of slots per CompiledSpec
+    // row; a reused instance's are its ExistingInstance's.
+    const spec::PropertyValue* effective = nullptr;
     double expected_latency_s = 0.0;
     double inbound_rate_rps = 0.0;
     const ExistingInstance* existing = nullptr;  // set when reused
@@ -395,6 +671,18 @@ class Search {
     InstanceId server = 0;
     const net::Route* route = nullptr;
     double rate_rps = 0.0;
+  };
+
+  // What this unit's candidate nodes hold for one component in the
+  // candidate table: how many of them each fixed rejection verdict covers,
+  // and the nodes whose verdict is ok, in candidate order.
+  struct NodeSummary {
+    bool built = false;
+    std::uint64_t node_down = 0;
+    std::uint64_t fixed_static = 0;
+    std::uint64_t condition = 0;
+    std::uint64_t factor = 0;
+    std::vector<std::pair<net::NodeId, Candidate*>> ok;
   };
 
   static constexpr InstanceId kNotPlaced = UINT32_MAX;
@@ -438,12 +726,12 @@ class Search {
   // double. The memo lives per search unit: a dense table over the nodes
   // the unit has touched (a cluster refinement's, or a small world's), a
   // row per `from`.
+  // `ci` is `comp`'s index in the spec.
   double edge_rtt(net::NodeId from, net::NodeId to, const net::Route& route,
-                  const spec::ComponentDef& comp) {
+                  const spec::ComponentDef& comp, std::size_t ci) {
     const std::size_t components = spec_.components.size();
     const std::uint32_t from_slot = rtt_slot(from);
-    const std::size_t i =
-        rtt_slot(to) * components + tables_.component_index(comp);
+    const std::size_t i = rtt_slot(to) * components + ci;
     std::vector<double>& rtt = rtt_rows_[from_slot];
     if (i >= rtt.size()) {
       rtt.resize((i / components + 1) * components,
@@ -493,10 +781,10 @@ class Search {
   // never exhibits; Seattle's view chains to San Diego's because their
   // trust factors differ).
   bool duplicates_parent(InstanceId parent, const spec::ComponentDef* comp,
-                         const FactorBindings& factors) const {
+                         std::uint32_t factors_id) const {
     if (parent == kNoParent) return false;
     const Working& p = placements_[parent];
-    return p.component == comp && *p.factors == factors;
+    return p.component == comp && p.factors_id == factors_id;
   }
 
   // Views extend the duplicate check to the entire requirement path: a
@@ -504,12 +792,46 @@ class Search {
   // chain holds the same cached contents, so it contributes no real request
   // reduction — even when a transparent tunnel sits between the two copies.
   bool view_duplicated_on_path(const spec::ComponentDef* comp,
-                               const FactorBindings& factors) const {
+                               std::uint32_t factors_id) const {
     if (!comp->is_view()) return false;
-    for (const auto& [path_comp, path_factors] : view_path_) {
-      if (path_comp == comp && *path_factors == factors) return true;
+    for (const auto& [path_comp, path_factors_id] : view_path_) {
+      if (path_comp == comp && path_factors_id == factors_id) return true;
     }
     return false;
+  }
+
+  // The candidate table's summary of `comp` over this unit's candidate
+  // nodes, built on first use.
+  const NodeSummary& summary(const spec::ComponentDef& comp) {
+    NodeSummary& s = summaries_[tables_.component_index(comp)];
+    if (s.built) return s;
+    s.built = true;
+    for (net::NodeId node : candidate_nodes_) {
+      Candidate& c = tables_.candidate(comp, node);
+      switch (c.verdict) {
+        case Candidate::Verdict::kNodeDown: ++s.node_down; break;
+        case Candidate::Verdict::kStatic: ++s.fixed_static; break;
+        case Candidate::Verdict::kCondition: ++s.condition; break;
+        case Candidate::Verdict::kFactor: ++s.factor; break;
+        case Candidate::Verdict::kOk: s.ok.emplace_back(node, &c); break;
+      }
+    }
+    return s;
+  }
+
+  // Counts an examined candidate that its fixed verdict rejects; false when
+  // the verdict is ok.
+  bool rejected_by_verdict(const Candidate& c) {
+    if (c.verdict == Candidate::Verdict::kOk) return false;
+    ++stats_.candidates_examined;
+    switch (c.verdict) {
+      case Candidate::Verdict::kNodeDown: ++stats_.rejected_node_down; break;
+      case Candidate::Verdict::kStatic: ++stats_.rejected_static; break;
+      case Candidate::Verdict::kCondition: ++stats_.rejected_condition; break;
+      case Candidate::Verdict::kFactor: ++stats_.rejected_factor; break;
+      case Candidate::Verdict::kOk: break;
+    }
+    return true;
   }
 
   void satisfy(const PoolInterface& iface, const Requirements& reqs,
@@ -527,12 +849,23 @@ class Search {
                    sink);
     }
 
-    // (b) Deploy a new component.
+    // (b) Deploy a new component. The candidates a fixed verdict rejects are
+    // counted in one step: node-down and static come before the cycle guard
+    // in try_new's order, and a pair with a condition or factor verdict is
+    // never on the requirement path (only ok pairs get there), so no cycle
+    // rejection would have preceded theirs.
     if (iface.components == nullptr) return;
     for (const spec::ImplementerRef& ref : *iface.components) {
-      for (net::NodeId node : candidate_nodes_) {
-        try_new(*ref.component, *ref.linkage, node, *iface.name, reqs, from,
-                rate, depth, parent, discount, committed, sink);
+      const NodeSummary& s = summary(*ref.component);
+      stats_.candidates_examined +=
+          s.node_down + s.fixed_static + s.condition + s.factor;
+      stats_.rejected_node_down += s.node_down;
+      stats_.rejected_static += s.fixed_static;
+      stats_.rejected_condition += s.condition;
+      stats_.rejected_factor += s.factor;
+      for (const auto& [node, c] : s.ok) {
+        try_new(*ref.component, *ref.linkage, node, *c, reqs, from, rate,
+                depth, parent, discount, committed, sink);
       }
     }
   }
@@ -547,8 +880,8 @@ class Search {
       ++stats_.rejected_node_down;
       return;
     }
-    if (duplicates_parent(parent, inst.component, inst.factors) ||
-        view_duplicated_on_path(inst.component, inst.factors)) {
+    if (duplicates_parent(parent, inst.component, pooled.factors_id) ||
+        view_duplicated_on_path(inst.component, pooled.factors_id)) {
       ++stats_.rejected_duplicate_view;
       return;
     }
@@ -577,18 +910,17 @@ class Search {
 
     // §3.3 condition 2 against the instance's stored effective properties.
     for (const auto& [prop, required] : reqs) {
-      spec::PropertyValue v;
-      auto vit = pooled.props->find(prop);
-      if (vit != pooled.props->end()) v = vit->second;
-      v = tables_.memo().transform(env_, spec_.rules, prop, v, *route_back,
-                                   inst.node);
-      if (!v.satisfies(required)) {
+      if (!tables_
+               .transform(prop, slot(pooled.props, prop), *route_back,
+                          inst.node, from)
+               .satisfies(required)) {
         ++stats_.rejected_compatibility;
         return;
       }
     }
 
-    const double rtt = edge_rtt(from, inst.node, *route_in, *inst.component);
+    const double rtt = edge_rtt(from, inst.node, *route_in, *inst.component,
+                                tables_.component_index(*inst.component));
 
     // Bound: reusing an instance commits this edge's RTT plus the instance's
     // (exactly known) downstream latency; it adds no deployment cost, and
@@ -635,8 +967,8 @@ class Search {
     if (created) {
       placed_existing_[pooled.index] =
           static_cast<InstanceId>(placements_.size());
-      placements_.push_back(Working{inst.component, inst.node, &inst.factors,
-                                    &inst.effective,
+      placements_.push_back(Working{inst.component, inst.node,
+                                    pooled.factors_id, &inst.factors, nullptr,
                                     inst.downstream_latency_s, 0.0, &inst});
     }
     const InstanceId pid = placed_existing_[pooled.index];
@@ -657,47 +989,24 @@ class Search {
     release_route(*route_in, inst.component->behaviors, rate);
   }
 
+  // A new placement of `comp` at `node`, whose candidate-table entry `c`
+  // has an ok verdict (callers count the others).
   void try_new(const spec::ComponentDef& comp, const spec::LinkageDecl& impl,
-               net::NodeId node, const std::string& iface,
-               const Requirements& reqs, net::NodeId from, double rate,
-               std::size_t depth, InstanceId parent, double discount,
-               double committed, Sink sink) {
+               net::NodeId node, Candidate& c, const Requirements& reqs,
+               net::NodeId from, double rate, std::size_t depth,
+               InstanceId parent, double discount, double committed,
+               Sink sink) {
     ++stats_.candidates_examined;
-    Candidate& c = tables_.candidate(comp, node);
-
-    // A crashed/down node hosts nothing new.
-    if (c.verdict == Candidate::Verdict::kNodeDown) {
-      ++stats_.rejected_node_down;
-      return;
-    }
-
-    // Static components only participate through pre-placed instances.
-    if (c.verdict == Candidate::Verdict::kStatic) {
-      ++stats_.rejected_static;
-      return;
-    }
 
     // Cycle guard: never place the same component twice on the same node
     // along one requirement path.
-    if (std::find(path_.begin(), path_.end(),
-                  std::make_pair(&comp, node.value)) != path_.end()) {
+    if (c.on_path) {
       ++stats_.rejected_cycle;
       return;
     }
 
-    // §3.3 condition 1: installation conditions.
-    if (c.verdict == Candidate::Verdict::kCondition) {
-      ++stats_.rejected_condition;
-      return;
-    }
-
-    // An unbindable factor: infeasible here.
-    if (c.verdict == Candidate::Verdict::kFactor) {
-      ++stats_.rejected_factor;
-      return;
-    }
-    if (duplicates_parent(parent, &comp, c.factors) ||
-        view_duplicated_on_path(&comp, c.factors)) {
+    if (duplicates_parent(parent, &comp, c.factors_id) ||
+        view_duplicated_on_path(&comp, c.factors_id)) {
       ++stats_.rejected_duplicate_view;
       return;
     }
@@ -712,11 +1021,12 @@ class Search {
     // Early filter for §3.3 condition 2: a *declared* value that fails its
     // requirement can only be rescued by a modification rule; without a rule
     // for the property, prune before recursing.
-    const std::vector<Candidate::FixedValue>& fixed =
-        c.fixed[static_cast<std::size_t>(&impl - comp.implements.data())];
+    const std::size_t impl_index =
+        static_cast<std::size_t>(&impl - comp.implements.data());
+    const std::vector<Candidate::FixedValue>& fixed = c.fixed[impl_index];
     for (const auto& [prop, required] : reqs) {
       for (const Candidate::FixedValue& declared : fixed) {
-        if (*declared.property != prop) continue;
+        if (declared.property != prop) continue;
         if (!declared.value.satisfies(required)) {
           ++stats_.rejected_compatibility;
           return;
@@ -727,8 +1037,7 @@ class Search {
 
     // §3.3 condition 3: node CPU, component capacity, inbound link load.
     const double cpu_add = rate * comp.behaviors.cpu_per_request;
-    const net::Node& host = *c.host;
-    if (node_load_[node.value] + cpu_add > host.cpu_available()) {
+    if (node_load_[node.value] + cpu_add > c.cpu_available) {
       ++stats_.rejected_node_capacity;
       return;
     }
@@ -738,9 +1047,9 @@ class Search {
       return;
     }
 
-    const double cpu_time_s =
-        comp.behaviors.cpu_per_request / host.cpu_capacity;
-    const double rtt = edge_rtt(from, node, *route_in, comp);
+    const double cpu_time_s = comp.behaviors.cpu_per_request / c.cpu_capacity;
+    const std::size_t ci = tables_.component_index(comp);
+    const double rtt = edge_rtt(from, node, *route_in, comp, ci);
     // Cold-cache discount for newly deployed views (see PlanRequest).
     const double warm_rrf = comp.behaviors.rrf;
     double padded_rrf = warm_rrf;
@@ -768,7 +1077,7 @@ class Search {
           break;
         case Objective::kMaxCapacity: {
           double u = committed;
-          const double avail = host.cpu_available();
+          const double avail = c.cpu_available;
           if (cpu_add > 0.0 && avail > 0.0) {
             u = std::max(u, (node_load_[node.value] + cpu_add) / avail);
           }
@@ -801,38 +1110,59 @@ class Search {
       return;
     }
     node_load_[node.value] += cpu_add;
-    path_.emplace_back(&comp, node.value);
-    if (comp.is_view()) view_path_.emplace_back(&comp, &c.factors);
     committed_cost_ += cost_add;
 
-    // The placement's effective properties, recomputed for each set of
-    // children.
-    EffectiveProps effective;
+    // At the last depth level a component that requires anything cannot
+    // complete: satisfy() returns for the level below before it counts a
+    // candidate, so only the link-capacity verdict above is observable.
+    // The loads and the cost are still added and taken back: `(v + x) - x`
+    // need not equal `v` in floating point, and the residue a recursing
+    // walk leaves reaches later checks, bounds and plan metrics.
+    if (depth >= request_.max_depth && !comp.requires_.empty()) {
+      committed_cost_ -= cost_add;
+      node_load_[node.value] -= cpu_add;
+      release_route(*route_in, comp.behaviors, rate);
+      return;
+    }
+    c.on_path = true;
+    if (comp.is_view()) view_path_.emplace_back(&comp, c.factors_id);
+
     const InstanceId pid = static_cast<InstanceId>(placements_.size());
-    placements_.push_back(
-        Working{&comp, node, &c.factors, &effective, 0.0, rate, nullptr});
+    placements_.push_back(Working{&comp, node, c.factors_id, &c.factors,
+                                  nullptr, 0.0, rate, nullptr});
+    const CompiledSpec::Component& compiled = compiled_.components[ci];
+    const std::size_t offset = compiled.row_of[impl_index] * width_;
+    // A transparent placement's effective values, rewritten on each
+    // completion (they depend on the children).
+    std::vector<spec::PropertyValue> transparent;
 
     satisfy_children(
         c, comp, pid, node, rate * padded_rrf, depth, 0, 0.0, 0.0,
         discount * padded_rrf, child_committed,
         [&](double children_padded_s, double children_warm_s) {
+          ++stats_.completions;
           Working& self = placements_[pid];
           self.expected_latency_s = cpu_time_s + warm_rrf * children_warm_s;
           const double padded_latency_s =
               cpu_time_s + padded_rrf * children_padded_s;
-          effective = compute_effective(comp, *c.env, c.factors, pid);
+          if (comp.transparent) {
+            effective_values(c, comp, compiled, pid, transparent);
+            self.effective = transparent.data();
+          } else {
+            if (!c.effective_built) {
+              effective_values(c, comp, compiled, pid, c.effective);
+              c.effective_built = true;
+            }
+            self.effective = c.effective.data();
+          }
 
           // §3.3 condition 2 in full: effective properties, degraded along
           // the route back to the consumer, must satisfy the requirements.
-          auto eff_it = effective.find(iface);
-          PSF_CHECK(eff_it != effective.end());
           for (const auto& [prop, required] : reqs) {
-            spec::PropertyValue v;
-            auto vit = eff_it->second.find(prop);
-            if (vit != eff_it->second.end()) v = vit->second;
-            v = tables_.memo().transform(env_, spec_.rules, prop, v,
-                                         *route_back, node);
-            if (!v.satisfies(required)) {
+            const spec::PropertyValue& v =
+                prop < width_ ? self.effective[offset + prop] : kUnset;
+            if (!tables_.transform(prop, v, *route_back, node, from)
+                     .satisfies(required)) {
               ++stats_.rejected_compatibility;
               return;
             }
@@ -846,7 +1176,7 @@ class Search {
     placements_.pop_back();
     committed_cost_ -= cost_add;
     if (comp.is_view()) view_path_.pop_back();
-    path_.pop_back();
+    c.on_path = false;
     node_load_[node.value] -= cpu_add;
     release_route(*route_in, comp.behaviors, rate);
   }
@@ -914,53 +1244,83 @@ class Search {
     for (net::LinkId lid : route.links) link_load_[lid.value] -= add_bps;
   }
 
-  // The effective properties of new placement `self` of `comp`: declared
-  // values, and for a transparent component each undeclared property
-  // inherited from its children (the servers of its wires, in requirement
-  // order) as the minimum of the child's effective value transformed along
-  // the route to `self`.
-  EffectiveProps compute_effective(const spec::ComponentDef& comp,
-                                   const spec::Environment& node_env,
-                                   const FactorBindings& factors,
-                                   InstanceId self) {
+  // The effective values of new placement `self` of `comp` (entry `c`) into
+  // `out`, one row of slots per CompiledSpec row: declared values, and for a
+  // transparent component each undeclared property inherited from its
+  // children (the servers of its wires, in requirement order) as the
+  // minimum of the child's offered value transformed along the route to
+  // `self`. An unset value leaves its slot unset.
+  void effective_values(const Candidate& c, const spec::ComponentDef& comp,
+                        const CompiledSpec::Component& compiled,
+                        InstanceId self,
+                        std::vector<spec::PropertyValue>& out) {
     const net::NodeId node = placements_[self].node;
-    EffectiveProps out;
-    for (const spec::LinkageDecl& decl : comp.implements) {
-      const spec::InterfaceDef* iface =
-          spec_.find_interface(decl.interface_name);
-      PSF_CHECK(iface != nullptr);
-      auto& props = out[decl.interface_name];
-      for (const std::string& prop : iface->properties) {
+    out.assign(compiled.rows.size() * width_, spec::PropertyValue());
+    for (std::size_t i = 0; i < compiled.effective.size(); ++i) {
+      PSF_CHECK(compiled.rows[compiled.row_of[i]].def != nullptr);
+      spec::PropertyValue* row = out.data() + compiled.row_of[i] * width_;
+      for (const CompiledSpec::Assignment& a : compiled.effective[i]) {
         spec::PropertyValue value;
-        if (auto expr = decl.value_of(prop)) {
-          value = resolve_value(*expr, node_env, factors);
+        if (a.value != nullptr) {
+          value = resolve_value(*a.value, *c.env, c.factors);
         } else if (comp.transparent) {
-          spec::PropertyValue inherited;
-          bool first = true;
-          for (const WorkingWire& wire : wires_) {
-            if (wire.client != self) continue;
-            const Working& child = placements_[wire.server];
-            spec::PropertyValue cv;
-            for (const auto& [child_iface, child_props] : *child.effective) {
-              auto pit = child_props.find(prop);
-              if (pit != child_props.end()) {
-                cv = pit->second;
-                break;
-              }
-            }
-            cv = tables_.memo().transform(
-                env_, spec_.rules, prop, cv,
-                *network_.cached_route(child.node, node), child.node);
-            if (first) {
-              inherited = cv;
-              first = false;
-            } else {
-              inherited = spec::PropertyValue::min_of(inherited, cv);
-            }
-          }
-          value = inherited;
+          value = inherited(self, node, a.prop);
         }
-        if (value.is_set()) props[prop] = value;
+        if (value.is_set()) row[a.prop] = std::move(value);
+      }
+    }
+  }
+
+  spec::PropertyValue inherited(InstanceId self, net::NodeId node,
+                                PropId prop) {
+    spec::PropertyValue out;
+    bool first = true;
+    for (const WorkingWire& wire : wires_) {
+      if (wire.client != self) continue;
+      const Working& child = placements_[wire.server];
+      spec::PropertyValue cv = tables_.transform(
+          prop, offered(child, prop),
+          *network_.cached_route(child.node, node), child.node, node);
+      if (first) {
+        out = std::move(cv);
+        first = false;
+      } else {
+        out = spec::PropertyValue::min_of(out, cv);
+      }
+    }
+    return out;
+  }
+
+  // What a placement offers a transparent parent of property `prop`: the
+  // value of its first interface, in interface-name order, that holds it.
+  const spec::PropertyValue& offered(const Working& w, PropId prop) {
+    if (w.existing != nullptr) {
+      return slot(tables_.pool_inherited(
+                      static_cast<std::size_t>(w.existing - existing_.data())),
+                  prop);
+    }
+    if (prop >= width_) return kUnset;
+    const std::size_t rows =
+        compiled_.components[tables_.component_index(*w.component)]
+            .rows.size();
+    for (std::size_t r = 0; r < rows; ++r) {
+      const spec::PropertyValue& v = w.effective[r * width_ + prop];
+      if (v.is_set()) return v;
+    }
+    return kUnset;
+  }
+
+  // A new placement's effective values as the plan's string-keyed map.
+  EffectiveProps effective_props(const Working& w) const {
+    const CompiledSpec::Component& compiled =
+        compiled_.components[tables_.component_index(*w.component)];
+    EffectiveProps out;
+    for (std::size_t r = 0; r < compiled.rows.size(); ++r) {
+      const CompiledSpec::Row& row = compiled.rows[r];
+      auto& props = out[*row.interface_name];
+      for (PropId p : row.props) {
+        const spec::PropertyValue& v = w.effective[r * width_ + p];
+        if (v.is_set()) props[*compiled_.names[p]] = v;
       }
     }
     return out;
@@ -1020,12 +1380,14 @@ class Search {
       p.component = w.component;
       p.node = w.node;
       p.factors = *w.factors;
-      p.effective = *w.effective;
       p.expected_latency_s = w.expected_latency_s;
       p.inbound_rate_rps = w.inbound_rate_rps;
       if (w.existing != nullptr) {
+        p.effective = w.existing->effective;
         p.reuse_existing = true;
         p.existing_runtime_id = w.existing->runtime_id;
+      } else {
+        p.effective = effective_props(w);
       }
     }
     plan.wires.reserve(wires_.size());
@@ -1039,17 +1401,20 @@ class Search {
     best_score_ = score;
   }
 
+  const CompiledSpec& compiled_;
+  const std::size_t width_;  // the spec's property ids: a row's slot count
   const spec::ServiceSpec& spec_;
-  const EnvironmentView& env_;
   const net::Network& network_;
   const spec::ImplementerIndex& index_;
   PlanTables& tables_;
   const PlanRequest& request_;
+  const Requirements& entry_reqs_;
   const std::vector<ExistingInstance>& existing_;
   const double incumbent_;
   SearchStats& stats_;
   const bool bound_pruning_;
   const std::vector<net::NodeId>& candidate_nodes_;
+  std::vector<NodeSummary> summaries_;  // by component index
 
   // Working state (mutated along the DFS, undone on backtrack).
   std::vector<Working> placements_;
@@ -1059,12 +1424,8 @@ class Search {
   std::vector<double> existing_added_rps_;
   // By pool position: the placement reusing that instance, or kNotPlaced.
   std::vector<InstanceId> placed_existing_;
-  // (component, node) pairs along the current requirement path, for the
-  // cycle guard; at most max_depth long.
-  std::vector<std::pair<const spec::ComponentDef*, std::uint32_t>> path_;
-  // Views along the current requirement path, with their factor bindings.
-  std::vector<std::pair<const spec::ComponentDef*, const FactorBindings*>>
-      view_path_;
+  // Views along the current requirement path, with their factors ids.
+  std::vector<std::pair<const spec::ComponentDef*, std::uint32_t>> view_path_;
   // Committed (1 + code-transfer cost) of the current partial plan's new
   // placements — the kMinDeploymentCost bound.
   double committed_cost_ = 0.0;
@@ -1101,14 +1462,17 @@ struct DriveResult {
 // incumbent only when its score is strictly lower, so ties keep the earliest
 // (unit, entry candidate), the first-best-kept rule each Search applies
 // within a unit.
-DriveResult drive_search(const spec::ServiceSpec& spec,
+DriveResult drive_search(const CompiledSpec& compiled,
+                         const spec::ServiceSpec& spec,
                          const EnvironmentView& env,
                          const spec::ImplementerIndex& index,
                          const PlanRequest& request,
                          const std::vector<ExistingInstance>& existing,
                          const std::vector<SearchUnit>& units) {
   DriveResult out;
-  PlanTables tables(spec, env, index, existing);
+  PlanTables tables(compiled, spec, env, index, existing);
+  const Requirements entry_reqs =
+      tables.requirements(request.required_properties);
   Score incumbent;
   for (const SearchUnit& unit : units) {
     if (request.bound_pruning &&
@@ -1117,8 +1481,8 @@ DriveResult drive_search(const spec::ServiceSpec& spec,
       continue;
     }
     ++out.units_searched;
-    Search search(spec, env, index, tables, request, existing,
-                  incumbent.primary, out.stats, unit.candidates);
+    Search search(compiled, spec, env, index, tables, request, entry_reqs,
+                  existing, incumbent.primary, out.stats, unit.candidates);
     search.run();
     std::optional<DeploymentPlan> plan = search.take_best();
     if (plan.has_value() &&
@@ -1144,6 +1508,7 @@ util::Status no_plan(const spec::ServiceSpec& spec, const EnvironmentView& env,
 SearchStats& SearchStats::operator+=(const SearchStats& other) {
   candidates_examined += other.candidates_examined;
   plans_scored += other.plans_scored;
+  completions += other.completions;
   pruned_by_bound += other.pruned_by_bound;
   rejected_static += other.rejected_static;
   rejected_cycle += other.rejected_cycle;
@@ -1218,7 +1583,10 @@ double plan_primary_score(Objective objective, const PlanMetrics& metrics) {
 }
 
 Planner::Planner(const spec::ServiceSpec& spec, const EnvironmentView& env)
-    : spec_(spec), env_(env), iface_index_(spec.build_implementer_index()) {}
+    : spec_(spec),
+      env_(env),
+      iface_index_(spec.build_implementer_index()),
+      compiled_(compile_spec(spec)) {}
 
 util::Expected<DeploymentPlan> Planner::plan(
     const PlanRequest& request, const std::vector<ExistingInstance>& existing,
@@ -1273,7 +1641,8 @@ util::Expected<DeploymentPlan> Planner::plan_flat(
                             ? env_.network().all_nodes()
                             : request.candidate_nodes;
   DriveResult result =
-      drive_search(spec_, env_, iface_index_, request, existing, units);
+      drive_search(*compiled_, spec_, env_, iface_index_, request, existing,
+                   units);
   if (stats != nullptr) *stats = result.stats;
   if (!result.plan) return no_plan(spec_, env_, request, "");
   return std::move(*result.plan);
@@ -1294,7 +1663,8 @@ util::Expected<DeploymentPlan> Planner::plan_hierarchical(
     units.push_back({std::move(ref.candidates), ref.lower_bound});
   }
   DriveResult result =
-      drive_search(spec_, env_, iface_index_, request, existing, units);
+      drive_search(*compiled_, spec_, env_, iface_index_, request, existing,
+                   units);
   result.stats.used_hierarchy = true;
   result.stats.clusters_total = units.size();
   result.stats.clusters_pruned = result.units_skipped;

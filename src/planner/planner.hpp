@@ -23,6 +23,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -129,6 +130,10 @@ struct PlanRequest {
 struct SearchStats {
   std::uint64_t candidates_examined = 0;
   std::uint64_t plans_scored = 0;
+  // New placements whose every requirement edge was solved, so that §3.3
+  // condition 2 was checked in full against their effective properties. A
+  // host-cost diagnostic, not part of the planning charge.
+  std::uint64_t completions = 0;
   // Subtrees cut because the admissible lower bound of every completion was
   // already worse than the incumbent plan's score.
   std::uint64_t pruned_by_bound = 0;
@@ -181,6 +186,9 @@ struct RepairViolation {
 };
 
 const char* repair_violation_kind_name(RepairViolation::Kind kind);
+
+// The spec as the search reads it, with property names interned; planner.cpp.
+struct CompiledSpec;
 
 // What Planner::repair actually did, for telemetry and tests.
 struct RepairOutcome {
@@ -247,6 +255,9 @@ class Planner {
   // interface → implementing components, built once so the search does not
   // rescan the component list for every candidate edge.
   spec::ImplementerIndex iface_index_;
+  // Property ids and the per-declaration tables built from them, once per
+  // Planner, so no plan re-interns the spec's vocabulary.
+  std::shared_ptr<const CompiledSpec> compiled_;
 };
 
 // The primary (lexicographically first) objective value score_plan assigns

@@ -27,6 +27,11 @@ void GenericServer::register_service(
                             ip.component + "'"));
       return;
     }
+    if (!runtime_.factories().has(ip.component)) {
+      ready(util::not_found("no factory for component '" + ip.component +
+                            "'"));
+      return;
+    }
     if (!ip.node.valid() || ip.node.value >= runtime_.network().node_count()) {
       ready(util::invalid_argument("initial placement of '" + ip.component +
                                    "' names a node outside the network"));
@@ -63,6 +68,10 @@ void GenericServer::register_service(
 
   // Deploy initial placements. Installation is local to each node (the
   // service operator pre-stages its own components), so no code transfer.
+  // If any install fails, the registration is taken back whole once every
+  // install has reported: the placements that did install are uninstalled
+  // and the service is neither advertised nor kept, so a corrected
+  // registration may follow.
   auto pending = std::make_shared<std::size_t>(
       raw->registration.initial_placements.size());
   auto first_error = std::make_shared<util::Status>();
@@ -75,7 +84,7 @@ void GenericServer::register_service(
         raw->registration.spec.find_component(ip.component);
     runtime_.install(
         *comp, ip.node, ip.factors, ip.node,
-        [this, raw, comp, ip, pending, first_error,
+        [this, raw, name, comp, ip, pending, first_error,
          ready](util::Expected<RuntimeInstanceId> id) {
           --*pending;
           if (!id) {
@@ -101,7 +110,17 @@ void GenericServer::register_service(
             existing.current_load_rps = 0.0;
             raw->existing.push_back(std::move(existing));
           }
-          if (*pending == 0) ready(*first_error);
+          if (*pending != 0) return;
+          if (!first_error->is_ok()) {
+            for (const planner::ExistingInstance& installed : raw->existing) {
+              auto st = runtime_.uninstall(installed.runtime_id);
+              PSF_CHECK_MSG(st.is_ok(), st.to_string());
+            }
+            auto st = lookup_.unregister_service(name);
+            PSF_CHECK_MSG(st.is_ok(), st.to_string());
+            services_.erase(name);  // destroys *raw
+          }
+          ready(*first_error);
         });
   }
 }
@@ -157,6 +176,8 @@ void GenericServer::request_repair(
   repair_telemetry_.repair_wall_ms.add(planned.wall_seconds * 1000.0);
   repair_telemetry_.repair_candidates.add(
       static_cast<double>(planned.stats.candidates_examined));
+  repair_telemetry_.repair_completions.add(
+      static_cast<double>(planned.stats.completions));
   deploy_plan(*state, std::move(planned),
               [this, state, fingerprint, flight, done = std::move(done)](
                   util::Expected<AccessOutcome> result) mutable {

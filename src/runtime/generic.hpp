@@ -64,6 +64,7 @@ struct RepairTelemetry {
   std::uint64_t full_fallbacks = 0;      // restricted search was infeasible
   util::SampleSet repair_wall_ms;        // planner wall-clock per repair
   util::SampleSet repair_candidates;     // candidates examined per repair
+  util::SampleSet repair_completions;    // SearchStats::completions per repair
 };
 
 // One-time costs of establishing service access (§4.2 reports these summing

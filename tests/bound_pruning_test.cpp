@@ -409,6 +409,233 @@ TEST(SearchCountersTest, TwoEdgePoolWalkOverNonImplementers) {
             "  #0 --Index--> #2 (local)\n");
 }
 
+// The last depth level: an entry that requires anything is dead there, so a
+// one-level search examines the entry candidates and finds nothing.
+TEST(SearchCountersTest, FanoutEntryDeadAtLastLevel) {
+  CaseStudyWorld world(6, fanout_spec());
+  planner::PlanRequest req;
+  req.interface_name = "Entry";
+  req.client_node = world.sites.sd_client;
+  req.pin_entry_to_client = false;
+  req.max_depth = 1;
+  EXPECT_EQ(world.run(req),
+            "examined=18 scored=0 bound=0 static=0 cycle=0 dup-view=0 "
+            "condition=0 factor=0 compat=0 node-cap=0 link-cap=0 inst-cap=0 "
+            "unroutable=0 down=0 clusters=0/0/0 hier=0 route-rows=18\n"
+            "unsatisfiable: no deployment of 'Fanout' satisfies interface "
+            "'Entry' from node 'sd-5'");
+}
+
+// Two levels: the leaves StoreServer and IndexServer complete at the last
+// level, beside the dead entry candidates of level one.
+TEST(SearchCountersTest, FanoutLeavesCompleteAtLastLevel) {
+  CaseStudyWorld world(6, fanout_spec());
+  planner::PlanRequest req;
+  req.interface_name = "Entry";
+  req.client_node = world.sites.sd_client;
+  req.pin_entry_to_client = false;
+  req.max_depth = 2;
+  EXPECT_EQ(world.run(req),
+            "examined=468 scored=19 bound=352 static=0 cycle=0 dup-view=0 "
+            "condition=0 factor=0 compat=72 node-cap=0 link-cap=0 "
+            "inst-cap=0 unroutable=0 down=0 clusters=0/0/0 hier=0 "
+            "route-rows=18\n"
+            "DeploymentPlan (expected latency 0.3 ms, 3 new / 0 reused "
+            "components)\n"
+            "  #0 Front @ sd-5 (entry)\n"
+            "  #1 StoreServer @ sd-5\n"
+            "  #2 IndexServer @ sd-5\n"
+            "  #0 --Store--> #1 (local)\n"
+            "  #0 --Index--> #2 (local)\n");
+}
+
+TEST(SearchCountersTest, StormPoolAtDepthThree) {
+  CaseStudyWorld world(6);
+  world.storm_pool();
+  planner::PlanRequest req = world.request(world.sites.sd_client, 4, 8.0);
+  req.max_depth = 3;
+  EXPECT_EQ(world.run(req),
+            "examined=631 scored=2 bound=180 static=126 cycle=6 dup-view=42 "
+            "condition=42 factor=0 compat=64 node-cap=0 link-cap=0 "
+            "inst-cap=1 unroutable=0 down=0 clusters=0/0/0 hier=0 "
+            "route-rows=18\n"
+            "DeploymentPlan (expected latency 50.46 ms, 1 new / 1 reused "
+            "components)\n"
+            "  #0 MailClient @ sd-5 (entry)\n"
+            "  #1 ViewMailServer[TrustLevel=4] @ sd-2 (existing)\n"
+            "  #0 --ServerInterface--> #1 (1 hop(s), 0 ms)\n");
+}
+
+TEST(SearchCountersTest, StormPoolAtDepthFour) {
+  CaseStudyWorld world(6);
+  world.storm_pool();
+  planner::PlanRequest req = world.request(world.sites.sd_client, 4, 8.0);
+  req.max_depth = 4;
+  EXPECT_EQ(world.run(req),
+            "examined=4015 scored=2 bound=1440 static=774 cycle=42 "
+            "dup-view=42 condition=258 factor=0 compat=172 node-cap=0 "
+            "link-cap=0 inst-cap=37 unroutable=0 down=0 clusters=0/0/0 "
+            "hier=0 route-rows=18\n"
+            "DeploymentPlan (expected latency 50.46 ms, 1 new / 1 reused "
+            "components)\n"
+            "  #0 MailClient @ sd-5 (entry)\n"
+            "  #1 ViewMailServer[TrustLevel=4] @ sd-2 (existing)\n"
+            "  #0 --ServerInterface--> #1 (1 hop(s), 0 ms)\n");
+}
+
+TEST(SearchCountersTest, StormPoolAtDepthFive) {
+  CaseStudyWorld world(6);
+  world.storm_pool();
+  planner::PlanRequest req = world.request(world.sites.sea_client, 2, 4.0);
+  req.max_depth = 5;
+  EXPECT_EQ(world.run(req),
+            "examined=37315 scored=1 bound=12391 static=8550 cycle=1086 "
+            "dup-view=2628 condition=2851 factor=0 compat=1900 node-cap=0 "
+            "link-cap=0 inst-cap=0 unroutable=0 down=0 clusters=0/0/0 "
+            "hier=0 route-rows=18\n"
+            "DeploymentPlan (expected latency 80.455 ms, 1 new / 1 reused "
+            "components)\n"
+            "  #0 ViewMailClient @ sea-5 (entry)\n"
+            "  #1 ViewMailServer[TrustLevel=2] @ sea-1 (existing)\n"
+            "  #0 --ServerInterface--> #1 (1 hop(s), 0 ms)\n");
+}
+
+// A directory whose cache view factors on the string node property User
+// (which some nodes lack: mail_translator gives it no default), whose entry
+// requires a string value, and whose transparent Relay sits in front of a
+// Store implementing two interfaces with different values of one property.
+// A transparent component inherits each property from its child's first
+// implemented interface, in interface-name order, that holds it: Relay
+// offers Archive's User and TrustLevel, though it is wired to Backend.
+spec::ServiceSpec directory_spec() {
+  return spec::SpecBuilder("Directory")
+      .interval_property("TrustLevel", 1, 5)
+      .string_property("User")
+      .interface("Entry", {"TrustLevel"})
+      .interface("Lookup", {"User", "TrustLevel"})
+      .interface("Backend", {"User", "TrustLevel"})
+      .interface("Archive", {"User", "TrustLevel"})
+      .component("Front")
+      .implements("Entry", {})
+      .requires_iface("Lookup", {{"User", spec::lit_string("alice")},
+                                 {"TrustLevel", spec::lit_int(3)}})
+      .done()
+      .data_view("UserCache", "Store")
+      .factor("User", spec::node_ref("User"))
+      .implements("Lookup", {{"User", spec::factor_ref("User")},
+                             {"TrustLevel", spec::node_ref("TrustLevel")}})
+      .requires_iface("Lookup", {{"User", spec::factor_ref("User")}})
+      .rrf(0.2)
+      .done()
+      .component("Relay")
+      .transparent()
+      .implements("Lookup", {})
+      .requires_iface("Backend", {})
+      .done()
+      .component("Store")
+      .implements("Backend", {{"User", spec::lit_string("bob")},
+                              {"TrustLevel", spec::lit_int(2)}})
+      .implements("Archive", {{"User", spec::lit_string("alice")},
+                              {"TrustLevel", spec::lit_int(4)}})
+      .condition_ge("TrustLevel", spec::PropertyValue::integer(5))
+      .done()
+      .build();
+}
+
+struct DirectoryWorld : CaseStudyWorld {
+  DirectoryWorld() : CaseStudyWorld(6, directory_spec()) {
+    const auto& sd = sites.san_diego;
+    network.node(sd[0]).credentials.set("user", std::string("alice"));
+    network.node(sd[2]).credentials.set("user", std::string("alice"));
+    network.node(sd[3]).credentials.set("user", std::string("bob"));
+    network.node(sites.seattle[1]).credentials.set("user",
+                                                   std::string("alice"));
+    env = std::make_unique<planner::EnvironmentView>(network, *translator);
+    planner = std::make_unique<planner::Planner>(spec, *env);
+  }
+
+  void pool_store(net::NodeId node) {
+    planner::ExistingInstance inst;
+    inst.runtime_id = pool.size() + 1;
+    inst.component = spec.find_component("Store");
+    inst.node = node;
+    inst.effective["Backend"]["User"] = spec::PropertyValue::string("bob");
+    inst.effective["Backend"]["TrustLevel"] = spec::PropertyValue::integer(2);
+    inst.effective["Archive"]["User"] = spec::PropertyValue::string("alice");
+    inst.effective["Archive"]["TrustLevel"] = spec::PropertyValue::integer(4);
+    inst.downstream_latency_s = 1e-4;
+    pool.push_back(std::move(inst));
+  }
+
+  void pool_cache(net::NodeId node, const char* user, std::int64_t trust,
+                  double downstream_s) {
+    planner::ExistingInstance inst;
+    inst.runtime_id = pool.size() + 1;
+    inst.component = spec.find_component("UserCache");
+    inst.node = node;
+    inst.factors.values["User"] = spec::PropertyValue::string(user);
+    inst.effective["Lookup"]["User"] = spec::PropertyValue::string(user);
+    inst.effective["Lookup"]["TrustLevel"] =
+        spec::PropertyValue::integer(trust);
+    inst.downstream_latency_s = downstream_s;
+    pool.push_back(std::move(inst));
+  }
+
+  planner::PlanRequest entry_request(net::NodeId client) const {
+    planner::PlanRequest req;
+    req.interface_name = "Entry";
+    req.client_node = client;
+    req.request_rate_rps = 8.0;
+    return req;
+  }
+};
+
+TEST(SearchCountersTest, StringFactorsAndTransparentInheritance) {
+  DirectoryWorld world;
+  EXPECT_EQ(world.run(world.entry_request(world.sites.sd_client)),
+            "examined=451 scored=2 bound=147 static=0 cycle=2 dup-view=4 "
+            "condition=228 factor=42 compat=4 node-cap=0 link-cap=0 "
+            "inst-cap=0 unroutable=0 down=0 clusters=0/0/0 hier=0 "
+            "route-rows=18\n"
+            "DeploymentPlan (expected latency 40.4694 ms, 4 new / 0 reused "
+            "components)\n"
+            "  #0 Front @ sd-5 (entry)\n"
+            "  #1 UserCache[User=\"alice\"] @ sd-0\n"
+            "  #2 Relay @ sd-0\n"
+            "  #3 Store @ ny-0\n"
+            "  #2 --Backend--> #3 (1 hop(s), 100 ms)\n"
+            "  #1 --Lookup--> #2 (local)\n"
+            "  #0 --Lookup--> #1 (1 hop(s), 0 ms)\n");
+}
+
+TEST(SearchCountersTest, StringFactorsWithPooledStoreAndCaches) {
+  DirectoryWorld world;
+  world.pool_store(world.sites.mail_home);
+  world.pool_cache(world.sites.san_diego[2], "alice", 4, 0.05);
+  world.pool_cache(world.sites.san_diego[3], "bob", 4, 0.05);
+  world.pool_cache(world.sites.seattle[1], "alice", 2, 0.08);
+  EXPECT_EQ(world.run(world.entry_request(world.sites.sd_client)),
+            "examined=517 scored=1 bound=162 static=0 cycle=2 dup-view=8 "
+            "condition=216 factor=42 compat=8 node-cap=0 link-cap=0 "
+            "inst-cap=0 unroutable=0 down=0 clusters=0/0/0 hier=0 "
+            "route-rows=18\n"
+            "DeploymentPlan (expected latency 50.2638 ms, 1 new / 1 reused "
+            "components)\n"
+            "  #0 Front @ sd-5 (entry)\n"
+            "  #1 UserCache[User=\"alice\"] @ sd-2 (existing)\n"
+            "  #0 --Lookup--> #1 (1 hop(s), 0 ms)\n");
+  EXPECT_EQ(world.run(world.entry_request(world.sites.sea_client)),
+            "examined=649 scored=1 bound=198 static=0 cycle=2 dup-view=8 "
+            "condition=288 factor=42 compat=8 node-cap=0 link-cap=0 "
+            "inst-cap=0 unroutable=0 down=0 clusters=0/0/0 hier=0 "
+            "route-rows=18\n"
+            "DeploymentPlan (expected latency 451.247 ms, 1 new / 1 reused "
+            "components)\n"
+            "  #0 Front @ sea-5 (entry)\n"
+            "  #1 UserCache[User=\"alice\"] @ sd-2 (existing)\n"
+            "  #0 --Lookup--> #1 (3 hop(s), 200 ms)\n");
+}
+
 TEST(SearchCountersTest, HierarchicalCaseStudy) {
   CaseStudyWorld world(22);  // 66 nodes: kAuto searches hierarchically
   const auto& sd = world.sites.san_diego;

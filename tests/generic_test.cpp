@@ -101,6 +101,34 @@ TEST_F(GenericFixture, UnknownInitialPlacementRegistersNothing) {
   register_mail();
 }
 
+// A registration made before its components' factories fails before anything
+// is advertised or installed, and the same registration succeeds once the
+// factories are registered.
+TEST(GenericRegistrationTest, MissingFactoryRegistersNothing) {
+  core::CaseStudySites sites;
+  net::Network network = core::case_study_network(&sites);
+  core::FrameworkOptions options;
+  options.lookup_node = sites.new_york[0];
+  options.server_node = sites.new_york[0];
+  core::Framework fw(std::move(network), options);
+
+  util::Status st = fw.register_service(
+      mail::mail_registration(sites.mail_home), mail::mail_translator());
+  EXPECT_EQ(st.code(), util::ErrorCode::kNotFound) << st.to_string();
+  EXPECT_EQ(fw.lookup().find("SecureMail"), nullptr);
+  EXPECT_EQ(fw.server().service_spec("SecureMail"), nullptr);
+  EXPECT_TRUE(fw.runtime().instances_on(sites.mail_home).empty());
+
+  auto config = std::make_shared<mail::MailServiceConfig>();
+  ASSERT_TRUE(
+      mail::register_mail_factories(fw.runtime().factories(), config).is_ok());
+  st = fw.register_service(mail::mail_registration(sites.mail_home),
+                           mail::mail_translator());
+  ASSERT_TRUE(st.is_ok()) << st.to_string();
+  EXPECT_NE(fw.lookup().find("SecureMail"), nullptr);
+  EXPECT_EQ(fw.runtime().instances_on(sites.mail_home).size(), 1u);
+}
+
 TEST_F(GenericFixture, OutOfRangeInitialPlacementNodeIsInvalid) {
   auto registration = mail::mail_registration(sites.mail_home);
   registration.initial_placements[0].node =
