@@ -200,7 +200,6 @@ ScenarioResult run_scenario(Scenario scenario, std::size_t num_clients,
     defaults.required_properties.emplace_back(
         "TrustLevel", spec::PropertyValue::integer(4));
     defaults.request_rate_rps = 50.0;
-    defaults.objective = planner::Objective::kMinLatency;
 
     for (std::size_t c = 0; c < num_clients; ++c) {
       auto proxy = fw.make_proxy(client_node, "SecureMail", defaults);

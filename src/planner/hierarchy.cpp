@@ -3,7 +3,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 namespace psf::planner {
 
@@ -11,15 +10,7 @@ double discount_floor(const spec::ServiceSpec& spec,
                       const PlanRequest& request) {
   double min_rrf = 1.0;
   for (const spec::ComponentDef& comp : spec.components) {
-    double rrf = comp.behaviors.rrf;
-    if (comp.is_view()) {
-      // The planner scores new views with the cold-padded RRF, which is
-      // >= the warm one — keep the smaller (warm) value; the floor must sit
-      // below every discount the search can actually apply.
-      rrf = std::min(rrf, std::min(1.0, rrf + request.cold_view_penalty *
-                                                  (1.0 - rrf)));
-    }
-    min_rrf = std::min(min_rrf, rrf);
+    min_rrf = std::min(min_rrf, comp.behaviors.rrf);
   }
   min_rrf = std::clamp(min_rrf, 0.0, 1.0);
   const std::size_t exponent =
@@ -63,9 +54,7 @@ std::vector<ClusterRefinement> build_refinements(
     std::sort(cand.begin(), cand.end());
     cand.erase(std::unique(cand.begin(), cand.end()), cand.end());
 
-    if (request.objective != Objective::kMinLatency) {
-      ref.lower_bound = -std::numeric_limits<double>::infinity();
-    } else if (ref.cluster != home) {
+    if (ref.cluster != home) {
       // Any plan placing a new component in c carries at least one wire
       // crossing from the home side, whose RTT is >= 2 * one-way quotient
       // LB; the floor converts it into score units (see header).

@@ -33,17 +33,14 @@ namespace psf::planner {
 struct ClusterRefinement {
   ClusterIndex::ClusterId cluster = 0;
   // Admissible lower bound on the primary score of plans unique to this
-  // refinement. 0 for the client cluster. -inf (no bound: the refinement is
-  // never skipped) for objectives other than kMinLatency: deployment cost
-  // and headroom do not grow with distance in a way the quotient can
-  // bound, and kMaxCapacity's primary score (-min_headroom) is negative, so
-  // 0 would not be a lower bound at all.
+  // refinement. 0 for the client cluster.
   double lower_bound = 0.0;
   std::vector<net::NodeId> candidates;  // id-sorted, duplicate-free
 };
 
 // Conservative floor on the RRF discount any plan edge can carry: (min over
-// components of its cold-padded RRF, clamped to <= 1) ^ (max_depth - 1).
+// components of its RRF, clamped to <= 1) ^ (max_depth - 1). A new view's
+// cold-padded RRF is never below its warm one, so the warm RRF is the floor.
 // Multiplying a raw latency bound by this keeps it admissible for *scores*,
 // where deep edges are discounted by ancestor RRF products.
 double discount_floor(const spec::ServiceSpec& spec,

@@ -58,12 +58,6 @@ struct PlanMetrics {
   double deployment_cost_s = 0.0;    // total code-transfer time
   std::size_t new_components = 0;
   std::size_t reused_components = 0;
-  // Worst-case utilization introduced by this plan (fraction of remaining
-  // capacity consumed; 1.0 = the plan exactly exhausts some resource).
-  double max_node_utilization = 0.0;
-  double max_link_utilization = 0.0;
-  // Headroom fraction used by the max-capacity objective (1 = idle).
-  double min_headroom = 1.0;
 };
 
 struct DeploymentPlan {

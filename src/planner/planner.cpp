@@ -22,6 +22,14 @@ namespace {
 
 constexpr double kInfinity = std::numeric_limits<double>::infinity();
 
+// A freshly deployed view starts with a cold cache, so at plan time its
+// request-reduction factor is discounted: rrf' = rrf + penalty*(1 - rrf).
+// This is what makes the planner attach to an existing warm replica when
+// one is equally placed, instead of conjuring an identical cold twin, while
+// still preferring a *local* new cache over a remote warm one when the WAN
+// savings dominate.
+constexpr double kColdViewPenalty = 0.1;
+
 // Round-trip cost of one request/response exchange over a route.
 double edge_rtt_seconds(const net::Network& network, const net::Route& route,
                         std::uint64_t bytes_request,
@@ -36,7 +44,9 @@ double edge_rtt_seconds(const net::Network& network, const net::Route& route,
   return total;
 }
 
-// Lexicographic plan score: lower is better on every field.
+// Lexicographic plan score: lower is better on every field. The primary
+// is the cold-padded expected latency, the secondary the deployment cost,
+// the tertiary the number of new components.
 struct Score {
   double primary = kInfinity;
   double secondary = kInfinity;
@@ -48,20 +58,6 @@ struct Score {
     return tertiary < other.tertiary;
   }
 };
-
-Score score_plan(Objective objective, const PlanMetrics& m) {
-  switch (objective) {
-    case Objective::kMinLatency:
-      return {m.expected_latency_s, m.deployment_cost_s,
-              static_cast<double>(m.new_components)};
-    case Objective::kMinDeploymentCost:
-      return {m.deployment_cost_s + static_cast<double>(m.new_components),
-              m.expected_latency_s, 0.0};
-    case Objective::kMaxCapacity:
-      return {-m.min_headroom, m.expected_latency_s, m.deployment_cost_s};
-  }
-  return {};
-}
 
 // The strict bound test shared by the in-search prune and the driver's
 // unit skip: true when `bound` exceeds the incumbent primary `inc` by more
@@ -761,16 +757,10 @@ class Search {
   // extended by the candidate subtree, then undoes the extension.
   //
   // `discount` and `committed` carry the admissible lower bound through the
-  // recursion. Their meaning depends on the active objective:
-  //  - kMinLatency: `committed` is the padded latency already locked into the
-  //    partial plan (in final-plan seconds); `discount` is the product of
-  //    the padded RRFs of the ancestors, i.e. the factor that converts an
-  //    edge cost at this depth into final-plan seconds.
-  //  - kMaxCapacity: `committed` is the maximum resource utilization
-  //    observed while reserving the partial plan (final utilization of those
-  //    resources can only be higher).
-  //  - kMinDeploymentCost: the bound lives in the `committed_cost_` member
-  //    instead (placement-scoped rather than path-scoped).
+  // recursion: `committed` is the padded latency already locked into the
+  // partial plan (in final-plan seconds); `discount` is the product of the
+  // padded RRFs of the ancestors, i.e. the factor that converts an edge cost
+  // at this depth into final-plan seconds.
   static constexpr InstanceId kNoParent = UINT32_MAX;
 
   // True when linking `parent` to a candidate that is the *same component
@@ -923,38 +913,12 @@ class Search {
                                 tables_.component_index(*inst.component));
 
     // Bound: reusing an instance commits this edge's RTT plus the instance's
-    // (exactly known) downstream latency; it adds no deployment cost, and
-    // for capacity only the inbound links tighten.
-    if (bound_pruning_) {
-      double bound = -kInfinity;
-      switch (request_.objective) {
-        case Objective::kMinLatency:
-          bound = committed + discount * (rtt + inst.downstream_latency_s);
-          break;
-        case Objective::kMinDeploymentCost:
-          bound = committed_cost_;
-          break;
-        case Objective::kMaxCapacity: {
-          double u = committed;
-          const double add_bps =
-              rate *
-              static_cast<double>(
-                  inst.component->behaviors.bytes_per_request +
-                  inst.component->behaviors.bytes_per_response) *
-              8.0;
-          for (net::LinkId lid : route_in->links) {
-            const net::Link& link = network_.link(lid);
-            u = std::max(u, (link_load_[lid.value] + add_bps) /
-                                link.bandwidth_available_bps());
-          }
-          bound = u - 1.0;
-          break;
-        }
-      }
-      if (should_prune(bound)) {
-        ++stats_.pruned_by_bound;
-        return;
-      }
+    // (exactly known) downstream latency.
+    const double bound =
+        committed + discount * (rtt + inst.downstream_latency_s);
+    if (bound_pruning_ && should_prune(bound)) {
+      ++stats_.pruned_by_bound;
+      return;
     }
 
     // §3.3 condition 3 for the new edge.
@@ -1050,59 +1014,21 @@ class Search {
     const double cpu_time_s = comp.behaviors.cpu_per_request / c.cpu_capacity;
     const std::size_t ci = tables_.component_index(comp);
     const double rtt = edge_rtt(from, node, *route_in, comp, ci);
-    // Cold-cache discount for newly deployed views (see PlanRequest).
+    // Cold-cache discount for newly deployed views (kColdViewPenalty).
     const double warm_rrf = comp.behaviors.rrf;
     double padded_rrf = warm_rrf;
     if (comp.is_view()) {
       padded_rrf =
-          std::min(1.0, warm_rrf +
-                            request_.cold_view_penalty * (1.0 - warm_rrf));
+          std::min(1.0, warm_rrf + kColdViewPenalty * (1.0 - warm_rrf));
     }
 
     // Bound: every completion through this candidate pays at least the work
     // already committed plus this edge's RTT and CPU time — all remaining
     // contributions are non-negative, so pruning here is admissible.
-    double child_committed = committed;
-    double cost_add = 0.0;
-    if (bound_pruning_) {
-      double bound = -kInfinity;
-      switch (request_.objective) {
-        case Objective::kMinLatency:
-          child_committed = committed + discount * (rtt + cpu_time_s);
-          bound = child_committed;
-          break;
-        case Objective::kMinDeploymentCost:
-          cost_add = 1.0 + code_transfer_cost(comp, node);
-          bound = committed_cost_ + cost_add;
-          break;
-        case Objective::kMaxCapacity: {
-          double u = committed;
-          const double avail = c.cpu_available;
-          if (cpu_add > 0.0 && avail > 0.0) {
-            u = std::max(u, (node_load_[node.value] + cpu_add) / avail);
-          }
-          const double add_bps =
-              rate *
-              static_cast<double>(comp.behaviors.bytes_per_request +
-                                  comp.behaviors.bytes_per_response) *
-              8.0;
-          for (net::LinkId lid : route_in->links) {
-            const net::Link& link = network_.link(lid);
-            u = std::max(u, (link_load_[lid.value] + add_bps) /
-                                link.bandwidth_available_bps());
-          }
-          if (comp.behaviors.capacity_rps > 0.0) {
-            u = std::max(u, rate / comp.behaviors.capacity_rps);
-          }
-          child_committed = u;
-          bound = u - 1.0;
-          break;
-        }
-      }
-      if (should_prune(bound)) {
-        ++stats_.pruned_by_bound;
-        return;
-      }
+    const double child_committed = committed + discount * (rtt + cpu_time_s);
+    if (bound_pruning_ && should_prune(child_committed)) {
+      ++stats_.pruned_by_bound;
+      return;
     }
 
     if (!reserve_route(*route_in, comp.behaviors, rate)) {
@@ -1110,16 +1036,14 @@ class Search {
       return;
     }
     node_load_[node.value] += cpu_add;
-    committed_cost_ += cost_add;
 
     // At the last depth level a component that requires anything cannot
     // complete: satisfy() returns for the level below before it counts a
     // candidate, so only the link-capacity verdict above is observable.
-    // The loads and the cost are still added and taken back: `(v + x) - x`
-    // need not equal `v` in floating point, and the residue a recursing
-    // walk leaves reaches later checks, bounds and plan metrics.
+    // The loads are still added and taken back: `(v + x) - x` need not
+    // equal `v` in floating point, and the residue a recursing walk leaves
+    // reaches later capacity checks.
     if (depth >= request_.max_depth && !comp.requires_.empty()) {
-      committed_cost_ -= cost_add;
       node_load_[node.value] -= cpu_add;
       release_route(*route_in, comp.behaviors, rate);
       return;
@@ -1174,7 +1098,6 @@ class Search {
     // Undo (children are fully undone by their own frames).
     PSF_CHECK(placements_.size() == static_cast<std::size_t>(pid) + 1);
     placements_.pop_back();
-    committed_cost_ -= cost_add;
     if (comp.is_view()) view_path_.pop_back();
     c.on_path = false;
     node_load_[node.value] -= cpu_add;
@@ -1186,6 +1109,10 @@ class Search {
   // (edge rtt + child subtree latency). `child_discount` / `base_committed`
   // carry the bound (see satisfy); completed sibling edges enter the
   // committed value as they accumulate in `padded_so_far`.
+  // Kept out of line: GCC 12 -O3 otherwise inlines it into try_new and then
+  // leaves try_existing, the pool walk, out of line, which made
+  // access_storm's cold plans about 10 % slower.
+  [[gnu::noinline]]
   void satisfy_children(const Candidate& c, const spec::ComponentDef& comp,
                         InstanceId parent, net::NodeId node, double child_rate,
                         std::size_t depth, std::size_t index,
@@ -1197,14 +1124,8 @@ class Search {
       return;
     }
     const Candidate::Edge& edge = c.edges[index];
-
-    double committed_here = base_committed;
-    if (request_.objective == Objective::kMinLatency) {
-      committed_here = base_committed + child_discount * padded_so_far;
-    }
-
     satisfy(*edge.iface, edge.reqs, node, child_rate, depth + 1, parent,
-            child_discount, committed_here,
+            child_discount, base_committed + child_discount * padded_so_far,
             [&](InstanceId child_root, double edge_padded_s,
                 double edge_warm_s) {
               const net::NodeId child_node = placements_[child_root].node;
@@ -1334,8 +1255,6 @@ class Search {
     // Report the warm (steady-state) expectation; score with the padded
     // value so cold-cache effects influence the choice.
     metrics.expected_latency_s = warm_s;
-
-    double headroom = 1.0;
     for (const Working& p : placements_) {
       if (p.existing != nullptr) {
         ++metrics.reused_components;
@@ -1343,33 +1262,10 @@ class Search {
       }
       ++metrics.new_components;
       metrics.deployment_cost_s += code_transfer_cost(*p.component, p.node);
-      if (p.component->behaviors.capacity_rps > 0.0) {
-        headroom = std::min(headroom,
-                            1.0 - p.inbound_rate_rps /
-                                      p.component->behaviors.capacity_rps);
-      }
     }
-    for (std::size_t i = 0; i < node_load_.size(); ++i) {
-      if (node_load_[i] <= 0.0) continue;
-      const net::Node& n =
-          network_.node(net::NodeId{static_cast<std::uint32_t>(i)});
-      const double u = node_load_[i] / n.cpu_available();
-      metrics.max_node_utilization = std::max(metrics.max_node_utilization, u);
-      headroom = std::min(headroom, 1.0 - u);
-    }
-    for (std::size_t i = 0; i < link_load_.size(); ++i) {
-      if (link_load_[i] <= 0.0) continue;
-      const net::Link& l =
-          network_.link(net::LinkId{static_cast<std::uint32_t>(i)});
-      const double u = link_load_[i] / l.bandwidth_available_bps();
-      metrics.max_link_utilization = std::max(metrics.max_link_utilization, u);
-      headroom = std::min(headroom, 1.0 - u);
-    }
-    metrics.min_headroom = headroom;
 
-    PlanMetrics scoring = metrics;
-    scoring.expected_latency_s = padded_s;
-    const Score score = score_plan(request_.objective, scoring);
+    const Score score{padded_s, metrics.deployment_cost_s,
+                      static_cast<double>(metrics.new_components)};
     if (best_ && !(score < best_score_)) return;
 
     DeploymentPlan plan;
@@ -1426,9 +1322,6 @@ class Search {
   std::vector<InstanceId> placed_existing_;
   // Views along the current requirement path, with their factors ids.
   std::vector<std::pair<const spec::ComponentDef*, std::uint32_t>> view_path_;
-  // Committed (1 + code-transfer cost) of the current partial plan's new
-  // placements — the kMinDeploymentCost bound.
-  double committed_cost_ = 0.0;
 
   // The edge-RTT memo: node id → slot, and one row per `from` slot of
   // (`to` slot × component) cells, NaN until computed.
@@ -1442,10 +1335,10 @@ class Search {
 // One restricted search the driver runs: NEW components land only on
 // `candidates` (existing instances are reachable wherever they live).
 // `lower_bound` is admissible for the primary score of every plan only this
-// unit can express; -inf means the unit has no bound and is never skipped.
+// unit can express.
 struct SearchUnit {
   std::vector<net::NodeId> candidates;
-  double lower_bound = -kInfinity;
+  double lower_bound = 0.0;
 };
 
 struct DriveResult {
@@ -1560,15 +1453,6 @@ std::string SearchStats::to_string() const {
   return oss.str();
 }
 
-const char* objective_name(Objective o) {
-  switch (o) {
-    case Objective::kMinLatency: return "min-latency";
-    case Objective::kMinDeploymentCost: return "min-deployment-cost";
-    case Objective::kMaxCapacity: return "max-capacity";
-  }
-  return "?";
-}
-
 const char* search_mode_name(SearchMode m) {
   switch (m) {
     case SearchMode::kAuto: return "auto";
@@ -1576,10 +1460,6 @@ const char* search_mode_name(SearchMode m) {
     case SearchMode::kHierarchical: return "hierarchical";
   }
   return "?";
-}
-
-double plan_primary_score(Objective objective, const PlanMetrics& metrics) {
-  return score_plan(objective, metrics).primary;
 }
 
 Planner::Planner(const spec::ServiceSpec& spec, const EnvironmentView& env)

@@ -46,9 +46,9 @@ struct ExistingInstance {
   double current_load_rps = 0.0;
 };
 
-enum class Objective { kMinLatency, kMinDeploymentCost, kMaxCapacity };
-
-const char* objective_name(Objective o);
+// The planner's one objective: client-perceived expected latency per
+// request. Kept only for PlanRequest::objective.
+enum class Objective { kMinLatency };
 
 // How the mapping search traverses the topology.
 //
@@ -95,18 +95,14 @@ struct PlanRequest {
   // defaults to the client node when invalid. A valid id outside the
   // network is invalid_argument, like every node id in a request.
   net::NodeId code_origin;
+  // Ignored: expected latency is the planner's one objective. Kept only
+  // because bench/psfbench/generator.cpp assigns it; delete it together
+  // with that line.
   Objective objective = Objective::kMinLatency;
   // The entry component is normally instantiated at the client's own node
   // (the paper's MailClient always runs beside the requesting application).
   bool pin_entry_to_client = true;
   std::size_t max_depth = 6;
-  // A freshly deployed view starts with a cold cache, so at plan time its
-  // request-reduction factor is discounted: rrf' = rrf + penalty*(1 - rrf).
-  // This is what makes the planner attach to an existing warm replica when
-  // one is equally placed, instead of conjuring an identical cold twin,
-  // while still preferring a *local* new cache over a remote warm one when
-  // the WAN savings dominate.
-  double cold_view_penalty = 0.1;
   // Ignored: the planner is one serial search. Kept only because
   // bench/psfbench/generator.cpp assigns it; delete it together with that
   // line. It never changed a plan, only how fast the search ran.
@@ -259,11 +255,5 @@ class Planner {
   // Planner, so no plan re-interns the spec's vocabulary.
   std::shared_ptr<const CompiledSpec> compiled_;
 };
-
-// The primary (lexicographically first) objective value score_plan assigns
-// to a finished plan's metrics: expected latency for kMinLatency, deployment
-// cost + new components for kMinDeploymentCost, negated min headroom for
-// kMaxCapacity. Tests compare plans with it.
-double plan_primary_score(Objective objective, const PlanMetrics& metrics);
 
 }  // namespace psf::planner

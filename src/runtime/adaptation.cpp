@@ -10,6 +10,17 @@
 
 namespace psf::runtime {
 
+namespace {
+
+// A wire is degraded when the current latency summed over its planned links
+// exceeds this multiple of the plan-assumed route latency...
+constexpr double kLatencySlack = 1.5;
+// ...or the current bottleneck bandwidth over its planned links falls below
+// this fraction of the plan-assumed bottleneck.
+constexpr double kBandwidthFloor = 0.5;
+
+}  // namespace
+
 const char* adaptation_outcome_name(AdaptationEvent::Outcome outcome) {
   switch (outcome) {
     case AdaptationEvent::Outcome::kStillValid: return "still-valid";
@@ -100,7 +111,7 @@ std::vector<planner::RepairViolation> AdaptationController::classify(
   }
 
   // Link-level: a wire's planned route is severed, slower than the plan
-  // assumed (x latency_slack), or lost most of its assumed bandwidth.
+  // assumed (x kLatencySlack), or lost most of its assumed bandwidth.
   for (const planner::Wire& w : plan.wires) {
     if (w.route.links.empty()) continue;  // co-located, nothing to degrade
     bool severed = false;
@@ -133,13 +144,12 @@ std::vector<planner::RepairViolation> AdaptationController::classify(
       continue;
     }
     const double planned_ns = static_cast<double>(w.route.total_latency.nanos());
-    if (static_cast<double>(current_ns) >
-        params_.latency_slack * planned_ns) {
+    if (static_cast<double>(current_ns) > kLatencySlack * planned_ns) {
       add(planner::RepairViolation::Kind::kLinkDegradation, net::NodeId{},
           slowest, "route latency past plan-assumed budget");
     }
     if (narrowest_bps <
-        params_.bandwidth_floor * w.route.bottleneck_bandwidth_bps) {
+        kBandwidthFloor * w.route.bottleneck_bandwidth_bps) {
       add(planner::RepairViolation::Kind::kLinkDegradation, net::NodeId{},
           narrowest, "route bandwidth below plan-assumed floor");
     }
@@ -260,28 +270,25 @@ void AdaptationController::cutover(std::size_t index, AccessOutcome fresh,
   // move — that is the lease-recovery path, not a migration.
   const Tracked& tracked = tracked_[index];
   std::vector<std::pair<RuntimeInstanceId, RuntimeInstanceId>> pairs;
-  if (params_.migrate_state) {
-    std::vector<char> claimed(fresh.plan.placements.size(), 0);
-    for (std::size_t i = 0; i < tracked.outcome.plan.placements.size(); ++i) {
-      const planner::Placement& op = tracked.outcome.plan.placements[i];
-      if (op.id == tracked.outcome.plan.entry) continue;
-      const RuntimeInstanceId old_id = tracked.outcome.instances[i];
-      if (!runtime_.exists(old_id)) continue;
-      if (std::find(fresh.instances.begin(), fresh.instances.end(), old_id) !=
-          fresh.instances.end()) {
-        continue;  // survives into the new plan — nothing to move
+  std::vector<char> claimed(fresh.plan.placements.size(), 0);
+  for (std::size_t i = 0; i < tracked.outcome.plan.placements.size(); ++i) {
+    const planner::Placement& op = tracked.outcome.plan.placements[i];
+    if (op.id == tracked.outcome.plan.entry) continue;
+    const RuntimeInstanceId old_id = tracked.outcome.instances[i];
+    if (!runtime_.exists(old_id)) continue;
+    if (std::find(fresh.instances.begin(), fresh.instances.end(), old_id) !=
+        fresh.instances.end()) {
+      continue;  // survives into the new plan — nothing to move
+    }
+    for (std::size_t j = 0; j < fresh.plan.placements.size(); ++j) {
+      const planner::Placement& np = fresh.plan.placements[j];
+      if (claimed[j] != 0 || np.id == fresh.plan.entry || np.reuse_existing) {
+        continue;
       }
-      for (std::size_t j = 0; j < fresh.plan.placements.size(); ++j) {
-        const planner::Placement& np = fresh.plan.placements[j];
-        if (claimed[j] != 0 || np.id == fresh.plan.entry ||
-            np.reuse_existing) {
-          continue;
-        }
-        if (np.component->name != op.component->name) continue;
-        claimed[j] = 1;
-        pairs.emplace_back(old_id, fresh.instances[j]);
-        break;
-      }
+      if (np.component->name != op.component->name) continue;
+      claimed[j] = 1;
+      pairs.emplace_back(old_id, fresh.instances[j]);
+      break;
     }
   }
   if (pairs.empty()) {

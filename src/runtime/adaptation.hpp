@@ -42,16 +42,6 @@ struct AdaptationParams {
   // before it is uninstalled. Anything arriving later gets kDeadTarget,
   // which the retry layer answers by rebinding.
   sim::Duration drain = sim::Duration::from_millis(500);
-  // A wire is degraded when the current latency summed over its planned
-  // links exceeds slack x the plan-assumed route latency...
-  double latency_slack = 1.5;
-  // ...or the current bottleneck bandwidth over its planned links falls
-  // below this fraction of the plan-assumed bottleneck.
-  double bandwidth_floor = 0.5;
-  // Transfer component state old->new on cutover. Off = replacements start
-  // cold (still correct — views re-warm through coherence pushes — but the
-  // warm cache is the point of migrating instead of redeploying).
-  bool migrate_state = true;
 };
 
 struct AdaptationEvent {

@@ -55,7 +55,8 @@ class Component : public std::enable_shared_from_this<Component> {
   virtual void on_start() {}
   virtual void on_stop() {}
 
-  // Live-migration hooks (ROADMAP item 2). The runtime's migrate() calls
+  // Live-migration hooks. SmockRuntime::transfer_state, which the
+  // adaptation controller's cutover calls for each replaced instance, calls
   // them in order on the OLD instance: prepare_migration (quiesce — flush
   // coherence queues, finish write-backs; MUST eventually invoke done),
   // then export_state. import_state runs on the NEW instance after its

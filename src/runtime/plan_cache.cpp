@@ -37,10 +37,8 @@ std::string plan_fingerprint(const planner::PlanRequest& request) {
               ? std::to_string(request.code_origin.value)
               : "-")
       << kSep << "rate:" << plan_rate_bucket(request.request_rate_rps) << kSep
-      << "obj:" << planner::objective_name(request.objective) << kSep
       << "pin:" << (request.pin_entry_to_client ? 1 : 0) << kSep
-      << "depth:" << request.max_depth << kSep
-      << "cold:" << request.cold_view_penalty;
+      << "depth:" << request.max_depth;
   for (const auto& [name, value] : props) {
     oss << kSep << name << '=' << value;
   }

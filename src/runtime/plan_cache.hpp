@@ -3,7 +3,7 @@
 // GenericServer::request_access keys completed access outcomes by a
 // canonical fingerprint of the plan-affecting request fields (interface,
 // client node, translated property requirements, power-of-two request-rate
-// bucket, objective and search shape) plus a per-service environment epoch.
+// bucket and search shape) plus a per-service environment epoch.
 // A later identical request under the same epoch replays the stored outcome:
 // the client shares the cached entry binding and pays neither planning nor
 // deployment. Invalidation is epoch-based and lazy — refresh_environment and
@@ -51,13 +51,14 @@ std::uint64_t plan_rate_bucket(double rps);
 
 // Canonical fingerprint of the plan-affecting request fields. Property
 // requirements are sorted, so declaration order does not split the cache.
-// search_threads (ignored) and bound_pruning are deliberately excluded: the
-// planner's result is bit-identical regardless of either (see DESIGN.md
-// "Planner search strategy"). search_mode is excluded too: it changes how
-// hard the planner works, not what the request asks for. The principal is
-// represented by its translated properties, which the generic server merges
-// into required_properties before fingerprinting — two principals with the
-// same derived requirements share an entry.
+// search_threads and objective (both ignored) and bound_pruning are
+// deliberately excluded: the planner's result is bit-identical regardless
+// of any of them (see DESIGN.md "Planner search strategy"). search_mode is
+// excluded too: it changes how hard the planner works, not what the request
+// asks for. The principal is represented by its translated properties,
+// which the generic server merges into required_properties before
+// fingerprinting — two principals with the same derived requirements share
+// an entry.
 std::string plan_fingerprint(const planner::PlanRequest& request);
 
 // What a hit replays: the plan and the runtime instances backing each

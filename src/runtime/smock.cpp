@@ -203,83 +203,6 @@ void SmockRuntime::transfer_state(RuntimeInstanceId from, RuntimeInstanceId to,
   });
 }
 
-void SmockRuntime::migrate(
-    RuntimeInstanceId id, net::NodeId to_node, net::NodeId code_origin,
-    sim::Duration drain,
-    std::function<void(util::Expected<RuntimeInstanceId>)> done) {
-  if (!exists(id)) {
-    done(util::not_found("migrate: unknown instance"));
-    return;
-  }
-  if (!to_node.valid() || to_node.value >= network_.node_count() ||
-      !network_.node(to_node).up) {
-    done(util::failed_precondition("migrate: destination node unusable"));
-    return;
-  }
-  Instance& old_inst = instances_.at(id);
-  if (old_inst.node == to_node) {
-    done(id);  // already there — cutover to itself is a no-op
-    return;
-  }
-  const spec::ComponentDef& def = *old_inst.def;
-  auto shared_done = std::make_shared<
-      std::function<void(util::Expected<RuntimeInstanceId>)>>(std::move(done));
-  install(
-      def, to_node, old_inst.factors, code_origin,
-      [this, id, drain, shared_done](util::Expected<RuntimeInstanceId> result) {
-        if (!result.has_value()) {
-          (*shared_done)(result.status());
-          return;
-        }
-        const RuntimeInstanceId new_id = result.value();
-        if (!exists(id)) {
-          uninstall(new_id);
-          (*shared_done)(util::failed_precondition(
-              "migrate: source instance vanished during install"));
-          return;
-        }
-        {
-          Instance& old_ref = instances_.at(id);
-          Instance& new_ref = instances_.at(new_id);
-          // The replacement inherits the plan's view of the old instance:
-          // outbound wires, effective properties, and load reservations all
-          // describe the component, not the node it sat on.
-          new_ref.effective = old_ref.effective;
-          new_ref.downstream_latency_s = old_ref.downstream_latency_s;
-          new_ref.reserved_load_rps = old_ref.reserved_load_rps;
-          new_ref.wires = old_ref.wires;
-        }
-        // Start BEFORE the state lands so on_start registrations (e.g. a
-        // view registering its replica with the coherence directory) exist
-        // when import_state merges the snapshot in.
-        const util::Status started = start(new_id);
-        if (!started.is_ok()) {
-          uninstall(new_id);
-          (*shared_done)(started);
-          return;
-        }
-        transfer_state(id, new_id, [this, id, new_id, drain,
-                                    shared_done](util::Status status) {
-          if (!status.is_ok()) {
-            // State never arrived: abort the cutover and leave the old
-            // instance serving — migration is all-or-nothing.
-            uninstall(new_id);
-            (*shared_done)(status);
-            return;
-          }
-          ++stats_.migrations;
-          // Cutover: the caller rewires inbound traffic to new_id now. The
-          // old copy keeps answering stragglers for the drain window, then
-          // disappears; anything later gets kDeadTarget and the retry layer
-          // rebinds.
-          (*shared_done)(new_id);
-          sim_.schedule(drain, [this, id] {
-            if (exists(id)) uninstall(id);
-          });
-        });
-      });
-}
-
 std::vector<RuntimeInstanceId> SmockRuntime::crash_node(net::NodeId node) {
   std::vector<RuntimeInstanceId> victims = instances_on(node);
   for (RuntimeInstanceId id : victims) {

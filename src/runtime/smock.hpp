@@ -74,10 +74,7 @@ struct RuntimeStats {
   std::uint64_t messages_unroutable = 0;
   std::uint64_t messages_dropped = 0;
   std::uint64_t invoke_timeouts = 0;
-  // Live migrations completed (migrate()) and the state bytes they moved
-  // between nodes (state_transfer_bytes also counts transfer_state calls
-  // issued outside a full migrate).
-  std::uint64_t migrations = 0;
+  // State bytes transfer_state moved between nodes.
   std::uint64_t state_transfer_bytes = 0;
 };
 
@@ -126,18 +123,6 @@ class SmockRuntime {
   // zero bytes moved when the component exports no state).
   void transfer_state(RuntimeInstanceId from, RuntimeInstanceId to,
                       std::function<void(util::Status)> done);
-
-  // Full live migration of `id` to `to_node`: install a replacement there
-  // (code from `code_origin`), copy wires and planner metadata, start it,
-  // transfer state, then hand the replacement id to `done`. The OLD instance
-  // keeps running until `drain` of simulated time after cutover — callers
-  // rewire inbound traffic to the new id when `done` fires, and stragglers
-  // still in flight toward the old instance complete (or fail into the
-  // retry layer) before it is uninstalled. kDeadTarget after that is the
-  // retry layer's cue to rebind.
-  void migrate(RuntimeInstanceId id, net::NodeId to_node,
-               net::NodeId code_origin, sim::Duration drain,
-               std::function<void(util::Expected<RuntimeInstanceId>)> done);
 
   // Fault injection: crashes a node — every instance hosted there is torn
   // down (without orderly on_stop: a crash, not a shutdown) and the ids are

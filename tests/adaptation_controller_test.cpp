@@ -2,10 +2,10 @@
 // Violations are classified against tracked plans, Planner::repair pins
 // survivors and re-searches the affected neighborhood, and the runtime
 // migrates component state sync-then-cutover with a drain window for
-// stragglers. Also covers SmockRuntime::migrate directly, the plan-cache
-// guarantee that a stale handle never binds a migrated-away instance,
-// orphan collection, repair-vs-cold constraint equivalence, and a retired
-// component outliving the replies still in flight toward it.
+// stragglers. Also covers the plan-cache guarantee that a stale handle never
+// binds a migrated-away instance, orphan collection, repair-vs-cold
+// constraint equivalence, and a retired component outliving the replies
+// still in flight toward it.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -16,7 +16,6 @@
 #include "mail/mail_spec.hpp"
 #include "mail/registration.hpp"
 #include "mail/types.hpp"
-#include "mail/view_server.hpp"
 #include "planner/planner.hpp"
 #include "planner/validate.hpp"
 #include "runtime/adaptation.hpp"
@@ -538,58 +537,6 @@ TEST_F(AdaptationControllerFixture, AccessArrivingDuringRepairRidesIt) {
         hit_done = true;
       });
   EXPECT_TRUE(hit_done);  // a hit answers synchronously
-}
-
-TEST_F(AdaptationControllerFixture, MigrateMovesStateAndRetiresSource) {
-  // SmockRuntime::migrate directly: install-at-target, start, sync state
-  // through prepare_migration/export/import, hand back the new id, then
-  // uninstall the source after the drain window.
-  auto request = sd_request();
-  auto outcome = bind(request);
-  runtime::RuntimeInstanceId view = 0;
-  for (std::size_t i = 0; i < outcome.plan.placements.size(); ++i) {
-    if (outcome.plan.placements[i].component->name == "ViewMailServer") {
-      view = outcome.instances[i];
-    }
-  }
-  ASSERT_NE(view, 0u);
-  config->keys->provision_user("sam", mail::kMaxSensitivity);
-  send_mail(outcome.entry, "sam", 3);
-
-  net::NodeId target;
-  for (net::NodeId n : sites.san_diego) {
-    if (!(n == fw->runtime().instance(view).node)) {
-      target = n;
-      break;
-    }
-  }
-  ASSERT_TRUE(target.valid());
-
-  util::Expected<runtime::RuntimeInstanceId> moved =
-      util::internal_error("incomplete");
-  bool done = false;
-  fw->runtime().migrate(view, target, sites.mail_home,
-                        sim::Duration::from_millis(100),
-                        [&](util::Expected<runtime::RuntimeInstanceId> r) {
-                          moved = std::move(r);
-                          done = true;
-                        });
-  ASSERT_TRUE(fw->run_until_condition([&done]() { return done; },
-                                      sim::Duration::from_seconds(30)));
-  ASSERT_TRUE(moved.has_value()) << moved.status().to_string();
-  EXPECT_TRUE(fw->runtime().exists(*moved));
-  EXPECT_EQ(fw->runtime().instance(*moved).node, target);
-  EXPECT_EQ(fw->runtime().stats().migrations, 1u);
-  EXPECT_GT(fw->runtime().stats().state_transfer_bytes, 0u);
-
-  // The copy carries the warm cache; the source drains away.
-  const auto* copy = dynamic_cast<const mail::ViewMailServerComponent*>(
-      fw->runtime().instance(*moved).component.get());
-  ASSERT_NE(copy, nullptr);
-  EXPECT_EQ(copy->cached_inbox_size("sam"), 1u);
-  EXPECT_TRUE(fw->runtime().exists(view));  // still draining
-  fw->run_for(sim::Duration::from_millis(200));
-  EXPECT_FALSE(fw->runtime().exists(view));
 }
 
 }  // namespace

@@ -72,7 +72,7 @@ struct WaxmanWorld {
     existing.push_back(home);
   }
 
-  planner::PlanRequest request(planner::Objective objective) const {
+  planner::PlanRequest request() const {
     planner::PlanRequest req;
     req.interface_name = "ClientInterface";
     req.required_properties.emplace_back("TrustLevel",
@@ -80,7 +80,6 @@ struct WaxmanWorld {
     req.client_node =
         net::NodeId{static_cast<std::uint32_t>(network.node_count() - 1)};
     req.max_depth = 4;
-    req.objective = objective;
     return req;
   }
 };
@@ -225,8 +224,7 @@ TEST(ClusterIndexTest, DefaultClusterCountIsSqrtish) {
 TEST(HierarchyScheduleTest, ClientClusterFirstWithZeroBound) {
   WaxmanWorld world(64, 21);
   const planner::ClusterIndex index(world.network, 8);
-  const planner::PlanRequest request =
-      world.request(planner::Objective::kMinLatency);
+  const planner::PlanRequest request = world.request();
   const auto refinements = planner::build_refinements(
       index, world.spec, request, world.existing);
 
@@ -279,51 +277,38 @@ TEST(HierarchicalSearchTest, MatchesFlatOptimalityOnSmallTopologies) {
   for (std::size_t nodes : {16u, 24u}) {
     for (std::uint64_t seed : {2026ull, 7ull, 99ull, 13ull}) {
       WaxmanWorld world(nodes, seed);
-      for (planner::Objective objective :
-           {planner::Objective::kMinLatency,
-            planner::Objective::kMinDeploymentCost,
-            planner::Objective::kMaxCapacity}) {
-        planner::PlanRequest flat = world.request(objective);
-        flat.search_mode = planner::SearchMode::kFlat;
+      planner::PlanRequest flat = world.request();
+      flat.search_mode = planner::SearchMode::kFlat;
 
-        planner::PlanRequest hier = world.request(objective);
-        hier.search_mode = planner::SearchMode::kHierarchical;
-        // bound_pruning promises never to change the returned plan, and
-        // skipping a cluster is part of that pruning: a refinement without
-        // an admissible bound must never be skipped (kMaxCapacity's primary
-        // score, -min_headroom, is negative, so a bound of 0 would cut
-        // clusters holding better plans).
-        planner::PlanRequest exhaustive = hier;
-        exhaustive.bound_pruning = false;
+      planner::PlanRequest hier = world.request();
+      hier.search_mode = planner::SearchMode::kHierarchical;
+      // bound_pruning promises never to change the returned plan, and
+      // skipping a cluster is part of that pruning.
+      planner::PlanRequest exhaustive = hier;
+      exhaustive.bound_pruning = false;
 
-        planner::SearchStats flat_stats, hier_stats;
-        auto a = world.planner->plan(flat, world.existing, &flat_stats);
-        auto b = world.planner->plan(hier, world.existing, &hier_stats);
-        auto c = world.planner->plan(exhaustive, world.existing);
+      planner::SearchStats flat_stats, hier_stats;
+      auto a = world.planner->plan(flat, world.existing, &flat_stats);
+      auto b = world.planner->plan(hier, world.existing, &hier_stats);
+      auto c = world.planner->plan(exhaustive, world.existing);
 
-        const std::string label =
-            "nodes=" + std::to_string(nodes) + " seed=" +
-            std::to_string(seed) + " objective=" +
-            planner::objective_name(objective);
-        ASSERT_EQ(a.has_value(), b.has_value()) << label;
-        ASSERT_EQ(b.has_value(), c.has_value()) << label;
-        if (!a.has_value()) continue;
-        EXPECT_FALSE(flat_stats.used_hierarchy) << label;
-        EXPECT_TRUE(hier_stats.used_hierarchy) << label;
-        EXPECT_GE(hier_stats.clusters_total, 2u) << label;
+      const std::string label =
+          "nodes=" + std::to_string(nodes) + " seed=" + std::to_string(seed);
+      ASSERT_EQ(a.has_value(), b.has_value()) << label;
+      ASSERT_EQ(b.has_value(), c.has_value()) << label;
+      if (!a.has_value()) continue;
+      EXPECT_FALSE(flat_stats.used_hierarchy) << label;
+      EXPECT_TRUE(hier_stats.used_hierarchy) << label;
+      EXPECT_GE(hier_stats.clusters_total, 2u) << label;
 
-        const double fa =
-            planner::plan_primary_score(objective, a->metrics);
-        const double fb =
-            planner::plan_primary_score(objective, b->metrics);
-        // Hierarchical search is exact within its restricted plan space, so
-        // it can never beat flat; the gap gate is the bench's 5% bound.
-        EXPECT_GE(fb, fa - 1e-12) << label;
-        EXPECT_LE(fb, fa + 0.05 * std::max(1e-9, std::abs(fa))) << label;
-        EXPECT_EQ(describe_plan(*b), describe_plan(*c)) << label;
-        EXPECT_EQ(fb, planner::plan_primary_score(objective, c->metrics))
-            << label;
-      }
+      const double fa = a->metrics.expected_latency_s;
+      const double fb = b->metrics.expected_latency_s;
+      // Hierarchical search is exact within its restricted plan space, so
+      // it can never beat flat; the gap gate is the bench's 5% bound.
+      EXPECT_GE(fb, fa - 1e-12) << label;
+      EXPECT_LE(fb, fa + 0.05 * std::max(1e-9, std::abs(fa))) << label;
+      EXPECT_EQ(describe_plan(*b), describe_plan(*c)) << label;
+      EXPECT_EQ(fb, c->metrics.expected_latency_s) << label;
     }
   }
 }
@@ -331,14 +316,12 @@ TEST(HierarchicalSearchTest, MatchesFlatOptimalityOnSmallTopologies) {
 TEST(HierarchicalSearchTest, AutoThresholdSelectsMode) {
   WaxmanWorld small(16, 2026);
   planner::SearchStats stats;
-  auto plan = small.planner->plan(
-      small.request(planner::Objective::kMinLatency), small.existing, &stats);
+  auto plan = small.planner->plan(small.request(), small.existing, &stats);
   ASSERT_TRUE(plan.has_value());
   EXPECT_FALSE(stats.used_hierarchy);
 
   WaxmanWorld large(72, 2026);
-  auto plan2 = large.planner->plan(
-      large.request(planner::Objective::kMinLatency), large.existing, &stats);
+  auto plan2 = large.planner->plan(large.request(), large.existing, &stats);
   ASSERT_TRUE(plan2.has_value());
   EXPECT_TRUE(stats.used_hierarchy);
 }
@@ -351,8 +334,7 @@ TEST(HierarchicalSearchTest, FlatAndHierarchicalPlansReplayExactly) {
       {72, planner::SearchMode::kHierarchical}};
   for (const auto& [nodes, mode] : worlds) {
     WaxmanWorld world(nodes, 17);
-    planner::PlanRequest request =
-        world.request(planner::Objective::kMinLatency);
+    planner::PlanRequest request = world.request();
     request.search_mode = mode;
     planner::SearchStats stats, replay_stats;
     auto plan = world.planner->plan(request, world.existing, &stats);

@@ -336,67 +336,6 @@ TEST_F(PlanCacheFixture, ForgetInstanceEvictsEveryReferencingEntry) {
   for (auto id : rebound_b.instances) EXPECT_NE(id, view_id);
 }
 
-TEST_F(PlanCacheFixture, MigratedAwayInstanceIsNeverHandedOut) {
-  // Live migration moves the view to another node; the adaptation
-  // controller's eager eviction (forget_instance) must guarantee no stale
-  // cache entry ever binds a client to the migrated-away original.
-  auto cold = bind_ok(sites.sd_client, defaults());
-  ASSERT_FALSE(cold.cache_hit);
-  runtime::RuntimeInstanceId view_id = 0;
-  for (std::size_t i = 0; i < cold.plan.placements.size(); ++i) {
-    if (cold.plan.placements[i].component->name == "ViewMailServer") {
-      view_id = cold.instances[i];
-    }
-  }
-  ASSERT_NE(view_id, 0u);
-
-  // Seed the view's cache so the migration has state to move.
-  config->keys->provision_user("sam", mail::kMaxSensitivity);
-  auto body = std::make_shared<mail::SendBody>();
-  body->message.id = 7;
-  body->message.from = "sam";
-  body->message.to = "sam";
-  body->message.sensitivity = 2;
-  body->message.plaintext = {'h', 'i'};
-  runtime::Request send;
-  send.op = mail::ops::kSend;
-  send.body = body;
-  send.wire_bytes = mail::send_wire_bytes(body->message);
-  bool sent = false;
-  fw->runtime().invoke_from_node(sites.sd_client, cold.entry, std::move(send),
-                                 [&sent](runtime::Response r) {
-                                   EXPECT_TRUE(r.ok) << r.error;
-                                   sent = true;
-                                 });
-  fw->run();
-  ASSERT_TRUE(sent);
-
-  util::Expected<runtime::RuntimeInstanceId> moved =
-      util::Expected<runtime::RuntimeInstanceId>(
-          util::internal_error("pending"));
-  fw->runtime().migrate(
-      view_id, sites.san_diego[1], sites.mail_home,
-      sim::Duration::from_millis(100),
-      [&moved](util::Expected<runtime::RuntimeInstanceId> r) {
-        moved = std::move(r);
-      });
-  fw->run();
-  ASSERT_TRUE(moved.has_value()) << moved.status().to_string();
-  EXPECT_EQ(fw->runtime().stats().migrations, 1u);
-  EXPECT_GT(fw->runtime().stats().state_transfer_bytes, 0u);
-  ASSERT_TRUE(fw->server().forget_instance("SecureMail", view_id).is_ok());
-  EXPECT_EQ(fw->server().plan_cache_size("SecureMail"), 0u);
-
-  // The old instance is drained away; a rebind must replan cold and never
-  // reference the migrated-away id.
-  auto rebound = bind_ok(sites.sd_client, defaults());
-  EXPECT_FALSE(rebound.cache_hit);
-  for (auto id : rebound.instances) {
-    EXPECT_NE(id, view_id);
-    EXPECT_TRUE(fw->runtime().exists(id));
-  }
-}
-
 TEST_F(PlanCacheFixture, DeadEntryInstanceEvictsOnHit) {
   auto cold = bind_ok(sites.sd_client, defaults());
   // The entry is client-private and outside the pool; retiring it (as the

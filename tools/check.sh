@@ -4,16 +4,9 @@
 #
 #   tools/check.sh            # standard build + tier-1 ctest
 #   tools/check.sh --asan     # also: AddressSanitizer build running the
-#                             # suites of CI's sanitize-chaos matrix: chaos,
-#                             # failover, plan-cache, adaptation controller,
-#                             # hierarchy (a cold access racing a refresh),
-#                             # generic server, crypto, mail, mail edge,
-#                             # planner, bound pruning and property — the
-#                             # fault paths, every caller of the server's
-#                             # plan -> deploy pipeline, the cipher's word
-#                             # tails, the shared sealed mail bodies and the
-#                             # search's non-owning callbacks and candidate
-#                             # table
+#                             # suites of CI's sanitize-chaos matrix (ctest
+#                             # -L sanitize; the label's list is in
+#                             # tests/CMakeLists.txt)
 #   tools/check.sh --stress   # also: long-running suites (ctest -L stress)
 #   tools/check.sh --coherence # only: the coherence smoke suite
 #                             # (build + ctest -L coherence, via the
@@ -181,23 +174,8 @@ fi
 if [[ "${RUN_ASAN}" == 1 ]]; then
   echo "== AddressSanitizer build (chaos + adaptation + cold paths + crypto/mail + planner) =="
   cmake -B build-asan -S . -DPSF_SANITIZE=address >/dev/null
-  cmake --build build-asan -j "${JOBS}" \
-    --target chaos_test failover_test plan_cache_test \
-    adaptation_controller_test hierarchy_test generic_test \
-    crypto_test mail_test mail_edge_test \
-    planner_test bound_pruning_test property_test
-  ./build-asan/tests/chaos_test
-  ./build-asan/tests/failover_test
-  ./build-asan/tests/plan_cache_test
-  ./build-asan/tests/adaptation_controller_test
-  ./build-asan/tests/hierarchy_test
-  ./build-asan/tests/generic_test
-  ./build-asan/tests/crypto_test
-  ./build-asan/tests/mail_test
-  ./build-asan/tests/mail_edge_test
-  ./build-asan/tests/planner_test
-  ./build-asan/tests/bound_pruning_test
-  ./build-asan/tests/property_test
+  cmake --build build-asan -j "${JOBS}" --target sanitize_suites
+  (cd build-asan && ctest --output-on-failure -L sanitize)
 fi
 
 echo "== all checks passed =="
