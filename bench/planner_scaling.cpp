@@ -4,7 +4,9 @@
 // (items 3 and 4 there are history):
 //   A. 1000-node Waxman, mail world: hierarchical search must plan in
 //      < 1 s wall (p50) — the tentpole gate. Also reports how few route
-//      rows the lazy cache materialized out of the full O(V^2) table.
+//      rows the lazy cache materialized out of the full O(V^2) table, the
+//      cold plan (the first, which builds those rows; the p50 is warm) and
+//      the process's peak RSS after the section, neither gated.
 //   B. Optimality gap vs flat BnB where flat still completes (<= 32
 //      nodes): hierarchical primary score within 5% of the optimum.
 //
@@ -14,6 +16,8 @@
 //                              writes BENCH_planner_scaling_smoke.json;
 //                              section A shrinks to 256 nodes and reports
 //                              without the sub-second gate.
+
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <chrono>
@@ -41,6 +45,12 @@ double seconds_since(Clock::time_point start) {
 double median(std::vector<double> v) {
   std::sort(v.begin(), v.end());
   return v.empty() ? 0.0 : v[v.size() / 2];
+}
+
+double peak_rss_mb() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;  // KiB on Linux
 }
 
 // ---- the mail-on-Waxman world shared by sections A and B -------------------
@@ -129,23 +139,28 @@ int run_bench(bool smoke) {
       satisfiable = satisfiable && plan.has_value();
     }
     const double p50 = median(wall);
+    const double rss_mb = peak_rss_mb();
     const bool gate_applicable = !smoke;
     const bool gate_passed = satisfiable && (smoke || p50 < 1.0);
     all_gates_passed = all_gates_passed && gate_passed;
 
     std::printf(
-        "A: hierarchical mail plan, %zu-node Waxman: p50 %.3f s (%zu runs), "
-        "%llu clusters (%llu pruned, %llu refined), %llu candidates, "
-        "route rows %zu/%zu\n",
-        n, p50, runs, static_cast<unsigned long long>(stats.clusters_total),
+        "A: hierarchical mail plan, %zu-node Waxman: p50 %.3f s (%zu runs, "
+        "cold %.3f s), %llu clusters (%llu pruned, %llu refined), %llu "
+        "candidates, route rows %zu/%zu, peak RSS %.1f MB\n",
+        n, p50, runs, wall.front(),
+        static_cast<unsigned long long>(stats.clusters_total),
         static_cast<unsigned long long>(stats.clusters_pruned),
         static_cast<unsigned long long>(stats.clusters_refined),
         static_cast<unsigned long long>(stats.candidates_examined),
-        world.network.route_rows_materialized(), world.network.node_count());
+        world.network.route_rows_materialized(), world.network.node_count(),
+        rss_mb);
 
     json.add("scale_nodes", static_cast<std::uint64_t>(n));
     json.add("scale_runs", static_cast<std::uint64_t>(runs));
     json.add("scale_p50_s", p50);
+    json.add("scale_cold_s", wall.front());
+    json.add("scale_peak_rss_mb", rss_mb);
     json.add("scale_satisfiable", satisfiable);
     json.add("scale_used_hierarchy", stats.used_hierarchy);
     json.add("scale_clusters_total", stats.clusters_total);

@@ -93,6 +93,9 @@ struct Route {
   double bottleneck_bandwidth_bps = std::numeric_limits<double>::infinity();
 
   bool local() const { return links.empty(); }
+  // False only for the route cache's unreachable marker, which has no links
+  // either: every link's bandwidth is positive, and a local route's is +inf.
+  bool reachable() const { return bottleneck_bandwidth_bps > 0.0; }
 };
 
 class Network {
@@ -172,7 +175,7 @@ class Network {
   // Single-source Dijkstra computing one full row of routes (same metric and
   // tie-breaks as route(), which stays separate because its early exit wins
   // for one-off queries). Row entries: self = empty local route, unreachable
-  // pairs = the INT64_MAX/2-latency zero-bandwidth marker.
+  // pairs = the INT64_MAX/2-latency zero-bandwidth marker (not reachable()).
   std::vector<Route> compute_route_row(NodeId from) const;
   // Returns the row for `from`, building it on first touch.
   const std::vector<Route>& route_row(NodeId from) const;

@@ -273,6 +273,7 @@ struct PoolInterface {
   };
 
   bool indexed = false;
+  std::uint32_t id = 0;  // its CompiledSpec edge interface
   const std::string* name = nullptr;
   // Components that implement the interface, in declaration order (the
   // spec's ImplementerIndex entry); null when none does.
@@ -518,7 +519,10 @@ class PlanTables {
 
   const PoolInterface& interface(std::uint32_t edge_interface) {
     PoolInterface& out = interfaces_[edge_interface];
-    if (!out.indexed) index_pool(compiled_.edge_interfaces[edge_interface], out);
+    if (!out.indexed) {
+      out.id = edge_interface;
+      index_pool(compiled_.edge_interfaces[edge_interface], out);
+    }
     return out;
   }
 
@@ -594,12 +598,13 @@ class Search {
         incumbent_(incumbent),
         stats_(stats),
         bound_pruning_(request.bound_pruning),
-        candidate_nodes_(candidate_nodes) {
+        candidate_nodes_(candidate_nodes),
+        row_keys_(spec.components.size() + compiled.edge_interfaces.size()) {
     node_load_.assign(network_.node_count(), 0.0);
     link_load_.assign(network_.link_count(), 0.0);
     existing_added_rps_.assign(existing.size(), 0.0);
     placed_existing_.assign(existing.size(), kNotPlaced);
-    rtt_slot_.assign(network_.node_count(), kNoSlot);
+    edge_rows_.assign(network_.node_count() * row_keys_, kNoRow);
     summaries_.resize(spec.components.size());
   }
 
@@ -615,13 +620,17 @@ class Search {
             ? std::span<const net::NodeId>(&request_.client_node, 1)
             : std::span<const net::NodeId>(candidate_nodes_);
     for (const spec::ImplementerRef& ref : it->second) {
+      const std::size_t ci = tables_.component_index(*ref.component);
       for (net::NodeId node : nodes) {
         Candidate& c = tables_.candidate(*ref.component, node);
         if (rejected_by_verdict(c)) continue;
-        try_new(*ref.component, *ref.linkage, node, c, entry_reqs_,
+        // An entry candidate is visited once per unit: its edge needs no row.
+        EdgeEntry edge;
+        try_new(*ref.component, ci, *ref.linkage, node, c, edge, entry_reqs_,
                 request_.client_node, request_.request_rate_rps,
                 /*depth=*/1, kNoParent, /*discount=*/1.0, /*committed=*/0.0,
-                [this](InstanceId root, double padded_s, double warm_s) {
+                [this](InstanceId root, double padded_s, double warm_s,
+                       const net::Route&) {
                   finish_plan(root, padded_s, warm_s);
                 });
       }
@@ -632,12 +641,13 @@ class Search {
   const Score& best_score() const { return best_score_; }
 
  private:
-  // sink(root, padded, warm): both values are edge_rtt + subtree latency as
-  // seen from the caller. `padded` applies the cold-view discount to newly
-  // deployed views and drives plan *scoring*; `warm` uses true RRFs and is
-  // what gets recorded (and later reused as an existing instance's
-  // downstream latency once its cache is warm).
-  using Sink = CallbackRef<void(InstanceId, double, double)>;
+  // sink(root, padded, warm, route): both values are the edge RTT + subtree
+  // latency as seen from the caller. `padded` applies the cold-view discount
+  // to newly deployed views and drives plan *scoring*; `warm` uses true RRFs
+  // and is what gets recorded (and later reused as an existing instance's
+  // downstream latency once its cache is warm). `route` runs from the
+  // caller's node to the root's: the wire's.
+  using Sink = CallbackRef<void(InstanceId, double, double, const net::Route&)>;
   // done(padded, warm): every requirement edge of a placement is solved.
   using Done = CallbackRef<void(double, double)>;
 
@@ -669,11 +679,13 @@ class Search {
     double rate_rps = 0.0;
   };
 
-  // What this unit's candidate nodes hold for one component in the
-  // candidate table: how many of them each fixed rejection verdict covers,
-  // and the nodes whose verdict is ok, in candidate order.
+  // What this unit's candidate nodes hold for one component (index
+  // `component` in the spec) in the candidate table: how many of them each
+  // fixed rejection verdict covers, and the nodes whose verdict is ok, in
+  // candidate order.
   struct NodeSummary {
     bool built = false;
+    std::uint32_t component = 0;
     std::uint64_t node_down = 0;
     std::uint64_t fixed_static = 0;
     std::uint64_t condition = 0;
@@ -681,8 +693,19 @@ class Search {
     std::vector<std::pair<net::NodeId, Candidate*>> ok;
   };
 
+  // The edge from a consumer node to one candidate: the route in, the route
+  // back and the round-trip time, which depend only on the two nodes and
+  // the candidate's component. Filled on the first visit that reaches the
+  // route check, by the cached_route and edge_rtt_seconds calls a lookup
+  // per candidate would make, so the same route rows and the same doubles.
+  struct EdgeEntry {
+    const net::Route* in = nullptr;    // null until the first visit
+    const net::Route* back = nullptr;  // null while `in` is unroutable
+    double rtt_s = 0.0;
+  };
+
   static constexpr InstanceId kNotPlaced = UINT32_MAX;
-  static constexpr std::uint32_t kNoSlot = UINT32_MAX;
+  static constexpr std::uint32_t kNoRow = UINT32_MAX;
 
   // ---- branch-and-bound ---------------------------------------------------
 
@@ -717,37 +740,32 @@ class Search {
     return cost;
   }
 
-  // edge_rtt_seconds over `route` (from `from` to `to`) for `comp`'s
-  // messages, memoized: the same link sums in the same order, so the same
-  // double. The memo lives per search unit: a dense table over the nodes
-  // the unit has touched (a cluster refinement's, or a small world's), a
-  // row per `from`.
-  // `ci` is `comp`'s index in the spec.
-  double edge_rtt(net::NodeId from, net::NodeId to, const net::Route& route,
-                  const spec::ComponentDef& comp, std::size_t ci) {
-    const std::size_t components = spec_.components.size();
-    const std::uint32_t from_slot = rtt_slot(from);
-    const std::size_t i = rtt_slot(to) * components + ci;
-    std::vector<double>& rtt = rtt_rows_[from_slot];
-    if (i >= rtt.size()) {
-      rtt.resize((i / components + 1) * components,
-                 std::numeric_limits<double>::quiet_NaN());
+  // The arena offset of the edge row of consumer node `from` and key `key`
+  // (a component index, or the spec's component count plus an edge
+  // interface id), `count` entries long, appended on first use.
+  std::size_t edge_row(net::NodeId from, std::size_t key, std::size_t count) {
+    std::uint32_t& row = edge_rows_[from.value * row_keys_ + key];
+    if (row == kNoRow) {
+      row = static_cast<std::uint32_t>(edge_arena_.size());
+      edge_arena_.resize(edge_arena_.size() + count);
     }
-    if (std::isnan(rtt[i])) {
-      rtt[i] = edge_rtt_seconds(network_, route,
-                                comp.behaviors.bytes_per_request,
-                                comp.behaviors.bytes_per_response);
-    }
-    return rtt[i];
+    return row;
   }
 
-  std::uint32_t rtt_slot(net::NodeId node) {
-    std::uint32_t& slot = rtt_slot_[node.value];
-    if (slot == kNoSlot) {
-      slot = static_cast<std::uint32_t>(rtt_rows_.size());
-      rtt_rows_.emplace_back();
+  // `entry`, the edge from `from` to `to` for messages of `b`, filled on
+  // its first visit; a copy, because the arena can grow once the caller
+  // recurses.
+  EdgeEntry visit(EdgeEntry& entry, net::NodeId from, net::NodeId to,
+                  const spec::Behaviors& b) const {
+    if (entry.in == nullptr) {
+      entry.in = network_.cached_route(from, to);
+      if (entry.in->reachable()) {
+        entry.back = network_.cached_route(to, from);
+        entry.rtt_s = edge_rtt_seconds(network_, *entry.in, b.bytes_per_request,
+                                       b.bytes_per_response);
+      }
     }
-    return slot;
+    return entry;
   }
 
   // ---- search ---------------------------------------------------------
@@ -793,9 +811,11 @@ class Search {
   // The candidate table's summary of `comp` over this unit's candidate
   // nodes, built on first use.
   const NodeSummary& summary(const spec::ComponentDef& comp) {
-    NodeSummary& s = summaries_[tables_.component_index(comp)];
+    const std::size_t ci = tables_.component_index(comp);
+    NodeSummary& s = summaries_[ci];
     if (s.built) return s;
     s.built = true;
+    s.component = static_cast<std::uint32_t>(ci);
     for (net::NodeId node : candidate_nodes_) {
       Candidate& c = tables_.candidate(comp, node);
       switch (c.verdict) {
@@ -834,9 +854,11 @@ class Search {
     // instance; the non-implementers in one step.
     stats_.candidates_examined += iface.non_implementers;
     stats_.rejected_node_down += iface.non_implementers_down;
-    for (const PoolInterface::Implementer& pooled : iface.pooled) {
-      try_existing(pooled, reqs, from, rate, parent, discount, committed,
-                   sink);
+    const std::size_t pool_row = edge_row(
+        from, spec_.components.size() + iface.id, iface.pooled.size());
+    for (std::size_t i = 0; i < iface.pooled.size(); ++i) {
+      try_existing(iface.pooled[i], edge_arena_[pool_row + i], reqs, from,
+                   rate, parent, discount, committed, sink);
     }
 
     // (b) Deploy a new component. The candidates a fixed verdict rejects are
@@ -853,17 +875,22 @@ class Search {
       stats_.rejected_static += s.fixed_static;
       stats_.rejected_condition += s.condition;
       stats_.rejected_factor += s.factor;
-      for (const auto& [node, c] : s.ok) {
-        try_new(*ref.component, *ref.linkage, node, *c, reqs, from, rate,
-                depth, parent, discount, committed, sink);
+      const std::size_t row = edge_row(from, s.component, s.ok.size());
+      for (std::size_t i = 0; i < s.ok.size(); ++i) {
+        const auto& [node, c] = s.ok[i];
+        try_new(*ref.component, s.component, *ref.linkage, node, *c,
+                edge_arena_[row + i], reqs, from, rate, depth, parent,
+                discount, committed, sink);
       }
     }
   }
 
+  // `entry` is the pooled instance's edge from `from`: it is read before
+  // anything recurses.
   void try_existing(const PoolInterface::Implementer& pooled,
-                    const Requirements& reqs, net::NodeId from, double rate,
-                    InstanceId parent, double discount, double committed,
-                    Sink sink) {
+                    EdgeEntry& entry, const Requirements& reqs,
+                    net::NodeId from, double rate, InstanceId parent,
+                    double discount, double committed, Sink sink) {
     const ExistingInstance& inst = existing_[pooled.index];
     ++stats_.candidates_examined;
     if (pooled.node_down) {
@@ -884,16 +911,16 @@ class Search {
       return;
     }
 
-    const net::Route* route_in = network_.cached_route(from, inst.node);
-    if (route_in->bottleneck_bandwidth_bps == 0.0 && !route_in->local()) {
+    const EdgeEntry edge =
+        visit(entry, from, inst.node, inst.component->behaviors);
+    if (!edge.in->reachable()) {
       ++stats_.rejected_unroutable;
       return;
     }
-    const net::Route* route_back = network_.cached_route(inst.node, from);
     // The response path must be routable too: on an asymmetric topology a
     // candidate whose return route is severed would otherwise slip through
     // to property transformation over a dead route.
-    if (route_back->bottleneck_bandwidth_bps == 0.0 && !route_back->local()) {
+    if (!edge.back->reachable()) {
       ++stats_.rejected_unroutable;
       return;
     }
@@ -901,7 +928,7 @@ class Search {
     // §3.3 condition 2 against the instance's stored effective properties.
     for (const auto& [prop, required] : reqs) {
       if (!tables_
-               .transform(prop, slot(pooled.props, prop), *route_back,
+               .transform(prop, slot(pooled.props, prop), *edge.back,
                           inst.node, from)
                .satisfies(required)) {
         ++stats_.rejected_compatibility;
@@ -909,8 +936,7 @@ class Search {
       }
     }
 
-    const double rtt = edge_rtt(from, inst.node, *route_in, *inst.component,
-                                tables_.component_index(*inst.component));
+    const double rtt = edge.rtt_s;
 
     // Bound: reusing an instance commits this edge's RTT plus the instance's
     // (exactly known) downstream latency.
@@ -922,7 +948,7 @@ class Search {
     }
 
     // §3.3 condition 3 for the new edge.
-    if (!reserve_route(*route_in, inst.component->behaviors, rate)) {
+    if (!reserve_route(*edge.in, inst.component->behaviors, rate)) {
       ++stats_.rejected_link_capacity;
       return;
     }
@@ -941,7 +967,7 @@ class Search {
 
     // An existing instance is warm on both tracks.
     sink(pid, rtt + inst.downstream_latency_s,
-         rtt + inst.downstream_latency_s);
+         rtt + inst.downstream_latency_s, *edge.in);
 
     // Undo.
     existing_added_rps_[pooled.index] -= rate;
@@ -950,16 +976,17 @@ class Search {
       placed_existing_[pooled.index] = kNotPlaced;
       placements_.pop_back();
     }
-    release_route(*route_in, inst.component->behaviors, rate);
+    release_route(*edge.in, inst.component->behaviors, rate);
   }
 
-  // A new placement of `comp` at `node`, whose candidate-table entry `c`
-  // has an ok verdict (callers count the others).
-  void try_new(const spec::ComponentDef& comp, const spec::LinkageDecl& impl,
-               net::NodeId node, Candidate& c, const Requirements& reqs,
-               net::NodeId from, double rate, std::size_t depth,
-               InstanceId parent, double discount, double committed,
-               Sink sink) {
+  // A new placement of `comp` (index `ci` in the spec) at `node`, whose
+  // candidate-table entry `c` has an ok verdict (callers count the others).
+  // `entry` is its edge from `from`: it is read before anything recurses.
+  void try_new(const spec::ComponentDef& comp, std::size_t ci,
+               const spec::LinkageDecl& impl, net::NodeId node, Candidate& c,
+               EdgeEntry& entry, const Requirements& reqs, net::NodeId from,
+               double rate, std::size_t depth, InstanceId parent,
+               double discount, double committed, Sink sink) {
     ++stats_.candidates_examined;
 
     // Cycle guard: never place the same component twice on the same node
@@ -975,12 +1002,13 @@ class Search {
       return;
     }
 
-    const net::Route* route_in = network_.cached_route(from, node);
-    if (route_in->bottleneck_bandwidth_bps == 0.0 && !route_in->local()) {
+    const EdgeEntry edge = visit(entry, from, node, comp.behaviors);
+    if (!edge.in->reachable()) {
       ++stats_.rejected_unroutable;
       return;
     }
-    const net::Route* route_back = network_.cached_route(node, from);
+    const net::Route& route_in = *edge.in;
+    const net::Route& route_back = *edge.back;
 
     // Early filter for §3.3 condition 2: a *declared* value that fails its
     // requirement can only be rescued by a modification rule; without a rule
@@ -1012,8 +1040,7 @@ class Search {
     }
 
     const double cpu_time_s = comp.behaviors.cpu_per_request / c.cpu_capacity;
-    const std::size_t ci = tables_.component_index(comp);
-    const double rtt = edge_rtt(from, node, *route_in, comp, ci);
+    const double rtt = edge.rtt_s;
     // Cold-cache discount for newly deployed views (kColdViewPenalty).
     const double warm_rrf = comp.behaviors.rrf;
     double padded_rrf = warm_rrf;
@@ -1031,7 +1058,7 @@ class Search {
       return;
     }
 
-    if (!reserve_route(*route_in, comp.behaviors, rate)) {
+    if (!reserve_route(route_in, comp.behaviors, rate)) {
       ++stats_.rejected_link_capacity;
       return;
     }
@@ -1045,7 +1072,7 @@ class Search {
     // reaches later capacity checks.
     if (depth >= request_.max_depth && !comp.requires_.empty()) {
       node_load_[node.value] -= cpu_add;
-      release_route(*route_in, comp.behaviors, rate);
+      release_route(route_in, comp.behaviors, rate);
       return;
     }
     c.on_path = true;
@@ -1085,14 +1112,15 @@ class Search {
           for (const auto& [prop, required] : reqs) {
             const spec::PropertyValue& v =
                 prop < width_ ? self.effective[offset + prop] : kUnset;
-            if (!tables_.transform(prop, v, *route_back, node, from)
+            if (!tables_.transform(prop, v, route_back, node, from)
                      .satisfies(required)) {
               ++stats_.rejected_compatibility;
               return;
             }
           }
 
-          sink(pid, rtt + padded_latency_s, rtt + self.expected_latency_s);
+          sink(pid, rtt + padded_latency_s, rtt + self.expected_latency_s,
+               route_in);
         });
 
     // Undo (children are fully undone by their own frames).
@@ -1101,7 +1129,7 @@ class Search {
     if (comp.is_view()) view_path_.pop_back();
     c.on_path = false;
     node_load_[node.value] -= cpu_add;
-    release_route(*route_in, comp.behaviors, rate);
+    release_route(route_in, comp.behaviors, rate);
   }
 
   // Satisfies comp.requires_[index..) in declaration order; when all are
@@ -1109,9 +1137,12 @@ class Search {
   // (edge rtt + child subtree latency). `child_discount` / `base_committed`
   // carry the bound (see satisfy); completed sibling edges enter the
   // committed value as they accumulate in `padded_so_far`.
-  // Kept out of line: GCC 12 -O3 otherwise inlines it into try_new and then
-  // leaves try_existing, the pool walk, out of line, which made
-  // access_storm's cold plans about 10 % slower.
+  // Kept out of line. With the attribute, GCC 12 -O3 keeps try_new and this
+  // function out of line and inlines satisfy, with try_existing (the pool
+  // walk), into it. Without it, this function is inlined into try_new and
+  // satisfy goes out of line instead, and access_storm's ops_per_wall_s
+  // read 0.971x and planner.wall_ms_p50 1.045x (6 alternating 10 s pairs
+  // at seed 1 on a 4-vCPU host, 0/6 better).
   [[gnu::noinline]]
   void satisfy_children(const Candidate& c, const spec::ComponentDef& comp,
                         InstanceId parent, net::NodeId node, double child_rate,
@@ -1127,11 +1158,9 @@ class Search {
     satisfy(*edge.iface, edge.reqs, node, child_rate, depth + 1, parent,
             child_discount, base_committed + child_discount * padded_so_far,
             [&](InstanceId child_root, double edge_padded_s,
-                double edge_warm_s) {
-              const net::NodeId child_node = placements_[child_root].node;
-              wires_.push_back(WorkingWire{
-                  parent, edge.iface->name, child_root,
-                  network_.cached_route(node, child_node), child_rate});
+                double edge_warm_s, const net::Route& route) {
+              wires_.push_back(WorkingWire{parent, edge.iface->name,
+                                           child_root, &route, child_rate});
               satisfy_children(c, comp, parent, node, child_rate, depth,
                                index + 1, padded_so_far + edge_padded_s,
                                warm_so_far + edge_warm_s, child_discount,
@@ -1323,10 +1352,14 @@ class Search {
   // Views along the current requirement path, with their factors ids.
   std::vector<std::pair<const spec::ComponentDef*, std::uint32_t>> view_path_;
 
-  // The edge-RTT memo: node id → slot, and one row per `from` slot of
-  // (`to` slot × component) cells, NaN until computed.
-  std::vector<std::uint32_t> rtt_slot_;
-  std::vector<std::vector<double>> rtt_rows_;
+  // The edge rows: by (consumer node, row key) the arena offset of the row,
+  // or kNoRow. A component's row has an entry per ok node of its
+  // NodeSummary, an interface's an entry per pooled implementer, in their
+  // orders. Offsets, not pointers: the arena grows as the search visits
+  // new consumer nodes.
+  const std::size_t row_keys_;  // spec components + edge interfaces
+  std::vector<std::uint32_t> edge_rows_;
+  std::vector<EdgeEntry> edge_arena_;
 
   std::optional<DeploymentPlan> best_;
   Score best_score_;

@@ -12,6 +12,7 @@
 #include "mail/mail_spec.hpp"
 #include "net/topology.hpp"
 #include "planner/planner.hpp"
+#include "planner/validate.hpp"
 #include "spec/builder.hpp"
 
 namespace {
@@ -338,6 +339,39 @@ TEST(SearchCountersTest, PooledInstanceOnDownedNode) {
             "  #2 Encryptor @ sd-0 (existing)\n"
             "  #1 --ServerInterface--> #2 (1 hop(s), 0 ms)\n"
             "  #0 --ServerInterface--> #1 (local)\n");
+}
+
+// Seattle cut off by both of its WAN links: the route cache marks every pair
+// across the partition unreachable, and no candidate may sit behind one.
+// San Diego's client then has to plan inside San Diego and New York (the
+// Seattle nodes stay up, and their rows are never built).
+TEST(SearchCountersTest, PartitionedSeattleFromSanDiego) {
+  CaseStudyWorld world(6);
+  world.storm_pool();
+  const auto& sea = world.sites.seattle;
+  for (net::NodeId gateway :
+       {world.sites.san_diego[0], world.sites.new_york[0]}) {
+    const auto link = world.network.link_between(sea[0], gateway);
+    ASSERT_TRUE(link.has_value());
+    world.network.set_link_up(*link, false);
+  }
+  const planner::PlanRequest req =
+      world.request(world.sites.sd_client, 2, 4.0);
+  EXPECT_EQ(world.run(req),
+            "examined=316908 scored=5 bound=65869 static=49500 cycle=10092 "
+            "dup-view=6132 condition=16500 factor=0 compat=2750 node-cap=0 "
+            "link-cap=0 inst-cap=0 unroutable=67084 down=0 clusters=0/0/0 "
+            "hier=0 route-rows=12\n"
+            "DeploymentPlan (expected latency 50.455 ms, 1 new / 1 reused "
+            "components)\n"
+            "  #0 ViewMailClient @ sd-5 (entry)\n"
+            "  #1 ViewMailServer[TrustLevel=4] @ sd-2 (existing)\n"
+            "  #0 --ServerInterface--> #1 (1 hop(s), 0 ms)\n");
+  auto plan = world.planner->plan(req, world.pool);
+  ASSERT_TRUE(plan.has_value()) << plan.status().to_string();
+  const planner::ValidationReport report = planner::validate_plan(
+      world.spec, *world.env, req, *plan, world.pool);
+  EXPECT_TRUE(report.ok()) << report.to_string();
 }
 
 // A front end with two requirement edges, each walking a pool that mixes

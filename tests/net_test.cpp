@@ -61,6 +61,7 @@ TEST(NetworkTest, RouteToSelfIsLocal) {
   auto route = n.route(NodeId{2}, NodeId{2});
   ASSERT_TRUE(route.has_value());
   EXPECT_TRUE(route->local());
+  EXPECT_TRUE(route->reachable());
 }
 
 TEST(NetworkTest, DisconnectedRouteIsNull) {
@@ -86,6 +87,11 @@ TEST(NetworkTest, CachedRouteMarksDisconnectedPairs) {
   n.add_node("b");
   const Route* r = n.cached_route(NodeId{0}, NodeId{1});
   EXPECT_EQ(r->bottleneck_bandwidth_bps, 0.0);
+  // The marker has no links, like a local route; only reachable() tells
+  // the two apart.
+  EXPECT_TRUE(r->local());
+  EXPECT_FALSE(r->reachable());
+  EXPECT_TRUE(n.cached_route(NodeId{0}, NodeId{0})->reachable());
 }
 
 TEST(NetworkTest, CacheInvalidatedByMutation) {

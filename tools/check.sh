@@ -28,7 +28,10 @@
 #   tools/check.sh --bench    # only: psfbench smoke (its own Release build
 #                             # in build-bench/, every workload for 1 s at
 #                             # seed 1; fails when any psfbench output check
-#                             # fails — no timing is gated)
+#                             # fails), then tools/benchdiff against the
+#                             # checked-in baseline (bench/psfbench/
+#                             # baseline/run1; fails on any work/sim metric
+#                             # that differs — no timing is gated)
 #   tools/check.sh --tidy     # also: clang-tidy (see .clang-tidy) over the
 #                             # analysis layer and tools; skipped with a
 #                             # notice when clang-tidy is not installed
@@ -126,6 +129,8 @@ fi
 if [[ "${BENCH_ONLY}" == 1 ]]; then
   echo "== psfbench smoke (every workload, 1 s, seed 1) =="
   bash bench/psfbench/run.sh --seconds 1
+  echo "== psfbench work/sim metrics against the checked-in baseline =="
+  tools/benchdiff bench/psfbench/baseline/run1 build-bench/results
   echo "== psfbench smoke passed =="
   exit 0
 fi
