@@ -22,7 +22,7 @@ Framework::Framework(net::Network network, FrameworkOptions options)
 
 util::Status Framework::register_service(
     runtime::ServiceRegistration registration,
-    std::shared_ptr<const planner::PropertyTranslator> translator) {
+    std::shared_ptr<const planner::CredentialMapTranslator> translator) {
   // Pre-flight: run the static analyzer before anything touches the planner
   // or runtime. A spec with error-level findings would fail in confusing
   // ways mid-plan (or worse, plan wrongly); reject it here with the full

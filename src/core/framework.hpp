@@ -51,7 +51,7 @@ class Framework {
   // initial placements) complete.
   util::Status register_service(
       runtime::ServiceRegistration registration,
-      std::shared_ptr<const planner::PropertyTranslator> translator);
+      std::shared_ptr<const planner::CredentialMapTranslator> translator);
 
   std::unique_ptr<runtime::GenericProxy> make_proxy(
       net::NodeId client_node, const std::string& service,

@@ -3,7 +3,7 @@
 // The paper (§3.3) models the network as nodes/links carrying resource
 // characteristics plus credentials that are *not* performance related (e.g.
 // administrative domain, physical security of a link). A service-supplied
-// translator — or the trust-management engine of §6 — later maps these into
+// translator (planner::CredentialMapTranslator) later maps these into
 // service-specific properties such as Confidentiality and TrustLevel.
 #pragma once
 

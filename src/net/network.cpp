@@ -83,12 +83,21 @@ std::optional<LinkId> Network::link_between(NodeId a, NodeId b) const {
   return std::nullopt;
 }
 
-std::optional<Route> Network::route(NodeId from, NodeId to) const {
-  PSF_CHECK(from.valid() && from.value < nodes_.size());
-  PSF_CHECK(to.valid() && to.value < nodes_.size());
-  if (!nodes_[from.value].up || !nodes_[to.value].up) return std::nullopt;
-  if (from == to) return Route{};
+namespace {
+// The latency of a node Dijkstra never reached.
+constexpr std::int64_t kUnreached = INT64_MAX;
+}  // namespace
 
+// Dijkstra's working arrays, indexed by node id: the best (latency, hops)
+// reached so far and the link each node was last reached over.
+struct Network::ShortestPaths {
+  std::vector<std::int64_t> latency_ns;
+  std::vector<std::uint32_t> hops;
+  std::vector<LinkId> via;
+};
+
+Network::ShortestPaths Network::shortest_paths(NodeId from,
+                                               NodeId target) const {
   struct State {
     std::int64_t latency_ns;
     std::uint32_t hops;
@@ -100,25 +109,25 @@ std::optional<Route> Network::route(NodeId from, NodeId to) const {
     }
   };
 
-  constexpr std::int64_t kInf = INT64_MAX;
-  std::vector<std::int64_t> best(nodes_.size(), kInf);
-  std::vector<std::uint32_t> best_hops(nodes_.size(), UINT32_MAX);
-  std::vector<LinkId> via(nodes_.size());
+  const std::size_t n = nodes_.size();
+  ShortestPaths paths{std::vector<std::int64_t>(n, kUnreached),
+                      std::vector<std::uint32_t>(n, UINT32_MAX),
+                      std::vector<LinkId>(n)};
   std::priority_queue<State, std::vector<State>, std::greater<State>> pq;
 
-  best[from.value] = 0;
-  best_hops[from.value] = 0;
+  paths.latency_ns[from.value] = 0;
+  paths.hops[from.value] = 0;
   pq.push(State{0, 0, from});
 
   while (!pq.empty()) {
     const State s = pq.top();
     pq.pop();
-    if (s.latency_ns > best[s.node.value] ||
-        (s.latency_ns == best[s.node.value] &&
-         s.hops > best_hops[s.node.value])) {
+    if (s.latency_ns > paths.latency_ns[s.node.value] ||
+        (s.latency_ns == paths.latency_ns[s.node.value] &&
+         s.hops > paths.hops[s.node.value])) {
       continue;
     }
-    if (s.node == to) break;
+    if (s.node == target) break;
     for (LinkId lid : adjacency_[s.node.value]) {
       const Link& l = links_[lid.value];
       if (!l.up) continue;
@@ -126,24 +135,27 @@ std::optional<Route> Network::route(NodeId from, NodeId to) const {
       if (!nodes_[next.value].up) continue;
       const std::int64_t cand = s.latency_ns + l.latency.nanos();
       const std::uint32_t cand_hops = s.hops + 1;
-      if (cand < best[next.value] ||
-          (cand == best[next.value] && cand_hops < best_hops[next.value])) {
-        best[next.value] = cand;
-        best_hops[next.value] = cand_hops;
-        via[next.value] = lid;
+      if (cand < paths.latency_ns[next.value] ||
+          (cand == paths.latency_ns[next.value] &&
+           cand_hops < paths.hops[next.value])) {
+        paths.latency_ns[next.value] = cand;
+        paths.hops[next.value] = cand_hops;
+        paths.via[next.value] = lid;
         pq.push(State{cand, cand_hops, next});
       }
     }
   }
+  return paths;
+}
 
-  if (best[to.value] == kInf) return std::nullopt;
-
+Route Network::trace_route(const ShortestPaths& paths, NodeId from,
+                           NodeId to) const {
   Route r;
-  r.total_latency = sim::Duration::from_nanos(best[to.value]);
-  r.links.reserve(best_hops[to.value]);
+  r.total_latency = sim::Duration::from_nanos(paths.latency_ns[to.value]);
+  r.links.reserve(paths.hops[to.value]);
   NodeId cur = to;
   while (cur != from) {
-    const LinkId lid = via[cur.value];
+    const LinkId lid = paths.via[cur.value];
     r.links.push_back(lid);
     r.bottleneck_bandwidth_bps =
         std::min(r.bottleneck_bandwidth_bps, links_[lid.value].bandwidth_bps);
@@ -151,6 +163,16 @@ std::optional<Route> Network::route(NodeId from, NodeId to) const {
   }
   std::reverse(r.links.begin(), r.links.end());
   return r;
+}
+
+std::optional<Route> Network::route(NodeId from, NodeId to) const {
+  PSF_CHECK(from.valid() && from.value < nodes_.size());
+  PSF_CHECK(to.valid() && to.value < nodes_.size());
+  if (!nodes_[from.value].up || !nodes_[to.value].up) return std::nullopt;
+  if (from == to) return Route{};
+  const ShortestPaths paths = shortest_paths(from, to);
+  if (paths.latency_ns[to.value] == kUnreached) return std::nullopt;
+  return trace_route(paths, from, to);
 }
 
 const Route* Network::cached_route(NodeId from, NodeId to) const {
@@ -173,83 +195,21 @@ std::size_t Network::route_rows_materialized() const {
 }
 
 std::vector<Route> Network::compute_route_row(NodeId from) const {
-  const std::size_t n = nodes_.size();
   Route unreachable;
   unreachable.total_latency = sim::Duration::from_nanos(INT64_MAX / 2);
   unreachable.bottleneck_bandwidth_bps = 0.0;
-  std::vector<Route> row(n, unreachable);
-
+  std::vector<Route> row(nodes_.size(), unreachable);
   if (!nodes_[from.value].up) return row;
 
-  // One full Dijkstra per source (identical metric and tie-breaks to
-  // route(), minus the destination early-exit) instead of one truncated
-  // Dijkstra per PAIR — precomputing a 100-node Waxman drops from n^2 to n
-  // searches.
-  struct State {
-    std::int64_t latency_ns;
-    std::uint32_t hops;
-    NodeId node;
-    bool operator>(const State& o) const {
-      if (latency_ns != o.latency_ns) return latency_ns > o.latency_ns;
-      if (hops != o.hops) return hops > o.hops;
-      return node.value > o.node.value;
-    }
-  };
-
-  constexpr std::int64_t kInf = INT64_MAX;
-  std::vector<std::int64_t> best(n, kInf);
-  std::vector<std::uint32_t> best_hops(n, UINT32_MAX);
-  std::vector<LinkId> via(n);
-  std::priority_queue<State, std::vector<State>, std::greater<State>> pq;
-
-  best[from.value] = 0;
-  best_hops[from.value] = 0;
-  pq.push(State{0, 0, from});
-
-  while (!pq.empty()) {
-    const State s = pq.top();
-    pq.pop();
-    if (s.latency_ns > best[s.node.value] ||
-        (s.latency_ns == best[s.node.value] &&
-         s.hops > best_hops[s.node.value])) {
-      continue;
-    }
-    for (LinkId lid : adjacency_[s.node.value]) {
-      const Link& l = links_[lid.value];
-      if (!l.up) continue;
-      const NodeId next = l.other(s.node);
-      if (!nodes_[next.value].up) continue;
-      const std::int64_t cand = s.latency_ns + l.latency.nanos();
-      const std::uint32_t cand_hops = s.hops + 1;
-      if (cand < best[next.value] ||
-          (cand == best[next.value] && cand_hops < best_hops[next.value])) {
-        best[next.value] = cand;
-        best_hops[next.value] = cand_hops;
-        via[next.value] = lid;
-        pq.push(State{cand, cand_hops, next});
-      }
-    }
-  }
-
+  // One full Dijkstra per source instead of one truncated Dijkstra per
+  // pair: precomputing a 100-node Waxman drops from n^2 to n searches.
+  const ShortestPaths paths = shortest_paths(from, NodeId{});
   for (const Node& to : nodes_) {
     if (to.id == from) {
       row[to.id.value] = Route{};
-      continue;
+    } else if (paths.latency_ns[to.id.value] != kUnreached) {
+      row[to.id.value] = trace_route(paths, from, to.id);
     }
-    if (!to.up || best[to.id.value] == kInf) continue;  // keep the marker
-    Route r;
-    r.total_latency = sim::Duration::from_nanos(best[to.id.value]);
-    r.links.reserve(best_hops[to.id.value]);
-    NodeId cur = to.id;
-    while (cur != from) {
-      const LinkId lid = via[cur.value];
-      r.links.push_back(lid);
-      r.bottleneck_bandwidth_bps = std::min(r.bottleneck_bandwidth_bps,
-                                            links_[lid.value].bandwidth_bps);
-      cur = links_[lid.value].other(cur);
-    }
-    std::reverse(r.links.begin(), r.links.end());
-    row[to.id.value] = std::move(r);
   }
   return row;
 }

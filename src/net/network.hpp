@@ -122,9 +122,10 @@ class Network {
   std::optional<LinkId> link_between(NodeId a, NodeId b) const;
 
   // Shortest path from `from` to `to` minimizing total latency; ties broken
-  // by hop count then link id for determinism. Empty route if from == to;
-  // nullopt if disconnected. Down links and down intermediate nodes are
-  // skipped; a down endpoint makes every pair involving it unreachable.
+  // by hop count, then by node id, for determinism. Empty route if
+  // from == to; nullopt if disconnected. Down links and down intermediate
+  // nodes are skipped; a down endpoint makes every pair involving it
+  // unreachable.
   std::optional<Route> route(NodeId from, NodeId to) const;
 
   // Fault-state mutators. Every one of these (and the property setters
@@ -172,10 +173,18 @@ class Network {
 
  private:
   void invalidate_cache();
-  // Single-source Dijkstra computing one full row of routes (same metric and
-  // tie-breaks as route(), which stays separate because its early exit wins
-  // for one-off queries). Row entries: self = empty local route, unreachable
-  // pairs = the INT64_MAX/2-latency zero-bandwidth marker (not reachable()).
+
+  // The one Dijkstra behind route() and the route rows: minimal total
+  // latency, ties broken by hop count, then by node id. It runs from `from`
+  // until every reachable node is settled, or, with a valid `target`, until
+  // that node is.
+  struct ShortestPaths;
+  ShortestPaths shortest_paths(NodeId from, NodeId target) const;
+  // The route to a reached `to`, read back along the `via` links.
+  Route trace_route(const ShortestPaths& paths, NodeId from, NodeId to) const;
+  // One full row of routes from `from`. Row entries: self = empty local
+  // route, unreachable pairs = the INT64_MAX/2-latency zero-bandwidth marker
+  // (not reachable()).
   std::vector<Route> compute_route_row(NodeId from) const;
   // Returns the row for `from`, building it on first touch.
   const std::vector<Route>& route_row(NodeId from) const;

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <limits>
 
 namespace psf::net {
 
@@ -99,15 +100,12 @@ GraphPartition partition_graph(const Network& network, std::size_t num_parts) {
 
   part.part_of_node = std::move(assign);
 
-  // Cut statistics. Fault state deliberately ignored (see header).
+  // Fault state is ignored: a down link still counts.
   for (LinkId lid : network.all_links()) {
     const Link& l = network.link(lid);
-    if (part.part_of_node[l.a.value] == part.part_of_node[l.b.value]) {
-      continue;
+    if (part.part_of_node[l.a.value] != part.part_of_node[l.b.value]) {
+      ++part.cut_links;
     }
-    ++part.cut_links;
-    part.min_cut_latency_ns =
-        std::min(part.min_cut_latency_ns, l.latency.nanos());
   }
   return part;
 }

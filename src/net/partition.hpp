@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "net/network.hpp"
@@ -24,12 +23,7 @@ struct GraphPartition {
   std::vector<PartId> part_of_node;  // indexed by NodeId::value
   std::size_t num_parts = 1;
   std::vector<std::size_t> part_sizes;  // node count per part
-  std::size_t cut_links = 0;
-  // Minimum latency over links whose endpoints fall in different parts;
-  // INT64_MAX when no link crosses parts. Fault state is ignored: a down
-  // link still contributes, which keeps min-based bounds admissible when it
-  // comes back up.
-  std::int64_t min_cut_latency_ns = std::numeric_limits<std::int64_t>::max();
+  std::size_t cut_links = 0;  // links whose endpoints fall in different parts
 
   PartId part_of(NodeId n) const { return part_of_node[n.value]; }
 };

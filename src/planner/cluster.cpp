@@ -27,10 +27,9 @@ ClusterIndex::ClusterIndex(const net::Network& network,
   }
 
   // Direct quotient edges: min cut-link latency between each cluster pair,
-  // per-cluster best cut-link bandwidth, and border detection.
+  // and border detection.
   latency_lb_s_.assign(k * k, kInf);
   for (std::size_t c = 0; c < k; ++c) latency_lb_s_[c * k + c] = 0.0;
-  max_cut_bandwidth_bps_.assign(k, 0.0);
   std::vector<bool> is_border(cluster_of_node_.size(), false);
 
   for (net::LinkId lid : network.all_links()) {
@@ -45,10 +44,6 @@ ClusterIndex::ClusterIndex(const net::Network& network,
     double& rev = latency_lb_s_[cb * k + ca];
     fwd = std::min(fwd, lat_s);
     rev = std::min(rev, lat_s);
-    max_cut_bandwidth_bps_[ca] =
-        std::max(max_cut_bandwidth_bps_[ca], l.bandwidth_bps);
-    max_cut_bandwidth_bps_[cb] =
-        std::max(max_cut_bandwidth_bps_[cb], l.bandwidth_bps);
   }
 
   borders_.assign(k, {});
@@ -96,12 +91,6 @@ const std::vector<net::NodeId>& ClusterIndex::border_nodes(ClusterId c) const {
 double ClusterIndex::latency_lb_s(ClusterId a, ClusterId b) const {
   PSF_CHECK(a < members_.size() && b < members_.size());
   return latency_lb_s_[a * members_.size() + b];
-}
-
-double ClusterIndex::bandwidth_ub_bps(ClusterId a, ClusterId b) const {
-  PSF_CHECK(a < members_.size() && b < members_.size());
-  if (a == b) return kInf;
-  return std::min(max_cut_bandwidth_bps_[a], max_cut_bandwidth_bps_[b]);
 }
 
 std::vector<net::NodeId> ClusterIndex::path_border_nodes(ClusterId a,

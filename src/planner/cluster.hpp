@@ -11,13 +11,10 @@
 //     node of b: every real path crossing from a to b pays at least the
 //     min cut latency of each quotient edge it crosses, and APSP only ever
 //     relaxes downward.
-//   - bandwidth_ub_bps(a, b): an optimistic upper bound on the bottleneck
-//     bandwidth of any inter-cluster route — min of the best cut-link
-//     bandwidth leaving a and the best entering b.
 //
-// Bounds ignore fault state on purpose: min latency over ALL cut links <=
-// min over up links, and max bandwidth over ALL cut links >= max over up
-// links, so both stay sound when links flap (they just get weaker).
+// The bound ignores fault state on purpose: min latency over ALL cut links
+// <= min over up links, so it stays sound when links flap (it just gets
+// weaker).
 #pragma once
 
 #include <cstdint>
@@ -45,11 +42,6 @@ class ClusterIndex {
   // +infinity when the quotient graph is disconnected between them.
   double latency_lb_s(ClusterId a, ClusterId b) const;
 
-  // Optimistic upper bound (bits/sec) on the bottleneck bandwidth of any
-  // route between clusters a and b. +infinity when a == b; 0 when either
-  // cluster has no cut link at all.
-  double bandwidth_ub_bps(ClusterId a, ClusterId b) const;
-
   // Border nodes of the clusters strictly between a and b on the quotient
   // shortest-latency path (excluding a's and b's own borders), in id order.
   // These are the relay candidates a refinement of b should consider so a
@@ -66,7 +58,6 @@ class ClusterIndex {
   // Dense k*k matrices over cluster ids.
   std::vector<double> latency_lb_s_;          // APSP over the quotient
   std::vector<ClusterId> next_hop_;           // quotient path reconstruction
-  std::vector<double> max_cut_bandwidth_bps_; // per cluster, over its cut links
   std::size_t cut_links_ = 0;
 };
 

@@ -59,51 +59,9 @@ spec::Environment CredentialMapTranslator::translate_link(
   return translate(link.credentials, link_mappings_);
 }
 
-spec::Environment TrustBackedTranslator::translate_node(
-    const net::Node& node) const {
-  return from_holdings(graph_.holdings_of(node.name));
-}
-
-spec::Environment TrustBackedTranslator::translate_principal(
-    const std::string& principal) const {
-  return from_holdings(graph_.holdings_of(principal));
-}
-
-spec::Environment TrustBackedTranslator::from_holdings(
-    const trust::Holdings& holdings) const {
-  spec::Environment env;
-  for (const CredentialMapping& m : node_properties_) {
-    const trust::Role role{role_ns_, m.credential};
-    auto it = holdings.find(role);
-    spec::PropertyValue value;
-    if (it != holdings.end()) {
-      switch (m.type) {
-        case spec::PropertyType::kBoolean:
-          value = spec::PropertyValue::boolean(true);
-          break;
-        case spec::PropertyType::kInterval:
-          value = spec::PropertyValue::integer(it->second);
-          break;
-        case spec::PropertyType::kString:
-          value = spec::PropertyValue::string(std::to_string(it->second));
-          break;
-      }
-    } else if (m.default_value.is_set()) {
-      value = m.default_value;
-    }
-    if (value.is_set()) env.set(m.property, value);
-  }
-  return env;
-}
-
-spec::Environment TrustBackedTranslator::translate_link(
-    const net::Link& link) const {
-  return link_fallback_.translate_link(link);
-}
-
 EnvironmentView::EnvironmentView(const net::Network& network,
-                                 const PropertyTranslator& translator)
-    : network_(network), translator_(&translator) {
+                                 const CredentialMapTranslator& translator)
+    : network_(network) {
   node_envs_.reserve(network.node_count());
   for (net::NodeId id : network.all_nodes()) {
     node_envs_.push_back(translator.translate_node(network.node(id)));
@@ -122,17 +80,6 @@ const spec::Environment& EnvironmentView::node_env(net::NodeId id) const {
 const spec::Environment& EnvironmentView::link_env(net::LinkId id) const {
   PSF_CHECK(id.valid() && id.value < link_envs_.size());
   return link_envs_[id.value];
-}
-
-const spec::Environment& EnvironmentView::principal_env(
-    const std::string& principal) const {
-  auto it = principal_envs_.find(principal);
-  if (it == principal_envs_.end()) {
-    it = principal_envs_
-             .emplace(principal, translator_->translate_principal(principal))
-             .first;
-  }
-  return it->second;
 }
 
 spec::PropertyValue EnvironmentView::transform_along(

@@ -83,14 +83,6 @@ struct PlanRequest {
   std::vector<std::pair<std::string, spec::PropertyValue>> required_properties;
   net::NodeId client_node;
   double request_rate_rps = 1.0;
-  // Client principal whose credentials the generic server translates into
-  // additional required properties (memoized per principal in the
-  // EnvironmentView). Empty = anonymous, no derived requirements. The
-  // planner itself never reads this field: translation happens in the
-  // runtime before the search (and before cache fingerprinting), so two
-  // principals with identical derived properties plan — and cache —
-  // identically.
-  std::string principal;
   // Where component code is downloaded from when computing deployment cost;
   // defaults to the client node when invalid. A valid id outside the
   // network is invalid_argument, like every node id in a request.

@@ -15,6 +15,7 @@ const char* kind_name(Violation::Kind kind) {
     case Violation::Kind::kCompatibility: return "compatibility";
     case Violation::Kind::kCapacity: return "capacity";
     case Violation::Kind::kPolicy: return "policy";
+    case Violation::Kind::kUnroutable: return "unroutable";
   }
   return "?";
 }
@@ -263,6 +264,8 @@ class Validator {
                   break;
                 }
               }
+              // A wire without a route is reported by check_requirements;
+              // its value is read as offered.
               auto back = env_.network().route(
                   plan_.placements[w->server].node, p.node);
               if (back) {
@@ -295,6 +298,13 @@ class Validator {
     auto eff_it = eff.find(iface);
     const net::NodeId server_node = plan_.placements[server].node;
     auto back = env_.network().route(server_node, consumer_node);
+    if (!back) {
+      // The other checks still read the offered values untransformed.
+      add(Violation::Kind::kUnroutable, blame,
+          "interface '" + iface + "': no route from " +
+              env_.network().node(server_node).name + " to " +
+              env_.network().node(consumer_node).name);
+    }
     for (const auto& [prop, required] : reqs) {
       spec::PropertyValue v;
       if (eff_it != eff.end()) {

@@ -30,6 +30,8 @@ struct Violation {
     kCapacity,        // §3.3 condition 3: node / link / component capacity
     kPolicy,          // framework rules (entry pinning, static placement,
                       // duplicate view configurations)
+    kUnroutable,      // no live route from a wire's server to its client,
+                      // or from the entry to the requesting client
   };
 
   Kind kind = Kind::kStructure;

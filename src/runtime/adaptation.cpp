@@ -165,6 +165,10 @@ std::vector<planner::RepairViolation> AdaptationController::classify(
       *spec, *env, tracked.request, plan,
       server_.existing_instances(service_));
   for (const planner::Violation& v : report.violations) {
+    // A wire with no route left has a severed planned route or a dead host,
+    // which the passes above report; as property drift it would exclude a
+    // healthy node from the repair.
+    if (v.kind == planner::Violation::Kind::kUnroutable) continue;
     net::NodeId node;
     for (const planner::Placement& p : plan.placements) {
       if (p.id == v.instance) {

@@ -12,7 +12,7 @@ namespace psf::runtime {
 
 void GenericServer::register_service(
     ServiceRegistration registration,
-    std::shared_ptr<const planner::PropertyTranslator> translator,
+    std::shared_ptr<const planner::CredentialMapTranslator> translator,
     std::function<void(util::Status)> ready) {
   if (auto st = registration.spec.validate(); !st) {
     ready(st);
@@ -205,18 +205,6 @@ GenericServer::ServiceState* GenericServer::resolve_request(
   }
   if (!request.code_origin.valid()) {
     request.code_origin = state->registration.code_origin;
-  }
-  if (request.principal.empty()) return state;
-  const spec::Environment& derived =
-      state->env->principal_env(request.principal);
-  for (const auto& [prop, value] : derived.all()) {
-    const bool present = std::any_of(
-        request.required_properties.begin(),
-        request.required_properties.end(),
-        [&prop](const auto& entry) { return entry.first == prop; });
-    // Explicit requirements win: the principal's credentials only add
-    // properties the client did not already demand.
-    if (!present) request.required_properties.emplace_back(prop, value);
   }
   return state;
 }
@@ -484,8 +472,7 @@ util::Status GenericServer::refresh_environment(const std::string& service) {
     return util::not_found("service '" + service + "' not registered");
   }
   // The world the cached plans were computed against is gone: bump the
-  // epoch so they lazily invalidate. Rebuilding the view also resets the
-  // per-principal translation memo.
+  // epoch so they lazily invalidate.
   ++state->epoch;
   ++cache_telemetry_.epoch_bumps;
   state->env = std::make_unique<planner::EnvironmentView>(runtime_.network(),
@@ -620,6 +607,20 @@ const GenericServer::ServiceState* GenericServer::state_of(
 
 // ---- GenericProxy ----------------------------------------------------------
 
+namespace {
+
+// A bind that lost a hop failed in transport, so the retry layer retries
+// it; any other bind failure (unknown service, unsatisfiable plan) is final.
+Response bind_failure(const util::Status& status) {
+  std::string message = "bind failed: " + status.to_string();
+  return status.code() == util::ErrorCode::kUnavailable
+             ? Response::transport_failure(TransportError::kDropped,
+                                           std::move(message))
+             : Response::failure(std::move(message));
+}
+
+}  // namespace
+
 void GenericProxy::bind(std::function<void(util::Status)> done) {
   if (bound_) {
     done(util::Status::ok());
@@ -650,40 +651,47 @@ void GenericProxy::bind(std::function<void(util::Status)> done) {
           ? kProxyRevalidateBytes
           : ad->proxy_code_bytes;
   const net::NodeId registry = lookup_.host();
-  runtime_.send_bytes(client_node_, registry, 512, [this, ad, t0, registry,
-                                                    download_bytes]() {
-    runtime_.send_bytes(
-        registry, client_node_, download_bytes, [this, ad, t0]() {
-          lookup_.note_proxy_download(service_, client_node_);
-          const sim::Time lookup_done = runtime_.simulator().now();
-          // Step 3: forward the access request (with credentials) to the
-          // generic server.
-          planner::PlanRequest request = defaults_;
-          request.client_node = client_node_;
-          runtime_.send_bytes(
-              client_node_, ad->server_host, 1024,
-              [this, ad, request, t0, lookup_done]() {
-                ad->server->request_access(
-                    service_, request,
-                    [this, ad, t0,
-                     lookup_done](util::Expected<AccessOutcome> outcome) {
-                      if (!outcome) {
-                        finish_bind(outcome.status());
-                        return;
-                      }
-                      outcome_ = std::move(outcome).value();
-                      outcome_.costs.lookup = lookup_done - t0;
-                      // Small acknowledgement back to the client completes
-                      // the generic→specific proxy swap.
-                      runtime_.send_bytes(ad->server_host, client_node_, 256,
-                                          [this]() {
-                                            bound_ = true;
-                                            finish_bind(util::Status::ok());
-                                          });
-                    });
-              });
-        });
-  });
+  runtime_.send_bytes(
+      client_node_, registry, 512,
+      [this, ad, t0, registry, download_bytes]() {
+        runtime_.send_bytes(
+            registry, client_node_, download_bytes,
+            [this, ad, t0]() {
+              lookup_.note_proxy_download(service_, client_node_);
+              const sim::Time lookup_done = runtime_.simulator().now();
+              // Step 3: forward the access request (with credentials) to
+              // the generic server.
+              planner::PlanRequest request = defaults_;
+              request.client_node = client_node_;
+              runtime_.send_bytes(
+                  client_node_, ad->server_host, 1024,
+                  [this, ad, request, t0, lookup_done]() {
+                    ad->server->request_access(
+                        service_, request,
+                        [this, ad, t0, lookup_done](
+                            util::Expected<AccessOutcome> outcome) {
+                          if (!outcome) {
+                            finish_bind(outcome.status());
+                            return;
+                          }
+                          outcome_ = std::move(outcome).value();
+                          outcome_.costs.lookup = lookup_done - t0;
+                          // Small acknowledgement back to the client
+                          // completes the generic→specific proxy swap.
+                          runtime_.send_bytes(
+                              ad->server_host, client_node_, 256,
+                              [this]() {
+                                bound_ = true;
+                                finish_bind(util::Status::ok());
+                              },
+                              lost_hop("acknowledgement"));
+                        });
+                  },
+                  lost_hop("access request"));
+            },
+            lost_hop("proxy download"));
+      },
+      lost_hop("lookup query"));
 }
 
 void GenericProxy::finish_bind(util::Status status) {
@@ -691,6 +699,13 @@ void GenericProxy::finish_bind(util::Status status) {
   auto waiters = std::move(waiters_);
   waiters_.clear();
   for (auto& w : waiters) w(status);
+}
+
+std::function<void(TransportError)> GenericProxy::lost_hop(const char* hop) {
+  return [this, hop](TransportError error) {
+    finish_bind(util::unavailable(std::string("bind lost its ") + hop + " (" +
+                                  transport_error_name(error) + ")"));
+  };
 }
 
 void GenericProxy::invoke(Request request, ResponseCallback done) {
@@ -708,7 +723,7 @@ void GenericProxy::invoke(Request request, ResponseCallback done) {
     bind([this, request = std::move(request),
           done = std::move(done)](util::Status st) mutable {
       if (!st) {
-        done(Response::failure("bind failed: " + st.to_string()));
+        done(bind_failure(st));
         return;
       }
       runtime_.invoke_from_node(client_node_, outcome_.entry,
@@ -765,10 +780,7 @@ void GenericProxy::start_attempt(const std::shared_ptr<PendingInvoke>& call) {
     *settled = true;
     runtime_.simulator().cancel(*timer);
     if (!st) {
-      // Application-level bind failure (unknown service, unsatisfiable
-      // plan): final, not retryable.
-      complete_attempt(call,
-                       Response::failure("bind failed: " + st.to_string()));
+      complete_attempt(call, bind_failure(st));
       return;
     }
     send_attempt(call);

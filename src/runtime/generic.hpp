@@ -108,7 +108,7 @@ class GenericServer {
   // transfer), and invokes `ready`.
   void register_service(
       ServiceRegistration registration,
-      std::shared_ptr<const planner::PropertyTranslator> translator,
+      std::shared_ptr<const planner::CredentialMapTranslator> translator,
       std::function<void(util::Status)> ready);
 
   // Plans + deploys an access path for a client. `request.client_node` and
@@ -202,7 +202,7 @@ class GenericServer {
 
   struct ServiceState {
     ServiceRegistration registration;
-    std::shared_ptr<const planner::PropertyTranslator> translator;
+    std::shared_ptr<const planner::CredentialMapTranslator> translator;
     std::unique_ptr<planner::EnvironmentView> env;
     std::unique_ptr<planner::Planner> planner;
     std::vector<planner::ExistingInstance> existing;
@@ -217,9 +217,8 @@ class GenericServer {
   const ServiceState* state_of(const std::string& service) const;
 
   // Request preparation shared by access and repair: looks up the service
-  // (failing `done` when it is unknown), defaults the code origin and
-  // merges the principal's translated properties into the requirements
-  // (explicit requirements win; memoized per principal in the view).
+  // (failing `done` when it is unknown or the rate is not a finite
+  // non-negative number) and defaults the code origin.
   ServiceState* resolve_request(const std::string& service,
                                 planner::PlanRequest& request,
                                 AccessCallback& done);
@@ -310,7 +309,7 @@ class GenericProxy {
   }
 
   // Performs lookup + proxy download + access request + deployment; idempotent
-  // once bound.
+  // once bound. A hop the network loses fails the bind as unavailable.
   void bind(std::function<void(util::Status)> done);
 
   // Invokes the service. Auto-binds on first use (the paper's transparent
@@ -338,6 +337,9 @@ class GenericProxy {
   };
 
   void finish_bind(util::Status status);
+  // Drop handler for one bind hop: losing it ends the bind as unavailable,
+  // so the next bind() starts afresh instead of joining a dead flight.
+  std::function<void(TransportError)> lost_hop(const char* hop);
   void start_attempt(const std::shared_ptr<PendingInvoke>& call);
   void send_attempt(const std::shared_ptr<PendingInvoke>& call);
   void complete_attempt(const std::shared_ptr<PendingInvoke>& call,

@@ -55,10 +55,7 @@ std::uint64_t plan_rate_bucket(double rps);
 // deliberately excluded: the planner's result is bit-identical regardless
 // of any of them (see DESIGN.md "Planner search strategy"). search_mode is
 // excluded too: it changes how hard the planner works, not what the request
-// asks for. The principal is represented by its translated properties,
-// which the generic server merges into required_properties before
-// fingerprinting — two principals with the same derived requirements share
-// an entry.
+// asks for.
 std::string plan_fingerprint(const planner::PlanRequest& request);
 
 // What a hit replays: the plan and the runtime instances backing each

@@ -25,6 +25,7 @@ enum class ErrorCode {
   kCapacityExceeded,
   kPermissionDenied,
   kInternal,
+  kUnavailable,     // transport: a message was lost; a retry may succeed
 };
 
 inline const char* error_code_name(ErrorCode code) {
@@ -39,6 +40,7 @@ inline const char* error_code_name(ErrorCode code) {
     case ErrorCode::kCapacityExceeded: return "capacity_exceeded";
     case ErrorCode::kPermissionDenied: return "permission_denied";
     case ErrorCode::kInternal: return "internal";
+    case ErrorCode::kUnavailable: return "unavailable";
   }
   return "unknown";
 }
@@ -93,6 +95,9 @@ inline Status permission_denied(std::string msg) {
 }
 inline Status internal_error(std::string msg) {
   return Status(ErrorCode::kInternal, std::move(msg));
+}
+inline Status unavailable(std::string msg) {
+  return Status(ErrorCode::kUnavailable, std::move(msg));
 }
 
 // Expected<T>: either a value or a Status. Minimal std::expected stand-in

@@ -1,5 +1,5 @@
 // §6 extensions: network monitoring driving environment refresh and
-// replanning, and the trust-management-backed property translation.
+// replanning.
 #include <gtest/gtest.h>
 
 #include "core/case_study.hpp"
@@ -7,7 +7,6 @@
 #include "mail/mail_spec.hpp"
 #include "mail/registration.hpp"
 #include "planner/planner.hpp"
-#include "trust/trust_graph.hpp"
 
 namespace psf {
 namespace {
@@ -80,7 +79,8 @@ struct AdaptationFixture : public ::testing::Test {
     fw->enable_adaptation("SecureMail");
   }
 
-  runtime::AccessOutcome bind(net::NodeId node, std::int64_t trust) {
+  util::Expected<runtime::AccessOutcome> try_bind(net::NodeId node,
+                                                  std::int64_t trust) {
     planner::PlanRequest defaults;
     defaults.interface_name = "ClientInterface";
     defaults.required_properties.emplace_back(
@@ -95,8 +95,15 @@ struct AdaptationFixture : public ::testing::Test {
     });
     fw->run_until_condition([&done]() { return done; },
                             sim::Duration::from_seconds(120));
-    EXPECT_TRUE(status.is_ok()) << status.to_string();
+    if (!status.is_ok()) return status;
     return proxy->outcome();
+  }
+
+  runtime::AccessOutcome bind(net::NodeId node, std::int64_t trust) {
+    auto outcome = try_bind(node, trust);
+    EXPECT_TRUE(outcome.has_value()) << outcome.status().to_string();
+    return outcome.has_value() ? std::move(outcome).value()
+                               : runtime::AccessOutcome{};
   }
 
   core::CaseStudySites sites;
@@ -159,66 +166,27 @@ TEST_F(AdaptationFixture, RaisingSeattleTrustUnlocksFullClient) {
   EXPECT_EQ(fw->runtime().instance(outcome.entry).def->name, "MailClient");
 }
 
-// ---- trust-backed translation ----------------------------------------------
+TEST_F(AdaptationFixture, DemotingSeattleTrustCutsItOff) {
+  // The converse: Seattle at trust 2 hosts the restricted client...
+  bind(sites.sea_client, 2);
 
-TEST(TrustTranslatorTest, NodePropertiesComeFromRoleHoldings) {
-  net::Network network;
-  const net::NodeId ny = network.add_node("ny-1");
-  const net::NodeId sea = network.add_node("sea-1");
-  net::Credentials secure;
-  secure.set("secure", true);
-  network.add_link(ny, sea, 10e6, sim::Duration::from_millis(10), secure);
-
-  trust::TrustGraph graph;
-  graph.declare_namespace("mail", "MailCA");
-  graph.declare_namespace("partner", "PartnerCA");
-  const trust::Role trust_role{"mail", "TrustLevel"};
-  const trust::Role member{"partner", "Member"};
-  // NY asserted directly; Seattle derived through cross-domain delegation.
-  {
-    trust::TrustCredential c;
-    c.kind = trust::CredentialKind::kAssertion;
-    c.issuer = "MailCA";
-    c.subject = "ny-1";
-    c.granted = trust_role;
-    c.value = 5;
-    graph.add(c);
+  // ...until the partner site is demoted to trust 1, below every client
+  // component's installation condition.
+  for (net::NodeId n : sites.seattle) {
+    fw->monitor().set_node_credential(n, "trust", std::int64_t{1});
   }
-  {
-    trust::TrustCredential c;
-    c.kind = trust::CredentialKind::kAssertion;
-    c.issuer = "PartnerCA";
-    c.subject = "sea-1";
-    c.granted = member;
-    graph.add(c);
-  }
-  {
-    trust::TrustCredential c;
-    c.kind = trust::CredentialKind::kDelegation;
-    c.issuer = "MailCA";
-    c.granted = trust_role;
-    c.via = member;
-    c.value = 2;
-    graph.add(c);
-  }
+  ASSERT_TRUE(fw->server().refresh_environment("SecureMail").is_ok());
+  const auto* env = fw->server().environment("SecureMail");
+  ASSERT_NE(env, nullptr);
+  EXPECT_EQ(env->node_env(sites.sea_client).get("TrustLevel"),
+            spec::PropertyValue::integer(1));
 
-  planner::CredentialMapTranslator link_fallback;
-  link_fallback.map_link({"Confidentiality", "secure",
-                          spec::PropertyType::kBoolean,
-                          spec::PropertyValue::boolean(false)});
-  planner::TrustBackedTranslator translator(
-      graph, "mail",
-      {{"TrustLevel", "TrustLevel", spec::PropertyType::kInterval,
-        spec::PropertyValue::integer(1)}},
-      link_fallback);
+  auto after = try_bind(sites.sea_client, 2);
+  ASSERT_FALSE(after.has_value());
+  EXPECT_EQ(after.status().code(), util::ErrorCode::kUnsatisfiable);
 
-  planner::EnvironmentView env(network, translator);
-  EXPECT_EQ(env.node_env(ny).get("TrustLevel"),
-            spec::PropertyValue::integer(5));
-  EXPECT_EQ(env.node_env(sea).get("TrustLevel"),
-            spec::PropertyValue::integer(2));
-  EXPECT_EQ(env.link_env(net::LinkId{0}).get("Confidentiality"),
-            spec::PropertyValue::boolean(true));
+  // San Diego kept its own trust and still binds.
+  EXPECT_TRUE(try_bind(sites.sd_client, 4).has_value());
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 // retry/rebind policy bridging injected faults.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "core/case_study.hpp"
@@ -260,6 +261,71 @@ TEST_F(ChaosFixture, RetryBridgesAPartitionWindow) {
   EXPECT_TRUE(retry_response.ok) << retry_response.error;
   EXPECT_GE(fw->retry_telemetry().retries, 1u);
   EXPECT_GE(fw->retry_telemetry().successes, 1u);
+}
+
+TEST_F(ChaosFixture, BindLostToAPartitionRetriesOnceItHeals) {
+  // The partition cuts San Diego off before its client's first bind: the
+  // lookup query finds no route. The lost hop ends that bind, so the retry
+  // after the heal binds afresh instead of joining a dead flight.
+  config->keys->provision_user("gus", mail::kMaxSensitivity);
+  auto proxy = fw->make_proxy(sites.sd_client, "SecureMail", request_for(4));
+  runtime::RetryPolicy policy;
+  policy.attempt_timeout = sim::Duration::from_seconds(1);
+  policy.max_attempts = 8;
+  proxy->enable_retries(policy, &fw->retry_telemetry());
+
+  auto severed = fw->monitor().partition(sd_side(), other_side());
+  fw->simulator().schedule(sim::Duration::from_millis(500), [&]() {
+    for (net::LinkId link : severed) fw->monitor().heal_link(link);
+  });
+  runtime::Response response;
+  bool done = false;
+  proxy->invoke(receive_request("gus", false), [&](runtime::Response r) {
+    response = r;
+    done = true;
+  });
+  fw->run_until_condition([&]() { return done; },
+                          sim::Duration::from_seconds(60));
+  ASSERT_TRUE(done);
+  EXPECT_TRUE(response.ok) << response.error;
+  EXPECT_TRUE(proxy->bound());
+  EXPECT_GE(fw->retry_telemetry().retries, 1u);
+  EXPECT_EQ(fw->retry_telemetry().timeouts, 0u);
+}
+
+TEST_F(ChaosFixture, BindLostToAPartitionFailsWithoutRetries) {
+  config->keys->provision_user("hal", mail::kMaxSensitivity);
+  auto proxy = fw->make_proxy(sites.sd_client, "SecureMail", request_for(4));
+  auto severed = fw->monitor().partition(sd_side(), other_side());
+
+  // Without retries the call fails with the lost hop instead of hanging.
+  runtime::Response response;
+  bool done = false;
+  proxy->invoke(receive_request("hal", false), [&](runtime::Response r) {
+    response = r;
+    done = true;
+  });
+  fw->run_until_condition([&]() { return done; },
+                          sim::Duration::from_seconds(10));
+  ASSERT_TRUE(done);
+  EXPECT_FALSE(response.ok);
+  EXPECT_EQ(response.transport, runtime::TransportError::kDropped);
+  EXPECT_NE(response.error.find("lookup query"), std::string::npos)
+      << response.error;
+  EXPECT_FALSE(proxy->bound());
+
+  // After the heal, the next call binds afresh.
+  for (net::LinkId link : severed) fw->monitor().heal_link(link);
+  done = false;
+  proxy->invoke(receive_request("hal", false), [&](runtime::Response r) {
+    response = r;
+    done = true;
+  });
+  fw->run_until_condition([&]() { return done; },
+                          sim::Duration::from_seconds(60));
+  ASSERT_TRUE(done);
+  EXPECT_TRUE(response.ok) << response.error;
+  EXPECT_TRUE(proxy->bound());
 }
 
 TEST_F(ChaosFixture, RebindRecoversFromUpstreamCrash) {

@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -124,19 +123,14 @@ TEST(PartitionGraphTest, DeterministicAndCutStatsConsistent) {
   const net::GraphPartition b = net::partition_graph(network, 6);
   EXPECT_EQ(a.part_of_node, b.part_of_node);
   EXPECT_EQ(a.cut_links, b.cut_links);
-  EXPECT_EQ(a.min_cut_latency_ns, b.min_cut_latency_ns);
 
   // Recompute the cut from scratch and compare.
   std::size_t cut = 0;
-  std::int64_t min_latency = std::numeric_limits<std::int64_t>::max();
   for (net::LinkId id : network.all_links()) {
     const net::Link& link = network.link(id);
-    if (a.part_of(link.a) == a.part_of(link.b)) continue;
-    ++cut;
-    min_latency = std::min(min_latency, link.latency.nanos());
+    if (a.part_of(link.a) != a.part_of(link.b)) ++cut;
   }
   EXPECT_EQ(a.cut_links, cut);
-  EXPECT_EQ(a.min_cut_latency_ns, min_latency);
 }
 
 TEST(PartitionGraphTest, PartOfAgreesWithNodeTable) {
@@ -177,9 +171,8 @@ TEST(ClusterIndexTest, QuotientBoundsAreAdmissible) {
   const planner::ClusterIndex index(network, 8);
 
   // For every node pair, the quotient latency lower bound must not exceed
-  // the true shortest-route latency, and the bandwidth upper bound must not
-  // be below the route's real bottleneck — otherwise hierarchical pruning
-  // could discard optimal plans.
+  // the true shortest-route latency — otherwise hierarchical pruning could
+  // discard optimal plans.
   for (net::NodeId u : network.all_nodes()) {
     for (net::NodeId v : network.all_nodes()) {
       const auto cu = index.cluster_of(u);
@@ -189,9 +182,6 @@ TEST(ClusterIndexTest, QuotientBoundsAreAdmissible) {
       ASSERT_NE(route, nullptr);
       EXPECT_LE(index.latency_lb_s(cu, cv),
                 route->total_latency.seconds() + 1e-12)
-          << u.value << " -> " << v.value;
-      EXPECT_GE(index.bandwidth_ub_bps(cu, cv),
-                route->bottleneck_bandwidth_bps - 1e-6)
           << u.value << " -> " << v.value;
     }
   }
@@ -378,19 +368,63 @@ TEST(LazyRouteRowTest, RowsMaterializePerSourceOnDemand) {
   EXPECT_EQ(network.route_rows_materialized(), 1u);
 }
 
-TEST(LazyRouteRowTest, CachedRowsMatchDirectRouting) {
-  net::Network network = waxman(24, 9);
+// Every pair's cached row entry is the route route() finds: the same links,
+// latency and bottleneck, or the unreachable marker where it finds none.
+void expect_rows_match_direct(const net::Network& network) {
   for (net::NodeId from : network.all_nodes()) {
     for (net::NodeId to : network.all_nodes()) {
       const net::Route* cached = network.cached_route(from, to);
       ASSERT_NE(cached, nullptr);
       const std::optional<net::Route> direct = network.route(from, to);
-      ASSERT_TRUE(direct.has_value());
-      EXPECT_EQ(cached->total_latency.nanos(), direct->total_latency.nanos())
+      ASSERT_EQ(cached->reachable(), direct.has_value())
           << from.value << "->" << to.value;
-      EXPECT_EQ(cached->links.size(), direct->links.size());
+      if (!direct) continue;
+      EXPECT_EQ(cached->links, direct->links) << from.value << "->" << to.value;
+      EXPECT_EQ(cached->total_latency.nanos(), direct->total_latency.nanos());
+      EXPECT_EQ(cached->bottleneck_bandwidth_bps,
+                direct->bottleneck_bandwidth_bps);
     }
   }
+}
+
+TEST(LazyRouteRowTest, CachedRowsMatchDirectRouting) {
+  expect_rows_match_direct(waxman(24, 9));
+
+  // Three 20 ms paths from node 0 to node 5: via node 2, via node 1 (both
+  // two hops) and via nodes 3 and 4 (three hops). The links to node 2 come
+  // first, so adjacency order alone would pick it.
+  net::Network ties;
+  for (int i = 0; i < 6; ++i) ties.add_node("n" + std::to_string(i));
+  const auto link = [&ties](std::uint32_t a, std::uint32_t b, int ms) {
+    return ties.add_link(net::NodeId{a}, net::NodeId{b}, 10e6,
+                         sim::Duration::from_millis(ms));
+  };
+  const net::LinkId l02 = link(0, 2, 10);
+  const net::LinkId l25 = link(2, 5, 10);
+  const net::LinkId l01 = link(0, 1, 10);
+  const net::LinkId l15 = link(1, 5, 10);
+  const net::LinkId l03 = link(0, 3, 5);
+  const net::LinkId l34 = link(3, 4, 5);
+  const net::LinkId l45 = link(4, 5, 10);
+  const net::NodeId n0{0};
+  const net::NodeId n5{5};
+
+  // Equal latency: fewer hops win, then the lower node id.
+  expect_rows_match_direct(ties);
+  EXPECT_EQ(ties.cached_route(n0, n5)->links,
+            (std::vector<net::LinkId>{l01, l15}));
+
+  // A down intermediate node: the other two-hop path.
+  ties.set_node_up(net::NodeId{1}, false);
+  expect_rows_match_direct(ties);
+  EXPECT_EQ(ties.cached_route(n0, n5)->links,
+            (std::vector<net::LinkId>{l02, l25}));
+
+  // A down link as well: the three-hop path is all that is left.
+  ties.set_link_up(l25, false);
+  expect_rows_match_direct(ties);
+  EXPECT_EQ(ties.cached_route(n0, n5)->links,
+            (std::vector<net::LinkId>{l03, l34, l45}));
 }
 
 // ---- A cold access racing an environment refresh ----------------------------

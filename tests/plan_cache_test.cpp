@@ -13,9 +13,7 @@
 #include "mail/mail_spec.hpp"
 #include "mail/registration.hpp"
 #include "mail/types.hpp"
-#include "planner/environment.hpp"
 #include "runtime/plan_cache.hpp"
-#include "trust/trust_graph.hpp"
 
 namespace psf {
 namespace {
@@ -483,84 +481,6 @@ TEST_F(PlanCacheFixture, CrashEvictsCachedPlansMidCoalescedBurst) {
   for (const auto& p : rebound.plan.placements) {
     EXPECT_NE(p.node, sites.sd_client);
   }
-}
-
-// ---- principal translation --------------------------------------------------
-
-TEST_F(PlanCacheFixture, PrincipalsWithSameDerivedPropertiesShareAnEntry) {
-  // The mail translator derives nothing from principals, so an anonymous
-  // client and a named one fingerprint identically — the principal is
-  // represented by its translated properties, not its name.
-  auto cold = bind_ok(sites.sd_client, defaults());
-  ASSERT_FALSE(cold.cache_hit);
-  planner::PlanRequest named = defaults();
-  named.principal = "alice";
-  auto warm = bind_ok(sites.sd_client, named);
-  EXPECT_TRUE(warm.cache_hit);
-}
-
-TEST(PrincipalTranslationTest, TrustBackedPrincipalsAndMemoization) {
-  trust::TrustGraph graph;
-  graph.declare_namespace("mail", "MailCA");
-  trust::TrustCredential cred;
-  cred.kind = trust::CredentialKind::kAssertion;
-  cred.issuer = "MailCA";
-  cred.subject = "alice";
-  cred.granted = trust::Role{"mail", "TrustLevel"};
-  cred.value = 3;
-  graph.add(cred);
-
-  std::vector<planner::CredentialMapping> props;
-  props.push_back({"TrustLevel", "TrustLevel", spec::PropertyType::kInterval,
-                   spec::PropertyValue()});
-  planner::TrustBackedTranslator translator(graph, "mail", props,
-                                            planner::CredentialMapTranslator());
-
-  // Delegation to a user drives the properties the planner must guarantee.
-  EXPECT_EQ(translator.translate_principal("alice").get("TrustLevel"),
-            spec::PropertyValue::integer(3));
-  EXPECT_FALSE(
-      translator.translate_principal("bob").get("TrustLevel").has_value());
-
-  // The environment view memoizes per principal.
-  net::Network network;
-  network.add_node("n0");
-  planner::EnvironmentView view(network, translator);
-  const spec::Environment& first = view.principal_env("alice");
-  const spec::Environment& second = view.principal_env("alice");
-  EXPECT_EQ(&first, &second);  // same memo slot, not re-translated
-  view.principal_env("bob");
-  EXPECT_EQ(view.principal_cache_size(), 2u);
-}
-
-// Counts translator invocations to prove the memo short-circuits them.
-struct CountingTranslator : public planner::PropertyTranslator {
-  mutable int principal_calls = 0;
-  spec::Environment translate_node(const net::Node&) const override {
-    return {};
-  }
-  spec::Environment translate_link(const net::Link&) const override {
-    return {};
-  }
-  spec::Environment translate_principal(
-      const std::string& principal) const override {
-    ++principal_calls;
-    spec::Environment env;
-    env.set("Who", spec::PropertyValue::string(principal));
-    return env;
-  }
-};
-
-TEST(PrincipalTranslationTest, MemoTranslatesEachPrincipalOnce) {
-  net::Network network;
-  network.add_node("n0");
-  CountingTranslator translator;
-  planner::EnvironmentView view(network, translator);
-  view.principal_env("alice");
-  view.principal_env("alice");
-  view.principal_env("alice");
-  view.principal_env("carol");
-  EXPECT_EQ(translator.principal_calls, 2);
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 // every violation class.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "core/case_study.hpp"
 #include "mail/mail_spec.hpp"
 #include "planner/validate.hpp"
 #include "spec/builder.hpp"
@@ -192,6 +195,70 @@ TEST_F(ValidateFixture, DetectsBrokenFactorBinding) {
                         v.detail.find("factor") != std::string::npos;
   }
   EXPECT_TRUE(factor_violation) << report.to_string();
+}
+
+TEST(ValidateUnroutableTest, SeveredSeattleWireIsUnroutable) {
+  // Seattle's TrustLevel-2 plan tunnels from an Encryptor at sea-2 to a
+  // Decryptor at New York's gateway, ny-0.
+  core::CaseStudySites sites;
+  net::Network network = core::case_study_network(&sites);
+  const spec::ServiceSpec mail = mail::mail_service_spec();
+  auto mail_tr = mail::mail_translator();
+  EnvironmentView env(network, *mail_tr);
+
+  ExistingInstance server;
+  server.runtime_id = 1;
+  server.component = mail.find_component("MailServer");
+  server.node = sites.mail_home;
+  server.effective["ServerInterface"]["Confidentiality"] =
+      PropertyValue::boolean(true);
+  server.effective["ServerInterface"]["TrustLevel"] = PropertyValue::integer(5);
+  server.downstream_latency_s = 1e-4;
+
+  PlanRequest req;
+  req.interface_name = "ClientInterface";
+  req.required_properties.emplace_back("TrustLevel", PropertyValue::integer(2));
+  req.client_node = sites.sea_client;
+  req.request_rate_rps = 25.0;
+
+  Planner planner(mail, env);
+  auto plan = planner.plan(req, {server});
+  ASSERT_TRUE(plan.has_value()) << plan.status().to_string();
+  ASSERT_TRUE(validate_plan(mail, env, req, *plan, {server}).ok());
+
+  const auto in_seattle = [&sites](net::NodeId n) {
+    return std::find(sites.seattle.begin(), sites.seattle.end(), n) !=
+           sites.seattle.end();
+  };
+  const Wire* tunnel = nullptr;
+  for (const Wire& w : plan->wires) {
+    const Placement& client = plan->placements[w.client];
+    const Placement& server_side = plan->placements[w.server];
+    if (in_seattle(client.node) && !in_seattle(server_side.node)) tunnel = &w;
+  }
+  ASSERT_NE(tunnel, nullptr) << plan->to_string(network);
+  EXPECT_EQ(plan->placements[tunnel->client].component->name, "Encryptor");
+  EXPECT_EQ(network.node(plan->placements[tunnel->client].node).name, "sea-2");
+  EXPECT_EQ(plan->placements[tunnel->server].component->name, "Decryptor");
+  EXPECT_EQ(network.node(plan->placements[tunnel->server].node).name, "ny-0");
+
+  // Sever both of Seattle's WAN links.
+  for (net::LinkId id : network.all_links()) {
+    const net::Link& link = network.link(id);
+    if (in_seattle(link.a) != in_seattle(link.b)) network.set_link_up(id, false);
+  }
+  ASSERT_FALSE(
+      network.route(sites.new_york[0], sites.sea_client).has_value());
+
+  const ValidationReport report =
+      validate_plan(mail, env, req, *plan, {server});
+  std::size_t unroutable = 0;
+  for (const Violation& v : report.violations) {
+    if (v.kind != Violation::Kind::kUnroutable) continue;
+    ++unroutable;
+    EXPECT_EQ(v.instance, tunnel->client) << v.to_string();
+  }
+  EXPECT_EQ(unroutable, 1u) << report.to_string();
 }
 
 TEST_F(ValidateFixture, DetectsStaticComponentCloning) {
