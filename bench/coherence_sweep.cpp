@@ -1,31 +1,27 @@
-// E6 (ablation) — the coherence data-path design space of §3.2: how the
-// view's consistency policy, flush window, write coalescing, and directory
-// fan-out batching trade client-perceived send latency against staleness
-// (updates waiting at the replica) and WAN traffic.
+// E6 (ablation) — the coherence policy design space of §3.2: how the
+// view's consistency policy trades client-perceived send latency against
+// staleness (updates waiting at the replica) and WAN traffic.
 //
 // Deployment under test (hand-wired, mirroring the SS scenarios plus the
 // Seattle partner site): MailClient×3 @SD -> ViewMailServer@SD (trust 4) ->
 // Encryptor@SD -> Decryptor@NY -> MailServer@NY, with a second
 // ViewMailServer@Seattle (trust 2) hanging off the San Diego view. The
 // Seattle replica is what gives the home directory real fan-out work: every
-// sync batch the SD view writes back is re-pushed to Seattle — one RPC per
-// update on the legacy path, one multi-update RPC per epoch when batched.
+// sync batch the SD view writes back is re-pushed to Seattle as one
+// multi-update push.
 //
 // 20% of sends are high-sensitivity (forwarded past the views to the home),
 // so the home also pushes direct traffic back out to both replicas.
 //
-// Acceptance gates (exit nonzero on failure):
-//   1. batched directory fan-out sends >= 2x fewer push RPCs than the
-//      legacy per-update path at time-500ms and time-1000ms;
-//   2. count-25 with flush window 4 has lower client p95 send latency than
-//      the same policy stop-and-wait (window 1);
-//   3. write-through with window 1 is bit-identical in replica flush
-//      counts/bytes across legacy and batched directory tunings (the
-//      write-through-equivalence invariant, DESIGN.md §coherence).
+// Acceptance gate (exit nonzero on failure), one per row: once in-flight
+// flushes have landed, every acknowledged send is either in a home inbox or
+// still queued at a replica (home messages + pending updates = sends
+// acknowledged). Write-back must lose no mail.
 #include <cstdio>
-#include <map>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "bench_json.hpp"
 #include "core/case_study.hpp"
@@ -34,6 +30,7 @@
 #include "core/workload.hpp"
 #include "mail/mail_spec.hpp"
 #include "mail/registration.hpp"
+#include "mail/server.hpp"
 #include "mail/view_server.hpp"
 
 using namespace psf;
@@ -44,10 +41,13 @@ struct SweepResult {
   double mean_send_ms = 0.0;
   double p95_send_ms = 0.0;
   core::CoherenceSummary coherence;
+  // Conservation, read once in-flight flushes have landed.
+  std::uint64_t sends_acked = 0;
+  std::uint64_t home_messages = 0;
+  std::size_t settled_pending = 0;
 };
 
 SweepResult run_config(const coherence::CoherencePolicy& policy,
-                       const coherence::DirectoryTuning& tuning,
                        std::size_t clients) {
   core::CaseStudySites sites;
   net::Network network = core::case_study_network(&sites);
@@ -57,7 +57,6 @@ SweepResult run_config(const coherence::CoherencePolicy& policy,
   core::Framework fw(std::move(network), options);
   auto config = std::make_shared<mail::MailServiceConfig>();
   config->view_policy = policy;
-  config->directory_tuning = tuning;
   PSF_CHECK(
       mail::register_mail_factories(fw.runtime().factories(), config).is_ok());
   PSF_CHECK(fw.register_service(mail::mail_registration(sites.mail_home),
@@ -162,7 +161,37 @@ SweepResult run_config(const coherence::CoherencePolicy& policy,
   result.mean_send_ms = weighted / static_cast<double>(total);
   result.p95_send_ms = p95 / static_cast<double>(workers.size());
   result.coherence = core::collect_coherence_summary(rt);
+
+  // Let in-flight flushes land: with no batch on the wire, every
+  // acknowledged send is either in a home inbox or queued at a replica.
+  auto flushes_landed = [&rt, view_sd, view_sea]() {
+    for (runtime::RuntimeInstanceId id : {view_sd, view_sea}) {
+      auto* view = dynamic_cast<mail::ViewMailServerComponent*>(
+          rt.instance(id).component.get());
+      PSF_CHECK(view != nullptr);
+      if (view->replica_coherence()->flushing()) return false;
+    }
+    return true;
+  };
+  PSF_CHECK(fw.run_until_condition(flushes_landed,
+                                   sim::Duration::from_seconds(60)));
+  const auto* home = dynamic_cast<mail::MailServerComponent*>(
+      rt.instance(mail_server).component.get());
+  PSF_CHECK(home != nullptr);
+  for (std::size_t c = 0; c < clients; ++c) {
+    result.sends_acked += workers[c]->stats().sends_ok;
+    result.home_messages += home->inbox_size("sweep-user-" + std::to_string(c));
+  }
+  result.settled_pending = core::collect_coherence_summary(rt).residual_pending;
   return result;
+}
+
+// JSON key prefix for a row label ("count-25" -> "count_25").
+std::string json_key(std::string label) {
+  for (char& ch : label) {
+    if (ch == '-') ch = '_';
+  }
+  return label;
 }
 
 }  // namespace
@@ -171,116 +200,78 @@ int main() {
   struct Row {
     const char* label;
     coherence::CoherencePolicy policy;
-    coherence::DirectoryTuning tuning;
   };
-  coherence::DirectoryTuning batched;  // default: batch_fanout = true
-  coherence::DirectoryTuning legacy;
-  legacy.batch_fanout = false;
-
   const Row rows[] = {
-      {"none", coherence::CoherencePolicy::none(), batched},
-      {"wt/legacy", coherence::CoherencePolicy::write_through(), legacy},
-      {"wt/batched", coherence::CoherencePolicy::write_through(), batched},
-      {"count-25", coherence::CoherencePolicy::count_based(25), batched},
-      {"count-25+w4",
-       coherence::CoherencePolicy::count_based(25).windowed(4), batched},
-      {"count-100", coherence::CoherencePolicy::count_based(100), batched},
-      {"t500/legacy",
-       coherence::CoherencePolicy::time_based(sim::Duration::from_millis(500)),
-       legacy},
-      {"t500/batched",
-       coherence::CoherencePolicy::time_based(sim::Duration::from_millis(500)),
-       batched},
-      {"t500+coalesce",
-       coherence::CoherencePolicy::time_based(sim::Duration::from_millis(500))
-           .coalescing(),
-       batched},
-      {"t1000/legacy",
-       coherence::CoherencePolicy::time_based(sim::Duration::from_millis(1000)),
-       legacy},
-      {"t1000/batched",
-       coherence::CoherencePolicy::time_based(sim::Duration::from_millis(1000)),
-       batched},
-      {"t2000/batched",
-       coherence::CoherencePolicy::time_based(sim::Duration::from_millis(2000)),
-       batched},
+      {"none", coherence::CoherencePolicy::none()},
+      {"wt", coherence::CoherencePolicy::write_through()},
+      {"count-25", coherence::CoherencePolicy::count_based(25)},
+      {"count-100", coherence::CoherencePolicy::count_based(100)},
+      {"t500",
+       coherence::CoherencePolicy::time_based(sim::Duration::from_millis(500))},
+      {"t1000", coherence::CoherencePolicy::time_based(
+                    sim::Duration::from_millis(1000))},
+      {"t2000", coherence::CoherencePolicy::time_based(
+                    sim::Duration::from_millis(2000))},
   };
 
   std::printf("=== Coherence data-path sweep (SD deployment + Seattle "
               "replica, 3 clients, 300 sends, 20%% high-sensitivity) ===\n");
-  std::printf("%-14s %11s %11s %8s %11s %6s %8s %10s %10s %9s\n", "policy",
+  std::printf("%-14s %11s %11s %8s %11s %6s %8s %10s %10s\n", "policy",
               "mean send", "p95 send", "flushes", "sync bytes", "stale",
-              "pushRPCs", "rpcsSaved", "blockedMs", "coalesced");
-  std::map<std::string, SweepResult> results;
+              "pushRPCs", "rpcsSaved", "blockedMs");
+  std::vector<std::pair<std::string, SweepResult>> results;
   bench::JsonResult json("coherence_sweep");
   json.add("clients", 3);
   json.add("sends_per_client", std::uint64_t{100});
   for (const Row& row : rows) {
-    const SweepResult r = run_config(row.policy, row.tuning, 3);
-    results[row.label] = r;
+    const SweepResult r = run_config(row.policy, 3);
+    results.emplace_back(row.label, r);
     const auto& co = r.coherence;
-    std::printf("%-14s %9.3fms %9.3fms %8llu %11llu %6zu %8llu %10llu %9.1f "
-                "%9llu\n",
+    const std::uint64_t rpcs_saved = co.push_updates - co.push_rpcs;
+    std::printf("%-14s %9.3fms %9.3fms %8llu %11llu %6zu %8llu %10llu "
+                "%9.1f\n",
                 row.label, r.mean_send_ms, r.p95_send_ms,
                 static_cast<unsigned long long>(co.flushes),
                 static_cast<unsigned long long>(co.bytes_flushed),
                 co.residual_pending,
                 static_cast<unsigned long long>(co.push_rpcs),
-                static_cast<unsigned long long>(co.push_rpcs_saved),
-                co.blocked_on_flush_ms,
-                static_cast<unsigned long long>(co.updates_coalesced));
+                static_cast<unsigned long long>(rpcs_saved),
+                co.blocked_on_flush_ms);
     std::fflush(stdout);
-    std::string key = row.label;
-    for (char& ch : key) {
-      if (ch == '-' || ch == '/' || ch == '+') ch = '_';
-    }
+    const std::string key = json_key(row.label);
     json.add(key + "_mean_ms", r.mean_send_ms);
     json.add(key + "_p95_ms", r.p95_send_ms);
     json.add(key + "_flushes", co.flushes);
     json.add(key + "_bytes_flushed", co.bytes_flushed);
     json.add(key + "_push_rpcs", co.push_rpcs);
-    json.add(key + "_push_rpcs_saved", co.push_rpcs_saved);
+    json.add(key + "_push_rpcs_saved", rpcs_saved);
     json.add(key + "_blocked_ms", co.blocked_on_flush_ms);
-    json.add(key + "_updates_coalesced", co.updates_coalesced);
+    json.add(key + "_sends_acked", r.sends_acked);
+    json.add(key + "_home_messages", r.home_messages);
+    json.add(key + "_settled_pending", r.settled_pending);
   }
 
   // ---- acceptance gates ---------------------------------------------------
   bool ok = true;
-  auto gate = [&ok](const char* name, bool held) {
-    std::printf("gate %-44s %s\n", name, held ? "HOLDS" : "VIOLATED");
-    ok &= held;
-  };
   std::printf("\n");
-  const auto& t500l = results["t500/legacy"].coherence;
-  const auto& t500b = results["t500/batched"].coherence;
-  const auto& t1000l = results["t1000/legacy"].coherence;
-  const auto& t1000b = results["t1000/batched"].coherence;
-  gate("batching >= 2x fewer push RPCs (time-500ms)",
-       t500b.push_rpcs * 2 <= t500l.push_rpcs);
-  gate("batching >= 2x fewer push RPCs (time-1000ms)",
-       t1000b.push_rpcs * 2 <= t1000l.push_rpcs);
-  gate("window 4 lowers p95 send latency (count-25)",
-       results["count-25+w4"].p95_send_ms < results["count-25"].p95_send_ms);
-  const auto& wtl = results["wt/legacy"].coherence;
-  const auto& wtb = results["wt/batched"].coherence;
-  gate("write-through w1 flush counts/bytes bit-identical",
-       wtl.flushes == wtb.flushes && wtl.bytes_flushed == wtb.bytes_flushed &&
-           wtl.updates_flushed == wtb.updates_flushed);
-  json.add("gate_batching_t500", t500b.push_rpcs * 2 <= t500l.push_rpcs);
-  json.add("gate_batching_t1000", t1000b.push_rpcs * 2 <= t1000l.push_rpcs);
-  json.add("gate_window_p95",
-           results["count-25+w4"].p95_send_ms < results["count-25"].p95_send_ms);
-  json.add("gate_wt_equivalence",
-           wtl.flushes == wtb.flushes && wtl.bytes_flushed == wtb.bytes_flushed);
+  for (const auto& [label, r] : results) {
+    const bool held = r.home_messages + r.settled_pending == r.sends_acked;
+    std::printf("gate conservation %-10s home %llu + pending %zu == acked "
+                "%llu: %s\n",
+                label.c_str(), static_cast<unsigned long long>(r.home_messages),
+                r.settled_pending,
+                static_cast<unsigned long long>(r.sends_acked),
+                held ? "HOLDS" : "VIOLATED");
+    json.add("gate_conservation_" + json_key(label), held);
+    ok &= held;
+  }
   json.add("gates_ok", ok);
   json.write();
 
   std::printf("\nreading: tighter consistency (write-through, short periods) "
               "raises send latency; looser policies leave more unpropagated "
-              "state at the replica. Fan-out batching collapses the home's "
-              "per-update re-push storm into one RPC per epoch; a flush "
-              "window > 1 removes the stop-and-wait stall from count/write-"
-              "through policies; coalescing trades staleness-bytes for "
-              "lost intermediate writes (LWW).\n");
+              "state at the replica. Fan-out batching ships each sync batch's "
+              "re-push to Seattle as one RPC; rpcsSaved counts the pushes "
+              "that one push per update would have added.\n");
   return ok ? 0 : 1;
 }

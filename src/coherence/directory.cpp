@@ -1,23 +1,17 @@
 // detlint:ordered-output — fan-out batch order reaches replica update traces.
 #include "coherence/directory.hpp"
 
-#include <algorithm>
-
 #include "util/logging.hpp"
 
 namespace psf::coherence {
 
-CoherenceDirectory::CoherenceDirectory(
-    runtime::SmockRuntime& runtime, runtime::RuntimeInstanceId home,
-    std::string push_op, std::unique_ptr<ConflictMap> conflict_map,
-    DirectoryTuning tuning)
+CoherenceDirectory::CoherenceDirectory(runtime::SmockRuntime& runtime,
+                                       runtime::RuntimeInstanceId home,
+                                       std::string push_op)
     : runtime_(runtime),
       sim_(runtime.simulator()),
       home_(home),
-      push_op_(std::move(push_op)),
-      conflict_map_(conflict_map ? std::move(conflict_map)
-                                 : std::make_unique<ConflictMap>()),
-      tuning_(tuning) {}
+      push_op_(std::move(push_op)) {}
 
 CoherenceDirectory::~CoherenceDirectory() {
   // The home component may be torn down with an epoch flush still pending;
@@ -28,17 +22,6 @@ CoherenceDirectory::~CoherenceDirectory() {
 void CoherenceDirectory::register_replica(runtime::RuntimeInstanceId replica,
                                           ViewSubscription subscription) {
   replicas_[replica] = std::move(subscription);
-}
-
-void CoherenceDirectory::unregister_replica(
-    runtime::RuntimeInstanceId replica) {
-  replicas_.erase(replica);
-  pending_.erase(replica);
-}
-
-void CoherenceDirectory::subscribe(runtime::RuntimeInstanceId replica,
-                                   const std::string& key) {
-  replicas_[replica].object_keys.insert(key);
 }
 
 bool CoherenceDirectory::validate_replica(
@@ -60,16 +43,12 @@ void CoherenceDirectory::on_update(const Update& update,
   targets.reserve(replicas_.size());  // fan-out usually hits most replicas
   for (const auto& [replica, subscription] : replicas_) {
     if (replica == origin) continue;
-    if (!conflict_map_->conflicts(update.descriptor, subscription)) continue;
+    if (!subscription.covers(update.descriptor.object_key)) continue;
     targets.push_back(replica);
   }
   bool staged_this = false;
   for (runtime::RuntimeInstanceId replica : targets) {
     if (!validate_replica(replica)) continue;
-    if (!tuning_.batch_fanout) {
-      push_single(replica, update);
-      continue;
-    }
     pending_[replica].push_back(staged_.size());
     staged_this = true;
   }
@@ -82,10 +61,11 @@ void CoherenceDirectory::on_update(const Update& update,
 void CoherenceDirectory::schedule_epoch_flush() {
   if (epoch_scheduled_) return;
   epoch_scheduled_ = true;
-  // A zero epoch still defers to the end of the current event cascade, so
-  // every update staged at this timestamp (e.g. a relayed sync batch)
-  // ships as one push per replica.
-  epoch_event_ = sim_.schedule(tuning_.flush_epoch, [this] { flush_staged(); });
+  // The epoch closes at the end of the current event cascade, so every
+  // update staged at this timestamp (e.g. a relayed sync batch) ships as
+  // one push per replica without delaying propagation.
+  epoch_event_ =
+      sim_.schedule(sim::Duration::zero(), [this] { flush_staged(); });
 }
 
 void CoherenceDirectory::flush_staged() {
@@ -93,10 +73,7 @@ void CoherenceDirectory::flush_staged() {
     sim_.cancel(epoch_event_);
     epoch_scheduled_ = false;
   }
-  if (staged_.empty()) {
-    pending_.clear();
-    return;
-  }
+  if (staged_.empty()) return;  // nothing staged, so no replica is due
   ++stats_.epochs;
 
   // Replicas due the same staged set share one immutable batch body.
@@ -127,14 +104,6 @@ void CoherenceDirectory::flush_staged() {
   pending_.clear();
 }
 
-void CoherenceDirectory::push_single(runtime::RuntimeInstanceId replica,
-                                     const Update& update) {
-  auto batch = std::make_shared<UpdateBatch>();
-  batch->replica_id = home_;
-  batch->updates.push_back(update);
-  send_push(replica, std::move(batch));
-}
-
 void CoherenceDirectory::send_push(runtime::RuntimeInstanceId replica,
                                    std::shared_ptr<UpdateBatch> batch) {
   runtime::Request request;
@@ -145,9 +114,6 @@ void CoherenceDirectory::send_push(runtime::RuntimeInstanceId replica,
 
   ++stats_.pushes;
   stats_.push_updates += updates;
-  // The naive path would have issued one RPC per update delivered to this
-  // replica.
-  stats_.push_rpcs_saved += updates - 1;
 
   const net::NodeId home_node = runtime_.instance(home_).node;
   runtime_.invoke_from_node(home_node, replica, std::move(request),

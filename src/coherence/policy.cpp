@@ -20,8 +20,6 @@ std::string CoherencePolicy::to_string() const {
       oss << "time-based(" << period.millis() << "ms)";
       break;
   }
-  if (max_inflight_flushes > 1) oss << "+w" << max_inflight_flushes;
-  if (coalesce) oss << "+coalesce";
   return oss.str();
 }
 

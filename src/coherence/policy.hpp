@@ -10,15 +10,8 @@
 //  - kTimeBased:    propagate on a fixed period (time-driven consistency);
 //  - kNone:         never propagate automatically (explicit flush only).
 //
-// Orthogonal to the trigger kind, two data-path knobs shape the replica's
-// write-back throughput (DESIGN.md §coherence data path):
-//  - `max_inflight_flushes` — the flush window. 1 is the classic
-//    stop-and-wait protocol (the replica defers serving while its batch
-//    propagates); W>1 lets the replica keep serving and keep up to W
-//    unacknowledged batches pipelined toward the home.
-//  - `coalesce` — merge same-descriptor updates still waiting in the
-//    pending queue (last-writer-wins at conflict-map granularity), so a
-//    burst of N writes to one object ships one update.
+// Whatever the trigger, write-back is stop-and-wait: a replica keeps at
+// most one batch unacknowledged (DESIGN.md §6d).
 #pragma once
 
 #include <cstddef>
@@ -34,13 +27,6 @@ struct CoherencePolicy {
   Kind kind = Kind::kWriteThrough;
   std::size_t max_unpropagated = 1;         // kCountBased
   sim::Duration period = sim::Duration::from_millis(1000);  // kTimeBased
-
-  // Flush window: how many batches may be unacknowledged at once. 1
-  // reproduces stop-and-wait exactly; larger windows pipeline write-back.
-  std::size_t max_inflight_flushes = 1;
-
-  // Merge same-(object_key, field) updates in the pending queue.
-  bool coalesce = false;
 
   // A rejected flush is requeued at the queue front and retried; after this
   // many consecutive rejections the batch is dropped (and counted).
@@ -59,37 +45,7 @@ struct CoherencePolicy {
     return {Kind::kTimeBased, 0, period};
   }
 
-  // Chainers for the data-path knobs.
-  CoherencePolicy windowed(std::size_t window) const {
-    CoherencePolicy p = *this;
-    p.max_inflight_flushes = window == 0 ? 1 : window;
-    return p;
-  }
-  CoherencePolicy coalescing(bool on = true) const {
-    CoherencePolicy p = *this;
-    p.coalesce = on;
-    return p;
-  }
-
   std::string to_string() const;
-};
-
-// Home-side fan-out tuning for CoherenceDirectory.
-//
-// `batch_fanout` selects the coalesced data path: conflicting updates are
-// staged per replica and shipped as one multi-update push per replica per
-// flush epoch (replicas with identical staged sets share one immutable
-// batch body). When false, the directory uses the naive pre-batching path —
-// one push request per conflicting replica per update — kept for the
-// write-through-equivalence guard and the E6 before/after comparison.
-//
-// `flush_epoch` bounds how long a staged update may wait for companions.
-// Zero still batches everything staged within one simulated timestamp (a
-// relayed sync batch fans out as one push per replica) without delaying
-// propagation beyond the current event cascade.
-struct DirectoryTuning {
-  bool batch_fanout = true;
-  sim::Duration flush_epoch = sim::Duration::zero();
 };
 
 }  // namespace psf::coherence

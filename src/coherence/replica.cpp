@@ -1,25 +1,11 @@
 #include "coherence/replica.hpp"
 
-#include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "util/logging.hpp"
 
 namespace psf::coherence {
-
-ReplicaCoherence::ReplicaCoherence(runtime::SmockRuntime& runtime,
-                                   runtime::RuntimeInstanceId self,
-                                   runtime::RuntimeInstanceId home,
-                                   std::string flush_op,
-                                   CoherencePolicy policy)
-    : ReplicaCoherence(
-          runtime, self,
-          [&runtime, self, home](runtime::Request request,
-                                 runtime::ResponseCallback done) {
-            runtime.invoke_from_node(runtime.instance(self).node, home,
-                                     std::move(request), std::move(done));
-          },
-          std::move(flush_op), policy) {}
 
 ReplicaCoherence::ReplicaCoherence(runtime::SmockRuntime& runtime,
                                    runtime::RuntimeInstanceId self,
@@ -30,7 +16,6 @@ ReplicaCoherence::ReplicaCoherence(runtime::SmockRuntime& runtime,
       transport_(std::move(transport)),
       flush_op_(std::move(flush_op)),
       policy_(policy) {
-  if (policy_.max_inflight_flushes == 0) policy_.max_inflight_flushes = 1;
   if (policy_.kind == CoherencePolicy::Kind::kTimeBased) {
     timer_.emplace(runtime_.simulator(), policy_.period,
                    [this]() { flush(); });
@@ -38,32 +23,10 @@ ReplicaCoherence::ReplicaCoherence(runtime::SmockRuntime& runtime,
   }
 }
 
-ReplicaCoherence::~ReplicaCoherence() = default;
-
 void ReplicaCoherence::record_update(
     UpdateDescriptor descriptor,
     std::shared_ptr<const runtime::MessageBody> payload) {
   ++stats_.updates_recorded;
-
-  if (policy_.coalesce) {
-    const std::string key = coalesce_key(descriptor);
-    auto it = coalesce_index_.find(key);
-    if (it != coalesce_index_.end()) {
-      // Last-writer-wins at conflict-map granularity: the superseded
-      // update's payload never ships, saving its descriptor bytes plus the
-      // per-update batch framing.
-      Update& pending = queue_[it->second];
-      const std::uint64_t saved = pending.descriptor.bytes + 32;
-      ++stats_.updates_coalesced;
-      stats_.coalesced_bytes_saved += saved;
-      pending.descriptor = std::move(descriptor);
-      pending.payload = std::move(payload);
-      maybe_auto_flush();
-      return;
-    }
-    coalesce_index_.emplace(key, queue_.size());
-  }
-
   queue_.push_back(Update{std::move(descriptor), std::move(payload)});
   maybe_auto_flush();
 }
@@ -82,28 +45,10 @@ void ReplicaCoherence::maybe_auto_flush() {
   }
 }
 
-void ReplicaCoherence::note_window_state() {
-  if (flushing()) {
-    if (!window_full_since_) window_full_since_ = runtime_.simulator().now();
-  } else if (window_full_since_) {
-    stats_.blocked_on_flush_ms +=
-        (runtime_.simulator().now() - *window_full_since_).millis();
-    window_full_since_.reset();
-  }
-}
-
-void ReplicaCoherence::rebuild_coalesce_index() {
-  coalesce_index_.clear();
-  if (!policy_.coalesce) return;
-  for (std::size_t i = 0; i < queue_.size(); ++i) {
-    coalesce_index_.emplace(coalesce_key(queue_[i].descriptor), i);
-  }
-}
-
 void ReplicaCoherence::flush(std::function<void()> done) {
   if (queue_.empty() || flushing()) {
-    // Coalesce: a flush finishing re-checks the queue, so pending updates
-    // recorded meanwhile are not lost.
+    // A flush finishing re-checks the queue, so updates recorded meanwhile
+    // ride the next batch.
     if (done) done();
     return;
   }
@@ -112,13 +57,9 @@ void ReplicaCoherence::flush(std::function<void()> done) {
   batch->replica_id = self_;
   batch->updates = std::move(queue_);
   queue_.clear();
-  coalesce_index_.clear();
   const std::size_t attempt = front_attempts_;
   front_attempts_ = 0;
-
-  ++inflight_flushes_;
-  stats_.max_inflight = std::max(stats_.max_inflight, inflight_flushes_);
-  note_window_state();
+  flush_started_ = runtime_.simulator().now();
 
   ++stats_.flushes;
   stats_.updates_flushed += batch->updates.size();
@@ -150,8 +91,9 @@ void ReplicaCoherence::on_flush_response(std::shared_ptr<UpdateBatch> batch,
                                          std::size_t attempt,
                                          std::function<void()> done,
                                          runtime::Response response) {
-  --inflight_flushes_;
-  note_window_state();
+  stats_.blocked_on_flush_ms +=
+      (runtime_.simulator().now() - *flush_started_).millis();
+  flush_started_.reset();
 
   if (!response.ok) {
     ++stats_.flushes_rejected;
@@ -168,7 +110,6 @@ void ReplicaCoherence::on_flush_response(std::shared_ptr<UpdateBatch> batch,
       ++stats_.flushes_requeued;
       stats_.updates_requeued += batch->updates.size();
       front_attempts_ = attempt + 1;
-      rebuild_coalesce_index();
     } else {
       PSF_WARN() << "coherence flush rejected by home after "
                  << attempt + 1 << " attempts; dropping "

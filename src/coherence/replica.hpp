@@ -7,20 +7,16 @@
 // path, so it contends with request traffic on links and CPUs — which is
 // exactly the coherence overhead Fig. 7 measures.
 //
-// Data path (DESIGN.md §coherence data path):
-//  - with `policy.coalesce`, same-descriptor updates still in the pending
-//    queue merge last-writer-wins, so a burst of N writes to one object
-//    ships one update;
-//  - with `policy.max_inflight_flushes` > 1, up to W batches may be
-//    unacknowledged at once (pipelined write-back) before the replica
-//    reports `flushing()` and its owner starts deferring requests;
+// Data path (DESIGN.md §6d):
+//  - every recorded update ships, in record order;
+//  - write-back is stop-and-wait: at most one batch is unacknowledged, and
+//    updates recorded meanwhile ride the next flush;
 //  - a rejected flush is requeued at the queue front and retried up to
 //    `policy.max_flush_retries` consecutive times before being dropped.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -37,60 +33,42 @@ struct ReplicaStats {
   std::uint64_t flushes = 0;
   std::uint64_t updates_flushed = 0;
   std::uint64_t bytes_flushed = 0;
-  // Coalesced write-back: updates merged into an already-pending update of
-  // the same (object_key, field), and the wire bytes that merge saved.
-  std::uint64_t updates_coalesced = 0;
-  std::uint64_t coalesced_bytes_saved = 0;
   // Failure path: rejected flushes, batches requeued at the queue front,
   // updates requeued, and updates dropped after exhausting retries.
   std::uint64_t flushes_rejected = 0;
   std::uint64_t flushes_requeued = 0;
   std::uint64_t updates_requeued = 0;
   std::uint64_t updates_dropped = 0;
-  // Window accounting: peak simultaneous unacked batches, and total
-  // simulated time the window was full (the interval during which the
-  // owning view defers client requests — Fig. 7's blocking overhead).
-  std::size_t max_inflight = 0;
+  // Total simulated time a flush was in flight: the interval during which
+  // the owning view defers client requests (Fig. 7's blocking overhead).
   double blocked_on_flush_ms = 0.0;
 };
 
 class ReplicaCoherence {
  public:
-  // How a flush batch reaches the home: the default (home-instance
-  // constructor) sends directly; the transport constructor routes through a
-  // caller-supplied channel — a replicated view passes its ServerInterface
-  // wire so coherence traffic flows through the same (possibly encrypted)
-  // component chain as request traffic.
+  // How a flush batch reaches the home: a caller-supplied channel. A
+  // replicated view passes its ServerInterface wire, so coherence traffic
+  // flows through the same (possibly encrypted) component chain as request
+  // traffic.
   using Transport =
       std::function<void(runtime::Request, runtime::ResponseCallback)>;
 
   ReplicaCoherence(runtime::SmockRuntime& runtime,
-                   runtime::RuntimeInstanceId self,
-                   runtime::RuntimeInstanceId home, std::string flush_op,
-                   CoherencePolicy policy);
-  ReplicaCoherence(runtime::SmockRuntime& runtime,
                    runtime::RuntimeInstanceId self, Transport transport,
                    std::string flush_op, CoherencePolicy policy);
-  ~ReplicaCoherence();
 
   ReplicaCoherence(const ReplicaCoherence&) = delete;
   ReplicaCoherence& operator=(const ReplicaCoherence&) = delete;
 
-  const CoherencePolicy& policy() const { return policy_; }
   const ReplicaStats& stats() const { return stats_; }
   std::size_t pending() const { return queue_.size(); }
-  std::size_t inflight_flushes() const { return inflight_flushes_; }
 
-  // True while the flush window is full. Replicated views defer serving new
+  // True while a flush is in flight. Replicated views defer serving new
   // requests during propagation (the §3.2 protocol "limits the number of
   // unpropagated messages at each replica": at its limit, the replica must
   // finish writing back before accepting more work) — this blocking is the
-  // coherence overhead Fig. 7's 500/1000 scenarios measure. With a window
-  // of 1 this is the classic stop-and-wait behavior; with W>1 the replica
-  // keeps serving until W batches are unacknowledged.
-  bool flushing() const {
-    return inflight_flushes_ >= policy_.max_inflight_flushes;
-  }
+  // coherence overhead Fig. 7's 500/1000 scenarios measure.
+  bool flushing() const { return flush_started_.has_value(); }
 
   // Invoked (if set) every time a flush completes — views use it to drain
   // requests deferred while flushing.
@@ -103,8 +81,8 @@ class ReplicaCoherence {
                      std::shared_ptr<const runtime::MessageBody> payload);
 
   // Ships all pending updates now. `done` (optional) fires when the home
-  // acknowledges. No-op on an empty queue or a full window (the pending
-  // updates ride the next flush).
+  // acknowledges. No-op on an empty queue or while a flush is in flight
+  // (the pending updates ride the next flush).
   void flush(std::function<void()> done = nullptr);
 
  private:
@@ -112,11 +90,6 @@ class ReplicaCoherence {
   void on_flush_response(std::shared_ptr<UpdateBatch> batch,
                          std::size_t attempt, std::function<void()> done,
                          runtime::Response response);
-  void note_window_state();
-  void rebuild_coalesce_index();
-  static std::string coalesce_key(const UpdateDescriptor& descriptor) {
-    return descriptor.object_key + '\x1f' + descriptor.field;
-  }
 
   runtime::SmockRuntime& runtime_;
   runtime::RuntimeInstanceId self_;
@@ -124,15 +97,11 @@ class ReplicaCoherence {
   std::string flush_op_;
   CoherencePolicy policy_;
   std::vector<Update> queue_;
-  // Pending-queue position per coalesce key (maintained only when
-  // policy_.coalesce): record_update overwrites in place on a hit.
-  std::map<std::string, std::size_t> coalesce_index_;
-  std::size_t inflight_flushes_ = 0;
   // Retry attempts already consumed by the updates at the queue front (a
   // requeued batch); the next flush carries them forward.
   std::size_t front_attempts_ = 0;
-  // When the window last became full (for blocked-time accounting).
-  std::optional<sim::Time> window_full_since_;
+  // When the in-flight flush left; empty while none is in flight.
+  std::optional<sim::Time> flush_started_;
   std::function<void()> flush_listener_;
   std::optional<sim::PeriodicTimer> timer_;
   // Liveness token for in-flight flush responses: a live migration can

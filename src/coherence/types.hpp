@@ -12,11 +12,9 @@
 namespace psf::coherence {
 
 // Describes one update for conflict evaluation. `object_key` identifies the
-// object the view granularity is defined over (a mail account, a document);
-// `field` optionally narrows it (a folder within the account).
+// object the view granularity is defined over (a mail account, a document).
 struct UpdateDescriptor {
   std::string object_key;
-  std::string field;
   std::uint64_t bytes = 256;
 };
 
@@ -39,29 +37,17 @@ struct UpdateBatch : runtime::MessageBody {
   }
 };
 
-// What a replicated view holds — the view-granularity subscription the
-// conflict map evaluates updates against. Empty `object_keys` plus
-// `wildcard` subscribes to everything (a full replica).
+// What a replicated view holds: the view-granularity subscription the
+// directory evaluates updates against (§3.2's conflict map is subscription
+// overlap). An update conflicts with a replica whose subscription covers its
+// object key. Empty `object_keys` plus `wildcard` subscribes to everything
+// (a full replica).
 struct ViewSubscription {
   std::set<std::string> object_keys;
   bool wildcard = false;
 
   bool covers(const std::string& key) const {
     return wildcard || object_keys.count(key) != 0;
-  }
-};
-
-// A dynamic conflict map (§3.2): decides whether an update performed by one
-// view conflicts with another view and must therefore be propagated to it.
-// The default implementation is subscription overlap; services can subclass
-// for richer semantics (e.g. folder-level rules).
-class ConflictMap {
- public:
-  virtual ~ConflictMap() = default;
-
-  virtual bool conflicts(const UpdateDescriptor& update,
-                         const ViewSubscription& subscription) const {
-    return subscription.covers(update.object_key);
   }
 };
 

@@ -138,7 +138,6 @@ CoherenceSummary collect_coherence_summary(runtime::SmockRuntime& rt) {
     const coherence::DirectoryStats& d = dir->stats();
     out.push_rpcs += d.pushes;
     out.push_updates += d.push_updates;
-    out.push_rpcs_saved += d.push_rpcs_saved;
     out.replicas_evicted += d.replicas_evicted;
   };
   for (runtime::RuntimeInstanceId id : rt.instance_ids()) {
@@ -149,8 +148,6 @@ CoherenceSummary collect_coherence_summary(runtime::SmockRuntime& rt) {
         out.flushes += s.flushes;
         out.updates_flushed += s.updates_flushed;
         out.bytes_flushed += s.bytes_flushed;
-        out.updates_coalesced += s.updates_coalesced;
-        out.coalesced_bytes_saved += s.coalesced_bytes_saved;
         out.blocked_on_flush_ms += s.blocked_on_flush_ms;
         out.residual_pending += rc->pending();
       }

@@ -47,11 +47,11 @@ struct CoherenceSummary {
   std::uint64_t flushes = 0;
   std::uint64_t updates_flushed = 0;
   std::uint64_t bytes_flushed = 0;
+  // Always 0 (a replica ships every update it records). Declared only for
+  // its one reader, bench/psfbench/probes.cpp (ROADMAP item 6).
   std::uint64_t updates_coalesced = 0;
-  std::uint64_t coalesced_bytes_saved = 0;
   std::uint64_t push_rpcs = 0;
   std::uint64_t push_updates = 0;
-  std::uint64_t push_rpcs_saved = 0;
   std::uint64_t replicas_evicted = 0;
   std::size_t residual_pending = 0;  // staleness left at the replicas
   double blocked_on_flush_ms = 0.0;  // total time views deferred requests

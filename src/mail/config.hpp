@@ -20,10 +20,6 @@ struct MailServiceConfig {
   // Coherence policy installed into each ViewMailServer replica.
   coherence::CoherencePolicy view_policy = coherence::CoherencePolicy::none();
 
-  // Fan-out tuning for every coherence directory in the service (the home
-  // MailServer's and each view's own downstream directory).
-  coherence::DirectoryTuning directory_tuning;
-
   // Per-(user, sensitivity-level) keys. Conceptually each node holds only
   // the keys its trust level allows; the release ledger in the keystore
   // records (and tests assert) that invariant.

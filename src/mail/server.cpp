@@ -8,7 +8,7 @@ namespace psf::mail {
 
 void MailServerComponent::on_start() {
   directory_ = std::make_unique<coherence::CoherenceDirectory>(
-      runtime(), self(), ops::kPush, nullptr, config_->directory_tuning);
+      runtime(), self(), ops::kPush);
 }
 
 void MailServerComponent::handle_request(const runtime::Request& request,
@@ -153,7 +153,6 @@ void MailServerComponent::apply_send(const MailMessage& message,
   }
   coherence::Update update;
   update.descriptor.object_key = message.to;
-  update.descriptor.field = "inbox";
   update.descriptor.bytes = send_wire_bytes(message);
   auto payload = std::make_shared<SendBody>();
   payload->message = message;

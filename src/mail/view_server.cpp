@@ -26,10 +26,10 @@ void ViewMailServerComponent::on_start() {
       },
       ops::kSync, config_->view_policy);
   replica_->set_flush_listener([this]() {
-    // Serve everything that arrived while the window was full. With a flush
-    // window > 1 the listener fires per completed batch; drain only once
-    // the window has room again, else the drained requests would just
-    // re-defer.
+    // Serve everything that arrived while the flush was in flight. The
+    // completed flush may have started the next one at once (a count
+    // policy whose queue refilled); drain only once no flush is in flight,
+    // else the drained requests would just re-defer.
     if (draining_ || replica_->flushing()) return;
     draining_ = true;
     std::vector<std::pair<runtime::Request, runtime::ResponseCallback>> work;
@@ -40,7 +40,7 @@ void ViewMailServerComponent::on_start() {
     draining_ = false;
   });
   directory_ = std::make_unique<coherence::CoherenceDirectory>(
-      runtime(), self(), ops::kPush, nullptr, config_->directory_tuning);
+      runtime(), self(), ops::kPush);
 
   // Announce ourselves to the home (relayed through any intermediate views,
   // each of which also records us in its own directory).
@@ -77,8 +77,8 @@ void ViewMailServerComponent::prepare_migration(std::function<void()> done) {
   }
   // Push queued write-backs upstream before the snapshot is cut, so the
   // exported cache and the home's authoritative state agree. flush() always
-  // completes its callback, even when the queue is empty or the flush
-  // window is full (queued updates then stay local — they still travel
+  // completes its callback, even when the queue is empty or a flush is
+  // already in flight (queued updates then stay local — they still travel
   // inside the exported cache_).
   replica_->flush(std::move(done));
 }
@@ -284,7 +284,6 @@ void ViewMailServerComponent::apply_send_locally(const MailMessage& message,
   if (queue_coherence) {
     coherence::UpdateDescriptor descriptor;
     descriptor.object_key = message.to;
-    descriptor.field = "inbox";
     descriptor.bytes = send_wire_bytes(message);
     auto payload = std::make_shared<SendBody>();
     payload->message = message;

@@ -20,10 +20,21 @@ struct DeployState {
   bool failed = false;
   util::Status failure;
 
+  // A failed deploy takes back every instance it installed itself (never a
+  // reused one): nothing else would ever start, pool or uninstall them.
+  void fail(const util::Status& status) {
+    for (std::size_t i = 0; i < plan.placements.size(); ++i) {
+      if (!plan.placements[i].reuse_existing && instances[i] != 0) {
+        (void)runtime->uninstall(instances[i]);
+      }
+    }
+    done(status);
+  }
+
   void finish_if_ready() {
     if (pending_installs != 0) return;
     if (failed) {
-      done(failure);
+      fail(failure);
       return;
     }
 
@@ -32,7 +43,7 @@ struct DeployState {
       auto st = runtime->wire(instances[wire.client], wire.interface_name,
                               instances[wire.server]);
       if (!st) {
-        done(st);
+        fail(st);
         return;
       }
     }
@@ -55,7 +66,7 @@ struct DeployState {
       if (p.reuse_existing) continue;
       auto st = runtime->start(instances[i]);
       if (!st) {
-        done(st);
+        fail(st);
         return;
       }
     }

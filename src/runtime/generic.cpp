@@ -684,7 +684,13 @@ void GenericProxy::bind(std::function<void(util::Status)> done) {
                                 bound_ = true;
                                 finish_bind(util::Status::ok());
                               },
-                              lost_hop("acknowledgement"));
+                              [this, ad](TransportError error) {
+                                // The server accounted this client's load
+                                // before acknowledging; the retry's rebind
+                                // accounts it again, so take it back.
+                                release_access_load(*ad->server);
+                                lost_hop("acknowledgement")(error);
+                              });
                         });
                   },
                   lost_hop("access request"));
@@ -692,6 +698,16 @@ void GenericProxy::bind(std::function<void(util::Status)> done) {
             lost_hop("proxy download"));
       },
       lost_hop("lookup query"));
+}
+
+void GenericProxy::release_access_load(GenericServer& server) {
+  const planner::DeploymentPlan& plan = outcome_.plan;
+  for (std::size_t i = 0; i < plan.placements.size(); ++i) {
+    const planner::Placement& p = plan.placements[i];
+    if (p.id == plan.entry) continue;
+    (void)server.release_load(service_, outcome_.instances[i],
+                              p.inbound_rate_rps);
+  }
 }
 
 void GenericProxy::finish_bind(util::Status status) {

@@ -337,6 +337,9 @@ class GenericProxy {
   };
 
   void finish_bind(util::Status status);
+  // Takes back the load the server accounted for `outcome_` on its shared
+  // placements (all but the client entry), as a departing client would.
+  void release_access_load(GenericServer& server);
   // Drop handler for one bind hop: losing it ends the bind as unavailable,
   // so the next bind() starts afresh instead of joining a dead flight.
   std::function<void(TransportError)> lost_hop(const char* hop);

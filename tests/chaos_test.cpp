@@ -4,6 +4,7 @@
 // retry/rebind policy bridging injected faults.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <vector>
 
@@ -76,6 +77,28 @@ struct ChaosFixture : public ::testing::Test {
     auto link = fw->network().link_between(a, b);
     EXPECT_TRUE(link.has_value());
     return *link;
+  }
+
+  // Requests a TrustLevel-4, 25 rps access for sd_client straight from the
+  // generic server and partitions San Diego `after` later, before all of
+  // the deploy's code downloads have landed. Returns the access status.
+  util::Status access_cut_by_partition(sim::Duration after) {
+    util::Status status = util::internal_error("incomplete");
+    bool done = false;
+    planner::PlanRequest request = request_for(4);
+    request.client_node = sites.sd_client;
+    fw->server().request_access(
+        "SecureMail", request,
+        [&](util::Expected<runtime::AccessOutcome> outcome) {
+          status = outcome.status();
+          done = true;
+        });
+    fw->simulator().schedule(
+        after, [&]() { fw->monitor().partition(sd_side(), other_side()); });
+    fw->run_until_condition([&done]() { return done; },
+                            sim::Duration::from_seconds(60));
+    EXPECT_TRUE(done);
+    return status;
   }
 
   std::vector<net::NodeId> sd_side() { return sites.san_diego; }
@@ -410,6 +433,82 @@ TEST_F(ChaosFixture, RequestQueuedOnCrashedTargetRebinds) {
   EXPECT_TRUE(response.ok) << response.error;
   EXPECT_GE(fw->retry_telemetry().dead_targets, 1u);
   EXPECT_GE(fw->retry_telemetry().rebinds, 1u);
+}
+
+TEST_F(ChaosFixture, LostBindAcknowledgementAccountsTheClientOnce) {
+  // The server accounts a client's load on the plan's shared placements
+  // before it acknowledges the bind. Cutting sd-0–sd-2 while that
+  // acknowledgement crosses the WAN loses it. The cut is silent, so the
+  // retry's rebind replays the cached plan, and every pooled load must then
+  // read what one clean bind accounts.
+  config->keys->provision_user("ida", mail::kMaxSensitivity);
+  auto proxy = fw->make_proxy(sites.sd_client, "SecureMail", request_for(4));
+  runtime::RetryPolicy policy;
+  policy.attempt_timeout = sim::Duration::from_seconds(20);
+  policy.max_attempts = 8;
+  proxy->enable_retries(policy, &fw->retry_telemetry());
+
+  auto any_load_accounted = [&]() {
+    for (const auto& inst : fw->server().existing_instances("SecureMail")) {
+      if (inst.current_load_rps > 0.0) return true;
+    }
+    return false;
+  };
+  runtime::Response response;
+  bool done = false;
+  proxy->invoke(receive_request("ida", false), [&](runtime::Response r) {
+    response = r;
+    done = true;
+  });
+  // The load is accounted in the event that sends the acknowledgement.
+  ASSERT_TRUE(fw->run_until_condition(any_load_accounted,
+                                      sim::Duration::from_seconds(60)));
+  ASSERT_FALSE(proxy->bound());
+  fw->network().set_link_up(wan(sites.san_diego[0], sites.sd_client), false);
+
+  fw->run_until_condition([&]() { return done; },
+                          sim::Duration::from_seconds(300));
+  ASSERT_TRUE(done);
+  EXPECT_TRUE(response.ok) << response.error;
+  EXPECT_GE(fw->retry_telemetry().retries, 1u);
+
+  // A clean bind accounts each shared placement's inbound rate once.
+  const runtime::AccessOutcome& outcome = proxy->outcome();
+  EXPECT_TRUE(outcome.cache_hit);
+  std::map<runtime::RuntimeInstanceId, double> expected;
+  for (std::size_t i = 0; i < outcome.plan.placements.size(); ++i) {
+    const planner::Placement& p = outcome.plan.placements[i];
+    if (p.id == outcome.plan.entry) continue;
+    expected[outcome.instances[i]] += p.inbound_rate_rps;
+  }
+  ASSERT_FALSE(expected.empty());
+  for (const auto& inst : fw->server().existing_instances("SecureMail")) {
+    EXPECT_DOUBLE_EQ(inst.current_load_rps, expected[inst.runtime_id])
+        << inst.component->name << " at "
+        << fw->network().node(inst.node).name;
+  }
+}
+
+TEST_F(ChaosFixture, DeployCutAfter1usLeavesNoInstanceBehind) {
+  // The deploy's local install (the Decryptor beside the home) lands; the
+  // code downloads to San Diego find no route.
+  const std::size_t before = fw->runtime().instance_count();
+  const util::Status status =
+      access_cut_by_partition(sim::Duration::from_micros(1));
+  EXPECT_EQ(status.code(), util::ErrorCode::kFailedPrecondition)
+      << status.to_string();
+  EXPECT_EQ(fw->runtime().instance_count(), before);
+}
+
+TEST_F(ChaosFixture, DeployCutAfter20msLeavesNoInstanceBehind) {
+  // At 20 ms more of the deploy's installs have landed before the
+  // partition kills the rest; the failed deploy must take them all back.
+  const std::size_t before = fw->runtime().instance_count();
+  const util::Status status =
+      access_cut_by_partition(sim::Duration::from_millis(20));
+  EXPECT_EQ(status.code(), util::ErrorCode::kFailedPrecondition)
+      << status.to_string();
+  EXPECT_EQ(fw->runtime().instance_count(), before);
 }
 
 // Two identical worlds driven by the same FaultPlan seed must agree on every

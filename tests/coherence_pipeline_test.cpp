@@ -1,8 +1,6 @@
-// Coherence data-path overhaul: coalesced write-back, pipelined flush
-// windows, rejected-flush requeue, batched directory fan-out with epoch
-// aggregation and lazy dead-replica pruning — plus the write-through-
-// equivalence invariant (window 1, no coalescing must reproduce the classic
-// stop-and-wait byte-for-byte; DESIGN.md §coherence data path).
+// Coherence data path: stop-and-wait write-back at its exact wire cost,
+// rejected-flush requeue, batched directory fan-out with epoch aggregation
+// and lazy dead-replica pruning (DESIGN.md §6d).
 #include <gtest/gtest.h>
 
 #include "coherence/directory.hpp"
@@ -116,6 +114,15 @@ struct PipelineFixture : public ::testing::Test {
     PSF_CHECK(runtime.start(replica2_id).is_ok());
   }
 
+  // The replica's channel to the home: a direct invoke from the replica's
+  // node, standing in for a view's ServerInterface wire.
+  ReplicaCoherence::Transport to_home() {
+    return [this](runtime::Request request, runtime::ResponseCallback done) {
+      runtime.invoke_from_node(a, home_id, std::move(request),
+                               std::move(done));
+    };
+  }
+
   runtime::RuntimeInstanceId install(const std::string& type,
                                      net::NodeId node) {
     runtime::RuntimeInstanceId out = 0;
@@ -128,11 +135,9 @@ struct PipelineFixture : public ::testing::Test {
     return out;
   }
 
-  Update make_update(const std::string& key, int value,
-                     const std::string& field = "") {
+  Update make_update(const std::string& key, int value) {
     Update u;
     u.descriptor.object_key = key;
-    u.descriptor.field = field;
     u.descriptor.bytes = 100;
     auto body = std::make_shared<PayloadBody>();
     body->value = value;
@@ -140,9 +145,8 @@ struct PipelineFixture : public ::testing::Test {
     return u;
   }
 
-  void record(ReplicaCoherence& rc, const std::string& key, int value,
-              const std::string& field = "") {
-    auto u = make_update(key, value, field);
+  void record(ReplicaCoherence& rc, const std::string& key, int value) {
+    auto u = make_update(key, value);
     rc.record_update(u.descriptor, u.payload);
   }
 
@@ -157,125 +161,49 @@ struct PipelineFixture : public ::testing::Test {
   RecordingReplica* replica2 = nullptr;
 };
 
-// ---- write-through-equivalence invariant --------------------------------
+// ---- stop-and-wait write-back --------------------------------------------
 
-// Window 1 + no coalescing must reproduce the classic stop-and-wait exactly:
-// one single-update flush per recorded update, each batch costing
-// 64 (envelope) + bytes + 32 (per-update framing) on the wire.
-TEST_F(PipelineFixture, WriteThroughWindow1IsBitIdenticalStopAndWait) {
-  ReplicaCoherence rc(runtime, replica_id, home_id, "sync",
-                      CoherencePolicy::write_through().windowed(1));
+// Write-through is the classic stop-and-wait: one single-update flush per
+// recorded update, each batch costing 64 (envelope) + bytes + 32 (per-update
+// framing) on the wire, with the replica flushing until the ack lands.
+TEST_F(PipelineFixture, WriteThroughIsStopAndWaitAtExactWireCost) {
+  ReplicaCoherence rc(runtime, replica_id, to_home(), "sync",
+                      CoherencePolicy::write_through());
   constexpr int kUpdates = 5;
   for (int i = 0; i < kUpdates; ++i) {
     record(rc, "k", i);
+    EXPECT_TRUE(rc.flushing());
     sim.run();
+    EXPECT_FALSE(rc.flushing());
   }
   EXPECT_EQ(rc.stats().flushes, 5u);
   EXPECT_EQ(rc.stats().updates_flushed, 5u);
   EXPECT_EQ(rc.stats().bytes_flushed, 5u * (64u + 100u + 32u));
-  EXPECT_EQ(rc.stats().updates_coalesced, 0u);
-  EXPECT_EQ(rc.stats().max_inflight, 1u);
   EXPECT_EQ(home->values, (std::vector<int>{0, 1, 2, 3, 4}));
-  // An explicitly-windowed(1) policy is the default policy: same wire cost.
-  EXPECT_EQ(CoherencePolicy::write_through().max_inflight_flushes, 1u);
 }
 
-// ---- coalesced write-back -----------------------------------------------
-
-TEST_F(PipelineFixture, CoalescingMergesSameDescriptorLastWriterWins) {
-  ReplicaCoherence rc(runtime, replica_id, home_id, "sync",
-                      CoherencePolicy::none().coalescing());
-  record(rc, "alice", 1, "inbox");
-  record(rc, "alice", 2, "inbox");   // supersedes value 1
-  record(rc, "alice", 3, "drafts");  // different field: kept separately
-  record(rc, "bob", 4, "inbox");
-  record(rc, "alice", 5, "inbox");   // supersedes value 2
-  EXPECT_EQ(rc.pending(), 3u);
-  EXPECT_EQ(rc.stats().updates_recorded, 5u);
-  EXPECT_EQ(rc.stats().updates_coalesced, 2u);
-  EXPECT_EQ(rc.stats().coalesced_bytes_saved, 2u * (100u + 32u));
-
-  rc.flush();
-  sim.run();
-  ASSERT_EQ(home->batches.size(), 1u);
-  EXPECT_EQ(home->batches[0], 3u);
-  // Queue order is preserved; merged slots carry the latest payload.
-  EXPECT_EQ(home->values, (std::vector<int>{5, 3, 4}));
-}
-
-TEST_F(PipelineFixture, CoalescingDoesNotReachAcrossFlushBoundaries) {
-  ReplicaCoherence rc(runtime, replica_id, home_id, "sync",
-                      CoherencePolicy::none().coalescing());
-  record(rc, "alice", 1, "inbox");
-  rc.flush();
-  // The first batch is in flight; a same-descriptor update must not mutate
-  // it — it starts a fresh pending entry instead.
-  record(rc, "alice", 2, "inbox");
-  EXPECT_EQ(rc.stats().updates_coalesced, 0u);
-  rc.flush();  // window full: rides the next flush
-  sim.run();
-  rc.flush();
-  sim.run();
-  EXPECT_EQ(home->values, (std::vector<int>{1, 2}));
-}
-
-// ---- pipelined flush windows --------------------------------------------
-
-TEST_F(PipelineFixture, WindowAllowsConcurrentBatchesAndPreservesOrder) {
-  ReplicaCoherence rc(runtime, replica_id, home_id, "sync",
-                      CoherencePolicy::count_based(2).windowed(2));
+TEST_F(PipelineFixture, StopAndWaitAccumulatesBlockedTime) {
+  ReplicaCoherence rc(runtime, replica_id, to_home(), "sync",
+                      CoherencePolicy::write_through());
   record(rc, "k", 0);
-  record(rc, "k", 1);  // first batch ships
-  EXPECT_EQ(rc.inflight_flushes(), 1u);
-  EXPECT_FALSE(rc.flushing());  // window of 2 still has room
-  record(rc, "k", 2);
-  record(rc, "k", 3);  // second batch ships concurrently
-  EXPECT_EQ(rc.inflight_flushes(), 2u);
-  EXPECT_TRUE(rc.flushing());  // now the window is full
-  record(rc, "k", 4);
-  record(rc, "k", 5);  // must wait for an ack
-  EXPECT_EQ(rc.inflight_flushes(), 2u);
-  EXPECT_EQ(rc.pending(), 2u);
-
-  sim.run();
-  EXPECT_EQ(rc.stats().flushes, 3u);
-  EXPECT_EQ(rc.stats().max_inflight, 2u);
-  // FIFO links: pipelined batches arrive in send order.
-  EXPECT_EQ(home->values, (std::vector<int>{0, 1, 2, 3, 4, 5}));
-  EXPECT_EQ(rc.pending(), 0u);
-}
-
-TEST_F(PipelineFixture, Window1AccumulatesBlockedTimeWiderWindowDoesNot) {
-  ReplicaCoherence stop_and_wait(runtime, replica_id, home_id, "sync",
-                                 CoherencePolicy::write_through());
-  record(stop_and_wait, "k", 0);
-  EXPECT_TRUE(stop_and_wait.flushing());
+  EXPECT_TRUE(rc.flushing());
   sim.run();
   // The 50 ms/hop link makes the ack round trip >= 100 ms of wall block.
-  EXPECT_GE(stop_and_wait.stats().blocked_on_flush_ms, 100.0);
-
-  ReplicaCoherence windowed(runtime, replica_id, home_id, "sync",
-                            CoherencePolicy::write_through().windowed(4));
-  record(windowed, "k", 0);
-  EXPECT_FALSE(windowed.flushing());
-  sim.run();
-  EXPECT_EQ(windowed.stats().blocked_on_flush_ms, 0.0);
+  EXPECT_GE(rc.stats().blocked_on_flush_ms, 100.0);
 }
 
-TEST_F(PipelineFixture, TimeBasedTimerOnEmptyQueueNeverOpensTheWindow) {
-  ReplicaCoherence rc(runtime, replica_id, home_id, "sync",
+TEST_F(PipelineFixture, TimeBasedTimerOnEmptyQueueNeverFlushes) {
+  ReplicaCoherence rc(runtime, replica_id, to_home(), "sync",
                       CoherencePolicy::time_based(
-                          sim::Duration::from_millis(100))
-                          .windowed(2));
+                          sim::Duration::from_millis(100)));
   sim.run_until(sim::Time::zero() + sim::Duration::from_seconds(1));
   EXPECT_EQ(rc.stats().flushes, 0u);
-  EXPECT_EQ(rc.inflight_flushes(), 0u);
   EXPECT_FALSE(rc.flushing());
   EXPECT_EQ(rc.stats().blocked_on_flush_ms, 0.0);
 }
 
 TEST_F(PipelineFixture, ReentrantFlushFromListenerTerminates) {
-  ReplicaCoherence rc(runtime, replica_id, home_id, "sync",
+  ReplicaCoherence rc(runtime, replica_id, to_home(), "sync",
                       CoherencePolicy::none());
   int listener_calls = 0;
   rc.set_flush_listener([&] {
@@ -297,7 +225,7 @@ TEST_F(PipelineFixture, ReentrantFlushFromListenerTerminates) {
 // ---- rejected-flush requeue ---------------------------------------------
 
 TEST_F(PipelineFixture, RejectedFlushRequeuesAtFrontPreservingOrder) {
-  ReplicaCoherence rc(runtime, replica_id, home_id, "sync",
+  ReplicaCoherence rc(runtime, replica_id, to_home(), "sync",
                       CoherencePolicy::none());
   home->reject_next = 1;
   record(rc, "k", 0);
@@ -321,7 +249,7 @@ TEST_F(PipelineFixture, RejectedFlushRequeuesAtFrontPreservingOrder) {
 TEST_F(PipelineFixture, RetriesAreBoundedThenTheBatchIsDropped) {
   CoherencePolicy policy = CoherencePolicy::write_through();
   policy.max_flush_retries = 2;
-  ReplicaCoherence rc(runtime, replica_id, home_id, "sync", policy);
+  ReplicaCoherence rc(runtime, replica_id, to_home(), "sync", policy);
   home->reject_next = 100;  // the home never accepts
   record(rc, "k", 0);
   sim.run();
@@ -361,52 +289,10 @@ TEST_F(PipelineFixture, EpochAggregationShipsOneRpcPerReplica) {
   EXPECT_EQ(replica->values, (std::vector<int>{0, 1, 2}));
   EXPECT_EQ(dir.stats().pushes, 2u);
   EXPECT_EQ(dir.stats().push_updates, 6u);
-  // Naive fan-out would have issued 6 RPCs; batching issued 2.
-  EXPECT_EQ(dir.stats().push_rpcs_saved, 4u);
   // The second replica reused the first one's immutable batch body.
   EXPECT_EQ(dir.stats().batches_shared, 1u);
   EXPECT_EQ(dir.stats().epochs, 1u);
   EXPECT_EQ(dir.staged_updates(), 0u);
-}
-
-TEST_F(PipelineFixture, LegacyAndBatchedFanOutDeliverTheSameUpdates) {
-  DirectoryTuning legacy;
-  legacy.batch_fanout = false;
-  CoherenceDirectory naive(runtime, home_id, "push", nullptr, legacy);
-  CoherenceDirectory batched(runtime, home_id, "push");
-  ViewSubscription sub;
-  sub.wildcard = true;
-  naive.register_replica(replica_id, sub);
-  batched.register_replica(replica2_id, sub);
-
-  for (int i = 0; i < 4; ++i) {
-    naive.on_update(make_update("k", i));
-    batched.on_update(make_update("k", i));
-  }
-  sim.run();
-  // Same updates, same order — only the RPC count differs.
-  EXPECT_EQ(replica->values, replica2->values);
-  EXPECT_EQ(replica->values, (std::vector<int>{0, 1, 2, 3}));
-  EXPECT_EQ(naive.stats().pushes, 4u);
-  EXPECT_EQ(naive.stats().push_rpcs_saved, 0u);
-  EXPECT_EQ(batched.stats().pushes, 1u);
-  EXPECT_EQ(batched.stats().push_rpcs_saved, 3u);
-}
-
-TEST_F(PipelineFixture, NonZeroEpochAggregatesAcrossTime) {
-  DirectoryTuning tuning;
-  tuning.flush_epoch = sim::Duration::from_millis(20);
-  CoherenceDirectory dir(runtime, home_id, "push", nullptr, tuning);
-  ViewSubscription sub;
-  sub.wildcard = true;
-  dir.register_replica(replica_id, sub);
-
-  dir.on_update(make_update("k", 0));
-  sim.run_until(sim::Time::zero() + sim::Duration::from_millis(10));
-  dir.on_update(make_update("k", 1));  // joins the already-open epoch
-  sim.run();
-  ASSERT_EQ(replica->rpcs, (std::vector<std::size_t>{2u}));
-  EXPECT_EQ(dir.stats().epochs, 1u);
 }
 
 TEST_F(PipelineFixture, DeadReplicaIsPrunedLazilyOnPush) {
@@ -427,43 +313,6 @@ TEST_F(PipelineFixture, DeadReplicaIsPrunedLazilyOnPush) {
   sim.run();
   EXPECT_EQ(dir.stats().replicas_evicted, 1u);
   EXPECT_EQ(dir.stats().pushes, 2u);
-}
-
-TEST_F(PipelineFixture, UnregisterWhilePushInFlightIsSafe) {
-  CoherenceDirectory dir(runtime, home_id, "push");
-  ViewSubscription sub;
-  sub.wildcard = true;
-  dir.register_replica(replica_id, sub);
-
-  dir.on_update(make_update("k", 1));
-  dir.flush_staged();  // the push RPC leaves now
-  // Unregistering while that RPC traverses the link must not affect its
-  // delivery or crash when the ack comes back.
-  dir.unregister_replica(replica_id);
-  sim.run();
-  EXPECT_EQ(dir.replica_count(), 0u);
-  EXPECT_EQ(replica->updates_received(), 1u);
-
-  dir.on_update(make_update("k", 2));
-  sim.run();
-  EXPECT_EQ(dir.stats().pushes, 1u);  // only the first update shipped
-}
-
-TEST_F(PipelineFixture, UnregisterWithStagedUpdatesDropsThemCleanly) {
-  CoherenceDirectory dir(runtime, home_id, "push");
-  ViewSubscription sub;
-  sub.wildcard = true;
-  dir.register_replica(replica_id, sub);
-
-  dir.on_update(make_update("k", 1));
-  EXPECT_EQ(dir.staged_updates(), 1u);
-  // Unregistering before the epoch closes cancels the replica's pending
-  // delivery — the staged update simply has nowhere to go.
-  dir.unregister_replica(replica_id);
-  sim.run();
-  EXPECT_EQ(dir.stats().pushes, 0u);
-  EXPECT_EQ(dir.staged_updates(), 0u);
-  EXPECT_EQ(replica->updates_received(), 0u);
 }
 
 TEST_F(PipelineFixture, UninstallWhilePushInFlightFailsDeliveryGracefully) {

@@ -1,5 +1,5 @@
 // Coherence layer: policies (write-through, count, time, none), flush
-// batching/coalescing, blocking semantics, directory conflict pushes.
+// batching, blocking semantics, directory conflict pushes.
 #include <gtest/gtest.h>
 
 #include "coherence/directory.hpp"
@@ -105,6 +105,15 @@ struct CoherenceFixture : public ::testing::Test {
     return out;
   }
 
+  // The replica's channel to the home: a direct invoke from the replica's
+  // node, standing in for a view's ServerInterface wire.
+  ReplicaCoherence::Transport to_home() {
+    return [this](runtime::Request request, runtime::ResponseCallback done) {
+      runtime.invoke_from_node(a, home_id, std::move(request),
+                               std::move(done));
+    };
+  }
+
   Update make_update(const std::string& key, int value) {
     Update u;
     u.descriptor.object_key = key;
@@ -126,7 +135,7 @@ struct CoherenceFixture : public ::testing::Test {
 };
 
 TEST_F(CoherenceFixture, WriteThroughFlushesEveryUpdate) {
-  ReplicaCoherence rc(runtime, replica_id, home_id, "sync",
+  ReplicaCoherence rc(runtime, replica_id, to_home(), "sync",
                       CoherencePolicy::write_through());
   for (int i = 0; i < 3; ++i) {
     auto u = make_update("k", i);
@@ -140,7 +149,7 @@ TEST_F(CoherenceFixture, WriteThroughFlushesEveryUpdate) {
 }
 
 TEST_F(CoherenceFixture, CountBasedFlushesAtThreshold) {
-  ReplicaCoherence rc(runtime, replica_id, home_id, "sync",
+  ReplicaCoherence rc(runtime, replica_id, to_home(), "sync",
                       CoherencePolicy::count_based(5));
   for (int i = 0; i < 4; ++i) {
     auto u = make_update("k", i);
@@ -158,8 +167,8 @@ TEST_F(CoherenceFixture, CountBasedFlushesAtThreshold) {
   EXPECT_EQ(rc.pending(), 0u);
 }
 
-TEST_F(CoherenceFixture, UpdatesDuringFlushCoalesceIntoNextBatch) {
-  ReplicaCoherence rc(runtime, replica_id, home_id, "sync",
+TEST_F(CoherenceFixture, UpdatesDuringFlushRideTheNextBatch) {
+  ReplicaCoherence rc(runtime, replica_id, to_home(), "sync",
                       CoherencePolicy::count_based(2));
   // Two updates trigger a flush; while it is in flight (100+ ms RTT), two
   // more arrive — they must ship in the follow-up batch, not be lost.
@@ -180,7 +189,7 @@ TEST_F(CoherenceFixture, UpdatesDuringFlushCoalesceIntoNextBatch) {
 }
 
 TEST_F(CoherenceFixture, TimeBasedFlushesPeriodically) {
-  ReplicaCoherence rc(runtime, replica_id, home_id, "sync",
+  ReplicaCoherence rc(runtime, replica_id, to_home(), "sync",
                       CoherencePolicy::time_based(
                           sim::Duration::from_millis(500)));
   auto u = make_update("k", 1);
@@ -196,7 +205,7 @@ TEST_F(CoherenceFixture, TimeBasedFlushesPeriodically) {
 }
 
 TEST_F(CoherenceFixture, NonePolicyOnlyFlushesExplicitly) {
-  ReplicaCoherence rc(runtime, replica_id, home_id, "sync",
+  ReplicaCoherence rc(runtime, replica_id, to_home(), "sync",
                       CoherencePolicy::none());
   for (int i = 0; i < 10; ++i) {
     auto u = make_update("k", i);
@@ -215,7 +224,7 @@ TEST_F(CoherenceFixture, NonePolicyOnlyFlushesExplicitly) {
 }
 
 TEST_F(CoherenceFixture, EmptyFlushInvokesCallbackImmediately) {
-  ReplicaCoherence rc(runtime, replica_id, home_id, "sync",
+  ReplicaCoherence rc(runtime, replica_id, to_home(), "sync",
                       CoherencePolicy::none());
   bool acked = false;
   rc.flush([&] { acked = true; });
@@ -224,7 +233,7 @@ TEST_F(CoherenceFixture, EmptyFlushInvokesCallbackImmediately) {
 }
 
 TEST_F(CoherenceFixture, FlushListenerFiresAfterCompletion) {
-  ReplicaCoherence rc(runtime, replica_id, home_id, "sync",
+  ReplicaCoherence rc(runtime, replica_id, to_home(), "sync",
                       CoherencePolicy::write_through());
   int listener_calls = 0;
   rc.set_flush_listener([&] { ++listener_calls; });
@@ -236,7 +245,7 @@ TEST_F(CoherenceFixture, FlushListenerFiresAfterCompletion) {
 }
 
 TEST_F(CoherenceFixture, StatsTrackVolume) {
-  ReplicaCoherence rc(runtime, replica_id, home_id, "sync",
+  ReplicaCoherence rc(runtime, replica_id, to_home(), "sync",
                       CoherencePolicy::count_based(3));
   for (int i = 0; i < 7; ++i) {
     auto u = make_update("k", i);
@@ -279,18 +288,6 @@ TEST_F(CoherenceFixture, DirectorySkipsOrigin) {
   EXPECT_EQ(replica->pushes, 0u);  // the writer is not re-notified
 }
 
-TEST_F(CoherenceFixture, DirectorySubscribeExpandsSubscription) {
-  CoherenceDirectory dir(runtime, home_id, "push");
-  dir.register_replica(replica_id, {});
-  dir.on_update(make_update("carol", 1));
-  sim.run();
-  EXPECT_EQ(replica->pushes, 0u);
-  dir.subscribe(replica_id, "carol");
-  dir.on_update(make_update("carol", 2));
-  sim.run();
-  EXPECT_EQ(replica->pushes, 1u);
-}
-
 TEST_F(CoherenceFixture, DirectoryToleratesDeadReplicas) {
   CoherenceDirectory dir(runtime, home_id, "push");
   ViewSubscription sub;
@@ -302,26 +299,14 @@ TEST_F(CoherenceFixture, DirectoryToleratesDeadReplicas) {
   EXPECT_EQ(dir.stats().pushes, 0u);
 }
 
-TEST_F(CoherenceFixture, UnregisterStopsPushes) {
-  CoherenceDirectory dir(runtime, home_id, "push");
-  ViewSubscription sub;
-  sub.wildcard = true;
-  dir.register_replica(replica_id, sub);
-  dir.unregister_replica(replica_id);
-  dir.on_update(make_update("x", 1));
-  sim.run();
-  EXPECT_EQ(replica->pushes, 0u);
-}
-
-TEST(ConflictMapTest, DefaultOverlapSemantics) {
-  ConflictMap map;
+TEST(ViewSubscriptionTest, CoversSubscribedKeysOrEverythingWhenWildcard) {
   ViewSubscription sub;
   sub.object_keys = {"a", "b"};
-  EXPECT_TRUE(map.conflicts({"a", "", 0}, sub));
-  EXPECT_FALSE(map.conflicts({"c", "", 0}, sub));
+  EXPECT_TRUE(sub.covers("a"));
+  EXPECT_FALSE(sub.covers("c"));
   ViewSubscription wildcard;
   wildcard.wildcard = true;
-  EXPECT_TRUE(map.conflicts({"anything", "", 0}, wildcard));
+  EXPECT_TRUE(wildcard.covers("anything"));
 }
 
 TEST(PolicyTest, ToString) {

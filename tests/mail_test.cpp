@@ -214,11 +214,18 @@ TEST_F(MailFixture, ViewCachesLowSensitivityAndForwardsHigh) {
   ASSERT_TRUE(remote_recv.ok);
   EXPECT_EQ(view_comp->view_stats().receives_forwarded, 1u);
 
-  // Flush propagates the cached send to the home.
+  // A second cached send to the same recipient. An inbox update is an
+  // append, so it must not replace the first one in the replica's queue.
+  auto low2 = invoke(edge, view, send_request("alice", "alice", 1));
+  ASSERT_TRUE(low2.ok);
+  EXPECT_EQ(view_comp->cached_inbox_size("alice"), 2u);
+  EXPECT_EQ(server_comp->inbox_size("alice"), 1u);
+
+  // Flush propagates both cached sends to the home.
   view_comp->replica_coherence()->flush();
   sim.run();
-  EXPECT_EQ(server_comp->inbox_size("alice"), 2u);
-  EXPECT_EQ(server_comp->mail_stats().sync_updates_applied, 1u);
+  EXPECT_EQ(server_comp->inbox_size("alice"), 3u);
+  EXPECT_EQ(server_comp->mail_stats().sync_updates_applied, 2u);
 }
 
 TEST_F(MailFixture, ViewNeverHoldsKeysAboveItsTrust) {

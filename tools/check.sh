@@ -8,9 +8,10 @@
 #                             # -L sanitize; the label's list is in
 #                             # tests/CMakeLists.txt)
 #   tools/check.sh --stress   # also: long-running suites (ctest -L stress)
-#   tools/check.sh --coherence # only: the coherence smoke suite
-#                             # (build + ctest -L coherence, via the
-#                             # coherence_smoke target)
+#   tools/check.sh --coherence # only: the coherence suite (build +
+#                             # ctest -L coherence, via the
+#                             # coherence_smoke target, + the
+#                             # coherence_sweep conservation gates)
 #   tools/check.sh --lint     # only: build psflint + detlint and run the
 #                             # lint-labeled tests (examples + fixtures stay
 #                             # clean, src/tools/bench free of non-baselined
@@ -136,10 +137,12 @@ if [[ "${BENCH_ONLY}" == 1 ]]; then
 fi
 
 if [[ "${COHERENCE_ONLY}" == 1 ]]; then
-  echo "== coherence smoke =="
+  echo "== coherence suite (replica + directory + mail views) =="
   cmake -B build -S . >/dev/null
-  cmake --build build -j "${JOBS}" --target coherence_smoke
-  echo "== coherence smoke passed =="
+  cmake --build build -j "${JOBS}" --target coherence_smoke coherence_sweep
+  echo "== coherence_sweep conservation gates =="
+  ./build/bench/coherence_sweep
+  echo "== coherence suite passed =="
   exit 0
 fi
 
