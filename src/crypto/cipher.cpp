@@ -1,5 +1,6 @@
 #include "crypto/cipher.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 
@@ -50,25 +51,91 @@ void store_word(std::uint8_t* p, std::uint64_t w, std::size_t n) {
   std::memcpy(p, &w, n);
 }
 
-// out = in XOR keystream, in the word layout apply_keystream documents;
-// `out` must hold in.size() bytes.
-void xor_keystream(const SymmetricKey& key, std::uint64_t nonce,
-                   std::span<const std::uint8_t> in,
-                   std::span<std::uint8_t> out) {
-  util::SplitMix64 stream(mix(key.k0 ^ nonce) ^ key.k1);
-  const std::size_t n = in.size();
-  std::size_t i = 0;
+// One blob's pass over its words: the keystream and the running tag. Lanes
+// are local variables, which the compiler keeps in registers; each word's
+// tag step waits on the one before, and a round trip through memory would
+// lengthen that chain.
+class Lane {
+ public:
+  Lane(const SymmetricKey& key, std::uint64_t nonce, std::size_t n)
+      : stream_(mix(key.k0 ^ nonce) ^ key.k1),
+        h_(mix(key.k1 ^ nonce) ^
+           static_cast<std::uint64_t>(n) * 0x9E3779B97F4A7C15ULL) {}
+
+  // Encrypts one plaintext word (a short tail loaded zero-padded) and
+  // absorbs its ciphertext. Only the low `n` bytes are stored, so the tag
+  // absorbs the rest as zeros.
+  std::uint64_t seal_word(std::uint64_t plain, std::size_t n) {
+    const std::uint64_t c = plain ^ stream_.next();
+    absorb(n == 8 ? c : c & ((std::uint64_t{1} << (8 * n)) - 1));
+    return c;
+  }
+
+  // Absorbs one ciphertext word (a short tail loaded zero-padded) and
+  // decrypts it.
+  std::uint64_t open_word(std::uint64_t cipher) {
+    absorb(cipher);
+    return cipher ^ stream_.next();
+  }
+
+  std::uint64_t tag(const SymmetricKey& key) const { return mix(h_ ^ key.k0); }
+
+ private:
+  void absorb(std::uint64_t word) {
+    h_ = (h_ ^ word) * 0x100000001B3ULL;
+    h_ ^= h_ >> 29;
+  }
+
+  util::SplitMix64 stream_;
+  std::uint64_t h_;
+};
+
+// Opens bytes [i, n) of one blob on one lane. The lane passes in and out
+// by value, so its state stays in registers even where this is not inlined.
+Lane open_words(Lane lane, const std::uint8_t* in, std::uint8_t* out,
+                std::size_t i, std::size_t n) {
   for (; i + 8 <= n; i += 8) {
-    store_word(&out[i], load_word(&in[i], 8) ^ stream.next(), 8);
+    store_word(out + i, lane.open_word(load_word(in + i, 8)), 8);
   }
   if (i < n) {
-    store_word(&out[i], load_word(&in[i], n - i) ^ stream.next(), n - i);
+    store_word(out + i, lane.open_word(load_word(in + i, n - i)), n - i);
   }
+  return lane;
 }
 
-std::uint64_t absorb(std::uint64_t h, std::uint64_t word) {
-  h = (h ^ word) * 0x100000001B3ULL;
-  return h ^ (h >> 29);
+// The tag check after a lane has opened every word: on a mismatch the
+// plaintext is discarded.
+bool verify(const Lane& lane, const SymmetricKey& key, const SealedBlob& blob,
+            std::vector<std::uint8_t>& out) {
+  if (lane.tag(key) == blob.mac) return true;
+  out.clear();
+  return false;
+}
+
+// Opens two jobs in lockstep over the words both blobs have, then each
+// blob's remaining words on its own lane.
+void unseal_pair(UnsealJob& a, UnsealJob& b) {
+  const SealedBlob& blob_a = *a.blob;
+  const SealedBlob& blob_b = *b.blob;
+  const std::size_t na = blob_a.ciphertext.size();
+  const std::size_t nb = blob_b.ciphertext.size();
+  a.out.resize(na);
+  b.out.resize(nb);
+  const std::uint8_t* in_a = blob_a.ciphertext.data();
+  const std::uint8_t* in_b = blob_b.ciphertext.data();
+  std::uint8_t* out_a = a.out.data();
+  std::uint8_t* out_b = b.out.data();
+  Lane lane_a(a.key, blob_a.nonce, na);
+  Lane lane_b(b.key, blob_b.nonce, nb);
+  const std::size_t both = std::min(na, nb) / 8 * 8;
+  for (std::size_t i = 0; i < both; i += 8) {
+    store_word(out_a + i, lane_a.open_word(load_word(in_a + i, 8)), 8);
+    store_word(out_b + i, lane_b.open_word(load_word(in_b + i, 8)), 8);
+  }
+  lane_a = open_words(lane_a, in_a, out_a, both, na);
+  lane_b = open_words(lane_b, in_b, out_b, both, nb);
+  a.ok = verify(lane_a, a.key, blob_a, a.out);
+  b.ok = verify(lane_b, b.key, blob_b, b.out);
 }
 
 }  // namespace
@@ -85,39 +152,46 @@ SymmetricKey derive_key(std::uint64_t master_secret,
 std::vector<std::uint8_t> apply_keystream(const SymmetricKey& key,
                                           std::uint64_t nonce,
                                           std::span<const std::uint8_t> data) {
-  std::vector<std::uint8_t> out(data.size());
-  xor_keystream(key, nonce, data, out);
-  return out;
-}
-
-std::uint64_t compute_mac(const SymmetricKey& key, std::uint64_t nonce,
-                          std::span<const std::uint8_t> ciphertext) {
-  const std::size_t n = ciphertext.size();
-  std::uint64_t h = mix(key.k1 ^ nonce) ^
-                    static_cast<std::uint64_t>(n) * 0x9E3779B97F4A7C15ULL;
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) h = absorb(h, load_word(&ciphertext[i], 8));
-  if (i < n) h = absorb(h, load_word(&ciphertext[i], n - i));
-  return mix(h ^ key.k0);
+  // The ciphertext is data XOR keystream; the tag is not needed here.
+  return seal(key, nonce, data).ciphertext;
 }
 
 SealedBlob seal(const SymmetricKey& key, std::uint64_t nonce,
                 std::span<const std::uint8_t> plaintext) {
+  const std::size_t n = plaintext.size();
   SealedBlob blob;
   blob.nonce = nonce;
-  blob.ciphertext.resize(plaintext.size());
-  xor_keystream(key, nonce, plaintext, blob.ciphertext);
-  blob.mac = compute_mac(key, nonce, blob.ciphertext);
+  blob.ciphertext.resize(n);
+  const std::uint8_t* in = plaintext.data();
+  std::uint8_t* out = blob.ciphertext.data();
+  Lane lane(key, nonce, n);
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    store_word(out + i, lane.seal_word(load_word(in + i, 8), 8), 8);
+  }
+  if (i < n) {
+    store_word(out + i, lane.seal_word(load_word(in + i, n - i), n - i),
+               n - i);
+  }
+  blob.mac = lane.tag(key);
   return blob;
 }
 
 bool unseal(const SymmetricKey& key, const SealedBlob& blob,
             std::vector<std::uint8_t>& out) {
-  out.clear();
-  if (compute_mac(key, blob.nonce, blob.ciphertext) != blob.mac) return false;
-  out.resize(blob.ciphertext.size());
-  xor_keystream(key, blob.nonce, blob.ciphertext, out);
-  return true;
+  const std::size_t n = blob.ciphertext.size();
+  out.resize(n);
+  const Lane lane = open_words(Lane(key, blob.nonce, n),
+                               blob.ciphertext.data(), out.data(), 0, n);
+  return verify(lane, key, blob, out);
+}
+
+void unseal_all(std::span<UnsealJob> jobs) {
+  std::size_t i = 0;
+  for (; i + 2 <= jobs.size(); i += 2) unseal_pair(jobs[i], jobs[i + 1]);
+  if (i < jobs.size()) {
+    jobs[i].ok = unseal(jobs[i].key, *jobs[i].blob, jobs[i].out);
+  }
 }
 
 double crypto_cpu_cost(std::size_t bytes) {

@@ -8,6 +8,10 @@
 // deterministic CPU cost per byte so encryption shows up in latency
 // measurements. A keystream XOR + keyed hash delivers all three at
 // simulation fidelity; see DESIGN.md §2.
+//
+// seal and unseal read a body once: each 8-byte word is XORed with the
+// keystream and absorbed into the tag in the same step, so the keystream's
+// independent multiplies run under the tag's serial multiply chain.
 #pragma once
 
 #include <cstdint>
@@ -37,14 +41,10 @@ std::vector<std::uint8_t> apply_keystream(const SymmetricKey& key,
                                           std::uint64_t nonce,
                                           std::span<const std::uint8_t> data);
 
-// Keyed 64-bit tag (toy integrity check) over the nonce, the length and the
-// ciphertext, absorbed 8 bytes per step (a short tail zero-padded), so a
-// changed nonce, a changed byte, an appended byte or a dropped byte all
-// change it.
-std::uint64_t compute_mac(const SymmetricKey& key, std::uint64_t nonce,
-                          std::span<const std::uint8_t> ciphertext);
-
-// A sealed payload: ciphertext + nonce + tag.
+// A sealed payload: ciphertext + nonce + tag. The tag is a keyed 64-bit hash
+// (toy integrity check) over the nonce, the length and the ciphertext,
+// absorbed 8 bytes per step (a short tail zero-padded), so a changed nonce,
+// a changed byte, an appended byte or a dropped byte all change it.
 struct SealedBlob {
   std::vector<std::uint8_t> ciphertext;
   std::uint64_t nonce = 0;
@@ -57,10 +57,28 @@ struct SealedBlob {
 SealedBlob seal(const SymmetricKey& key, std::uint64_t nonce,
                 std::span<const std::uint8_t> plaintext);
 
-// Verifies the tag before decrypting; returns false (and leaves `out`
-// empty) on MAC mismatch.
+// Verifies the tag while decrypting; returns false (and leaves `out` empty)
+// on MAC mismatch.
 bool unseal(const SymmetricKey& key, const SealedBlob& blob,
             std::vector<std::uint8_t>& out);
+
+// One blob for unseal_all. `blob` is not owned and must outlive the call.
+struct UnsealJob {
+  SymmetricKey key;
+  const SealedBlob* blob = nullptr;
+  std::vector<std::uint8_t> out;  // the plaintext; empty unless `ok`
+  bool ok = false;
+};
+
+// Opens every job exactly as unseal(job.key, *job.blob, job.out) would,
+// setting `ok` to its result. Jobs run in pairs, in order, two lanes in
+// lockstep: one lane's tag chain (xor, multiply, shift, xor per word) is
+// latency-bound, and a second independent chain fills its gaps. Four lanes
+// run no faster than two: the pass is then bound by its three multiplies
+// per word, and x86-64's 16 registers cannot hold four lanes. A lone last
+// job runs on one lane. Lanes share no state, so a job whose tag fails
+// affects no other job.
+void unseal_all(std::span<UnsealJob> jobs);
 
 // Cost model: abstract cpu units consumed to seal/unseal `bytes` bytes.
 // Tuned so encrypting a 4 KB mail body costs about one tenth of a mail-server

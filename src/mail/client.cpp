@@ -1,5 +1,8 @@
 #include "mail/client.hpp"
 
+#include <optional>
+#include <vector>
+
 #include "util/logging.hpp"
 
 namespace psf::mail {
@@ -39,23 +42,31 @@ void MailClientComponent::handle_send(const runtime::Request& request,
   }
   ++stats_.sends;
 
+  const MailMessage& message = body->message;
   auto outgoing = std::make_shared<SendBody>();
-  outgoing->message = body->message;
   double crypto_units = 0.0;
-  if (outgoing->message.sensitivity > 0 && !outgoing->message.sealed) {
-    auto key = config_->keys->key(crypto::KeyRef{
-        outgoing->message.from, outgoing->message.sensitivity});
+  if (message.sensitivity > 0 && !message.sealed) {
+    auto key = config_->keys->key(
+        crypto::KeyRef{message.from, message.sensitivity});
     if (!key) {
       done(runtime::Response::failure("sender has no key at level " +
-                                      std::to_string(
-                                          outgoing->message.sensitivity)));
+                                      std::to_string(message.sensitivity)));
       return;
     }
-    crypto_units = crypto::crypto_cpu_cost(outgoing->message.plaintext.size());
-    outgoing->message.sealed = std::make_shared<crypto::SealedBlob>(
-        crypto::seal(*key, outgoing->message.id, outgoing->message.plaintext));
-    outgoing->message.key_owner = outgoing->message.from;
-    outgoing->message.plaintext.clear();
+    // Sealed straight from the request's plaintext: the forwarded copy
+    // carries the blob and never the body.
+    MailMessage& out = outgoing->message;
+    out.id = message.id;
+    out.from = message.from;
+    out.to = message.to;
+    out.subject = message.subject;
+    out.sensitivity = message.sensitivity;
+    out.sealed = std::make_shared<crypto::SealedBlob>(
+        crypto::seal(*key, message.id, message.plaintext));
+    out.key_owner = message.from;
+    crypto_units = crypto::crypto_cpu_cost(message.plaintext.size());
+  } else {
+    outgoing->message = message;
   }
 
   runtime::Request forwarded;
@@ -96,27 +107,54 @@ void MailClientComponent::handle_receive(const runtime::Request& request,
            done(std::move(response));
            return;
          }
-         // Decrypt and verify every sealed message for the local user.
+         // Decrypt and verify every sealed message for the local user. A
+         // run of messages under one (key owner, level) shares one key
+         // lookup; the blobs open as one batch.
          auto plain = std::make_shared<ReceiveResultBody>();
-         double crypto_units = 0.0;
-         for (const MailMessage& m : result->messages) {
-           MailMessage copy = m;
-           if (copy.sealed) {
-             auto key = config_->keys->key(
-                 crypto::KeyRef{copy.key_owner, copy.sensitivity});
-             std::vector<std::uint8_t> text;
-             if (key && crypto::unseal(*key, *copy.sealed, text)) {
-               crypto_units += crypto::crypto_cpu_cost(text.size());
-               copy.plaintext = std::move(text);
-               copy.sealed.reset();
-               ++stats_.messages_decrypted;
-             } else {
-               ++stats_.mac_failures;
-               PSF_WARN() << "MailClient: failed to unseal message "
-                          << copy.id;
-             }
+         plain->messages = result->messages;
+         std::vector<MailMessage>& messages = plain->messages;
+         std::vector<crypto::UnsealJob> jobs;
+         std::vector<std::size_t> job_message;  // message index of each job
+         jobs.reserve(messages.size());
+         job_message.reserve(messages.size());
+         const MailMessage* run = nullptr;
+         std::optional<crypto::SymmetricKey> key;
+         for (std::size_t i = 0; i < messages.size(); ++i) {
+           const MailMessage& m = messages[i];
+           if (!m.sealed) continue;
+           if (run == nullptr || m.key_owner != run->key_owner ||
+               m.sensitivity != run->sensitivity) {
+             run = &m;
+             auto found = config_->keys->key(
+                 crypto::KeyRef{m.key_owner, m.sensitivity});
+             key = found ? std::optional(*found) : std::nullopt;
            }
-           plain->messages.push_back(std::move(copy));
+           if (!key) continue;  // counted as a MAC failure below
+           jobs.push_back(crypto::UnsealJob{*key, m.sealed.get(), {}, false});
+           job_message.push_back(i);
+         }
+         crypto::unseal_all(jobs);
+
+         // Results in message order: crypto_units is a sum of doubles, and
+         // its order decides simulated time.
+         double crypto_units = 0.0;
+         std::size_t next = 0;
+         for (std::size_t i = 0; i < messages.size(); ++i) {
+           MailMessage& m = messages[i];
+           if (!m.sealed) continue;
+           crypto::UnsealJob* job = nullptr;
+           if (next < jobs.size() && job_message[next] == i) {
+             job = &jobs[next++];
+           }
+           if (job != nullptr && job->ok) {
+             crypto_units += crypto::crypto_cpu_cost(job->out.size());
+             m.plaintext = std::move(job->out);
+             m.sealed.reset();
+             ++stats_.messages_decrypted;
+           } else {
+             ++stats_.mac_failures;
+             PSF_WARN() << "MailClient: failed to unseal message " << m.id;
+           }
          }
          runtime::Response out;
          out.body = plain;

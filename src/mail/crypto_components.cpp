@@ -1,5 +1,8 @@
 #include "mail/crypto_components.hpp"
 
+#include <algorithm>
+#include <cstring>
+
 #include "util/logging.hpp"
 
 namespace psf::mail {
@@ -16,8 +19,20 @@ std::vector<std::uint8_t> tunnel_image(std::uint64_t bytes,
   const std::size_t materialized =
       static_cast<std::size_t>(std::min<std::uint64_t>(bytes, 4096));
   std::vector<std::uint8_t> image(materialized);
-  for (std::size_t i = 0; i < image.size(); ++i) {
-    image[i] = static_cast<std::uint8_t>((nonce + i * 131) & 0xFF);
+  // Byte i is (nonce + 131 i) mod 256. Since 8 * 131 = 24 (mod 256), each
+  // 8-byte word is the one before it with 24 added to every byte; the masked
+  // add keeps each carry inside its byte, so it holds on any byte order.
+  std::uint8_t first[8];
+  for (std::size_t j = 0; j < 8; ++j) {
+    first[j] = static_cast<std::uint8_t>((nonce + j * 131) & 0xFF);
+  }
+  std::uint64_t word = 0;
+  std::memcpy(&word, first, sizeof word);
+  constexpr std::uint64_t kHigh = 0x8080808080808080ULL;
+  constexpr std::uint64_t kStep = 0x1818181818181818ULL;
+  for (std::size_t i = 0; i < materialized; i += 8) {
+    std::memcpy(&image[i], &word, std::min<std::size_t>(8, materialized - i));
+    word = ((word & ~kHigh) + kStep) ^ (word & kHigh);
   }
   return image;
 }

@@ -206,6 +206,7 @@ void ViewMailServerComponent::handle_receive(const runtime::Request& request,
     const auto& inbox = it->second.inbox.messages;
     const std::size_t limit =
         std::min({body->max_messages, config_->receive_batch, inbox.size()});
+    result->messages.reserve(limit);
     for (std::size_t i = inbox.size() - limit; i < inbox.size(); ++i) {
       MailMessage copy = inbox[i];
       crypto_units += reencrypt_for(copy, body->user);

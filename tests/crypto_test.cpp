@@ -1,5 +1,5 @@
 // Toy crypto substrate: round trips, tamper detection, key separation,
-// known-answer vectors, keystore release-ledger semantics.
+// known-answer vectors, batched unsealing, keystore release-ledger semantics.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -7,6 +7,7 @@
 
 #include "crypto/cipher.hpp"
 #include "crypto/keystore.hpp"
+#include "util/rng.hpp"
 
 namespace psf::crypto {
 namespace {
@@ -236,6 +237,188 @@ TEST(CipherTest, TamperSweepRejectsEveryCase) {
     }
     std::vector<std::uint8_t> out;
     ASSERT_TRUE(unseal(key, blob, out)) << "restored blob, length " << n;
+  }
+  EXPECT_EQ(cases, 18861u);
+}
+
+// ---- unseal_all ---------------------------------------------------------
+
+// One blob for a batch, and how it was made to fail, if at all.
+struct BatchCase {
+  SymmetricKey key;
+  SealedBlob blob;
+  std::vector<std::uint8_t> plaintext;
+  bool tampered = false;
+};
+
+// Opens `cases` as one batch and checks every job against unseal() of the
+// same blob alone: the same verdict and the same output, an empty output
+// for a rejected job, and the plaintext for an untampered one. Jobs start
+// with a stale output and the wrong verdict, which unseal_all must replace.
+void expect_batch_matches_unseal(const std::vector<const BatchCase*>& cases) {
+  std::vector<UnsealJob> jobs;
+  for (const BatchCase* c : cases) {
+    jobs.push_back(UnsealJob{c->key, &c->blob, {7, 7, 7}, c->tampered});
+  }
+  unseal_all(jobs);
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const BatchCase& c = *cases[i];
+    std::vector<std::uint8_t> alone{9};
+    const bool ok = unseal(c.key, c.blob, alone);
+    EXPECT_EQ(jobs[i].ok, ok) << "job " << i << " of " << cases.size();
+    EXPECT_EQ(jobs[i].out, alone) << "job " << i << " of " << cases.size();
+    EXPECT_EQ(ok, !c.tampered) << "job " << i << " of " << cases.size();
+    if (ok) {
+      EXPECT_EQ(jobs[i].out, c.plaintext);
+    } else {
+      EXPECT_TRUE(jobs[i].out.empty());
+    }
+  }
+}
+
+TEST(CipherTest, UnsealAllMatchesUnsealOneAtATime) {
+  const SymmetricKey key = derive_key(2002, "alice#3");
+  const SymmetricKey wrong = derive_key(2002, "alice#4");
+  util::Rng rng(35);
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 17; ++n) lengths.push_back(n);
+  lengths.push_back(2048);
+  for (int k = 0; k < 12; ++k) {
+    lengths.push_back(static_cast<std::size_t>(rng.uniform_u64(1536, 2560)));
+  }
+
+  // Every length untampered, and with each kind of damage it can take.
+  enum class Damage { kNone, kCiphertextBit, kNonceBit, kTagBit, kWrongKey };
+  std::vector<BatchCase> cases;
+  std::uint64_t nonce = 100;
+  for (std::size_t n : lengths) {
+    for (Damage d : {Damage::kNone, Damage::kCiphertextBit, Damage::kNonceBit,
+                     Damage::kTagBit, Damage::kWrongKey}) {
+      if (d == Damage::kCiphertextBit && n == 0) continue;
+      BatchCase c;
+      c.key = key;
+      c.plaintext = kat_plaintext(n);
+      c.blob = seal(key, ++nonce, c.plaintext);
+      c.tampered = d != Damage::kNone;
+      switch (d) {
+        case Damage::kNone:
+          break;
+        case Damage::kCiphertextBit: {
+          const std::uint64_t bit = rng.uniform_u64(0, 8 * n - 1);
+          c.blob.ciphertext[bit / 8] ^=
+              static_cast<std::uint8_t>(1u << (bit % 8));
+          break;
+        }
+        case Damage::kNonceBit:
+          c.blob.nonce ^= std::uint64_t{1} << rng.uniform_u64(0, 63);
+          break;
+        case Damage::kTagBit:
+          c.blob.mac ^= std::uint64_t{1} << rng.uniform_u64(0, 63);
+          break;
+        case Damage::kWrongKey:
+          c.key = wrong;
+          break;
+      }
+      cases.push_back(std::move(c));
+    }
+  }
+  // A seeded shuffle, so neighbours differ in length and in damage.
+  for (std::size_t i = cases.size(); i > 1; --i) {
+    std::swap(cases[i - 1], cases[rng.uniform_u64(0, i - 1)]);
+  }
+
+  // Every window of the shuffled cases, at odd and even batch sizes, so
+  // each case runs in either lane of a pair and as a lone last job.
+  std::size_t shorter_first = 0, shorter_second = 0;
+  std::size_t damaged_first = 0, damaged_second = 0, lone = 0;
+  for (std::size_t count : {1u, 2u, 3u, 4u, 5u, 8u, 9u}) {
+    for (std::size_t start = 0; start < cases.size(); ++start) {
+      std::vector<const BatchCase*> batch;
+      for (std::size_t k = 0; k < count; ++k) {
+        batch.push_back(&cases[(start + k) % cases.size()]);
+      }
+      expect_batch_matches_unseal(batch);
+      for (std::size_t k = 0; k + 1 < count; k += 2) {
+        const std::size_t na = batch[k]->blob.ciphertext.size();
+        const std::size_t nb = batch[k + 1]->blob.ciphertext.size();
+        shorter_first += na < nb;
+        shorter_second += nb < na;
+        damaged_first += batch[k]->tampered && !batch[k + 1]->tampered;
+        damaged_second += batch[k + 1]->tampered && !batch[k]->tampered;
+      }
+      lone += count % 2 == 1 && batch.back()->tampered;
+    }
+  }
+  EXPECT_GT(shorter_first, 0u);
+  EXPECT_GT(shorter_second, 0u);
+  EXPECT_GT(damaged_first, 0u);
+  EXPECT_GT(damaged_second, 0u);
+  EXPECT_GT(lone, 0u);
+
+  std::vector<UnsealJob> none;
+  unseal_all(none);
+}
+
+// TamperSweepRejectsEveryCase's cases, each opened in a pair next to an
+// untampered blob, once in each lane: the tampered job is rejected with an
+// empty output, and its partner opens to its plaintext.
+TEST(CipherTest, TamperSweepRejectsEveryCaseInEitherLane) {
+  const SymmetricKey key = derive_key(2002, "alice#3");
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 17; ++n) lengths.push_back(n);
+  lengths.push_back(2048);
+  std::vector<BatchCase> partners;
+  for (std::size_t n : {std::size_t{0}, std::size_t{9}, std::size_t{1536},
+                        std::size_t{2048}, std::size_t{2560}}) {
+    BatchCase c;
+    c.key = key;
+    c.plaintext = kat_plaintext(n);
+    c.blob = seal(key, 7 + n, c.plaintext);
+    partners.push_back(std::move(c));
+  }
+  std::size_t cases = 0;
+  const auto expect_rejected = [&](const SealedBlob& blob, const char* what,
+                                   std::size_t n, std::size_t where) {
+    const BatchCase& partner = partners[cases % partners.size()];
+    for (bool tampered_first : {true, false}) {
+      UnsealJob tampered{key, &blob, {1}, true};
+      UnsealJob good{partner.key, &partner.blob, {1}, false};
+      std::vector<UnsealJob> jobs;
+      jobs.push_back(tampered_first ? tampered : good);
+      jobs.push_back(tampered_first ? good : tampered);
+      unseal_all(jobs);
+      const UnsealJob& t = jobs[tampered_first ? 0 : 1];
+      const UnsealJob& g = jobs[tampered_first ? 1 : 0];
+      EXPECT_FALSE(t.ok) << what << " at " << where << ", length " << n
+                         << ", lane " << (tampered_first ? 0 : 1);
+      EXPECT_TRUE(t.out.empty());
+      EXPECT_TRUE(g.ok) << what << " at " << where << ", length " << n;
+      EXPECT_EQ(g.out, partner.plaintext);
+    }
+    ++cases;
+  };
+  for (std::size_t n : lengths) {
+    SealedBlob blob = seal(key, 42, kat_plaintext(n));
+    for (std::size_t bit = 0; bit < 8 * n; ++bit) {
+      const auto mask = static_cast<std::uint8_t>(1u << (bit % 8));
+      blob.ciphertext[bit / 8] ^= mask;
+      expect_rejected(blob, "ciphertext bit", n, bit);
+      blob.ciphertext[bit / 8] ^= mask;
+    }
+    for (unsigned bit = 0; bit < 64; ++bit) {
+      blob.nonce ^= std::uint64_t{1} << bit;
+      expect_rejected(blob, "nonce bit", n, bit);
+      blob.nonce ^= std::uint64_t{1} << bit;
+    }
+    blob.ciphertext.push_back(0);
+    expect_rejected(blob, "appended zero byte", n, n);
+    blob.ciphertext.pop_back();
+    if (n > 0) {
+      const std::uint8_t last = blob.ciphertext.back();
+      blob.ciphertext.pop_back();
+      expect_rejected(blob, "dropped last byte", n, n - 1);
+      blob.ciphertext.push_back(last);
+    }
   }
   EXPECT_EQ(cases, 18861u);
 }

@@ -318,6 +318,123 @@ TEST_F(MailFixture, TunnelDetectsTamperedEnvelope) {
   EXPECT_FALSE(crypto::unseal(key, blob, out));
 }
 
+// Known-answer vectors for the tunnel image: its length (capped at 4096
+// bytes) and a 64-bit FNV-1a of its bytes, at lengths around the 8-byte
+// word and the cap. Any rewrite of tunnel_image must keep them.
+TEST(TunnelImageTest, KnownAnswerVectors) {
+  const auto fnv1a = [](const std::vector<std::uint8_t>& data) {
+    std::uint64_t h = 0xCBF29CE484222325ULL;
+    for (std::uint8_t b : data) {
+      h ^= b;
+      h *= 0x100000001B3ULL;
+    }
+    return h;
+  };
+  struct Vector {
+    std::uint64_t bytes;
+    std::uint64_t nonce;
+    std::size_t size;
+    std::uint64_t fnv;
+  };
+  const Vector vectors[] = {
+      {0, 2, 0, 0xcbf29ce484222325ULL},
+      {1, 2, 1, 0xaf63bf4c8601bb45ULL},
+      {7, 2, 7, 0x31ece6f6fb72ff18ULL},
+      {8, 2, 8, 0x488c04ad44683ffdULL},
+      {9, 2, 9, 0xae2bd96b3d249585ULL},
+      {4095, 2, 4095, 0x21b09fb85a080bb8ULL},
+      {4096, 2, 4096, 0x472b2d40fbac0325ULL},
+      {4097, 2, 4096, 0x472b2d40fbac0325ULL},
+      {9, 1, 9, 0xf7494c827d17c9b4ULL},
+      {4097, 1, 4096, 0x6a13673e0703c325ULL},
+      {9, 0xFFFFFFFFFFFFFFFFULL, 9, 0xdde1093766c97bd6ULL},
+      {4095, 0xFFFFFFFFFFFFFFFFULL, 4095, 0x4f7bc06aadc92bbbULL},
+      {9, 0x123456789ABCDEFULL, 9, 0xf95fb5ce794fdf46ULL},
+      {4096, 0x123456789ABCDEFULL, 4096, 0xe31c33f8735a0325ULL},
+  };
+  for (const Vector& v : vectors) {
+    const std::vector<std::uint8_t> image = tunnel_image(v.bytes, v.nonce);
+    EXPECT_EQ(image.size(), v.size) << v.bytes << " bytes, nonce " << v.nonce;
+    EXPECT_EQ(fnv1a(image), v.fnv)
+        << v.bytes << " bytes, nonce " << v.nonce << ": 0x" << std::hex
+        << fnv1a(image);
+  }
+}
+
+// A receive result with one corrupted body among five. The client opens the
+// other four, leaves the corrupted one sealed, counts it as a MAC failure,
+// and charges crypto time for the four it opened, in message order.
+TEST_F(MailFixture, ClientOpensMixedReceiveResult) {
+  const auto server = install("MailServer", home);
+  const auto client = install("MailClient", edge);
+  ASSERT_TRUE(runtime.wire(client, "ServerInterface", server).is_ok());
+  ASSERT_TRUE(runtime.start(server).is_ok());
+  ASSERT_TRUE(runtime.start(client).is_ok());
+  config->keys->provision_user("alice", kMaxSensitivity);
+  config->keys->provision_user("bob", kMaxSensitivity);
+
+  // Sealed by alice; the server re-seals each for bob on the receive. The
+  // third carries a flipped ciphertext bit, so its re-seal fails and it
+  // reaches the client still under alice's key.
+  struct Sent {
+    std::int64_t sensitivity;
+    std::size_t length;
+  };
+  const Sent sent[] = {{3, 1536}, {3, 2048}, {3, 17}, {4, 2560}, {2, 9}};
+  std::vector<std::vector<std::uint8_t>> texts;
+  for (std::size_t i = 0; i < std::size(sent); ++i) {
+    std::vector<std::uint8_t> text(sent[i].length);
+    for (std::size_t j = 0; j < text.size(); ++j) {
+      text[j] = static_cast<std::uint8_t>(j * 7 + i);
+    }
+    auto body = std::make_shared<SendBody>();
+    body->message.id = 100 + i;
+    body->message.from = "alice";
+    body->message.to = "bob";
+    body->message.sensitivity = sent[i].sensitivity;
+    crypto::SealedBlob blob = crypto::seal(
+        config->keys->key({"alice", sent[i].sensitivity}).value(),
+        body->message.id, text);
+    if (i == 2) blob.ciphertext[5] ^= 0x10;
+    body->message.sealed = std::make_shared<crypto::SealedBlob>(blob);
+    body->message.key_owner = "alice";
+    runtime::Request request;
+    request.op = ops::kSend;
+    request.body = body;
+    request.wire_bytes = send_wire_bytes(body->message);
+    ASSERT_TRUE(invoke(home, server, std::move(request)).ok);
+    texts.push_back(std::move(text));
+  }
+
+  const sim::Time start = sim.now();
+  auto recv = invoke(edge, client, receive_request("bob"));
+  ASSERT_TRUE(recv.ok) << recv.error;
+  // Network, the server's re-seals and the client's opens, all simulated.
+  EXPECT_EQ((sim.now() - start).nanos(), 106009347);
+
+  const auto* result = runtime::body_as<ReceiveResultBody>(recv);
+  ASSERT_NE(result, nullptr);
+  ASSERT_EQ(result->messages.size(), std::size(sent));
+  for (std::size_t i = 0; i < std::size(sent); ++i) {
+    const MailMessage& m = result->messages[i];
+    EXPECT_EQ(m.id, 100 + i);
+    if (i == 2) {
+      ASSERT_NE(m.sealed, nullptr);
+      EXPECT_EQ(m.key_owner, "alice");
+      EXPECT_TRUE(m.plaintext.empty());
+    } else {
+      EXPECT_EQ(m.sealed, nullptr) << "message " << i;
+      EXPECT_EQ(m.key_owner, "bob") << "message " << i;
+      EXPECT_EQ(m.plaintext, texts[i]) << "message " << i;
+    }
+  }
+
+  auto* client_comp = dynamic_cast<MailClientComponent*>(
+      runtime.instance(client).component.get());
+  EXPECT_EQ(client_comp->client_stats().messages_decrypted, 4u);
+  EXPECT_EQ(client_comp->client_stats().mac_failures, 1u);
+}
+
 TEST_F(MailFixture, ServerReencryptsForRecipient) {
   const auto server = install("MailServer", home);
   ASSERT_TRUE(runtime.start(server).is_ok());
