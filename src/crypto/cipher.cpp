@@ -51,6 +51,11 @@ void store_word(std::uint8_t* p, std::uint64_t w, std::size_t n) {
   std::memcpy(p, &w, n);
 }
 
+// The keystream for one (key, nonce): one SplitMix64 output per 8-byte word.
+util::SplitMix64 keystream(const SymmetricKey& key, std::uint64_t nonce) {
+  return util::SplitMix64(mix(key.k0 ^ nonce) ^ key.k1);
+}
+
 // One blob's pass over its words: the keystream and the running tag. Lanes
 // are local variables, which the compiler keeps in registers; each word's
 // tag step waits on the one before, and a round trip through memory would
@@ -58,7 +63,7 @@ void store_word(std::uint8_t* p, std::uint64_t w, std::size_t n) {
 class Lane {
  public:
   Lane(const SymmetricKey& key, std::uint64_t nonce, std::size_t n)
-      : stream_(mix(key.k0 ^ nonce) ^ key.k1),
+      : stream_(keystream(key, nonce)),
         h_(mix(key.k1 ^ nonce) ^
            static_cast<std::uint64_t>(n) * 0x9E3779B97F4A7C15ULL) {}
 
@@ -152,8 +157,14 @@ SymmetricKey derive_key(std::uint64_t master_secret,
 std::vector<std::uint8_t> apply_keystream(const SymmetricKey& key,
                                           std::uint64_t nonce,
                                           std::span<const std::uint8_t> data) {
-  // The ciphertext is data XOR keystream; the tag is not needed here.
-  return seal(key, nonce, data).ciphertext;
+  const std::size_t n = data.size();
+  std::vector<std::uint8_t> out(n);
+  util::SplitMix64 stream = keystream(key, nonce);
+  for (std::size_t i = 0; i < n; i += 8) {
+    const std::size_t w = std::min<std::size_t>(8, n - i);
+    store_word(&out[i], load_word(&data[i], w) ^ stream.next(), w);
+  }
+  return out;
 }
 
 SealedBlob seal(const SymmetricKey& key, std::uint64_t nonce,
